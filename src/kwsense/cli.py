@@ -30,9 +30,10 @@ from .disambig import (
     build_sif_store,
     disambiguate,
     load_docvec_store,
+    strategy_store,
 )
 from .embeddings import EmbeddingModel, load_binary_model, load_text_model
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, UnmeasurableError
 from .evaluation import eval_wordpairs, eval_wsd, load_wordpair_dataset, load_wsd_corpus
 from .lexicon import Lexicon, load_lexicon
 from .relatedness import RelWeights, SifConfig, rel_senses, rel_sense_word, rel_words
@@ -190,6 +191,7 @@ def _build_stores(cfg: RunConfig, model: EmbeddingModel, lexicon: Lexicon):
         if cfg.docvec_path is None:
             raise ConfigError("strategy 'docvec' requires --docvec")
         docvec_store = load_docvec_store(cfg.docvec_path)
+    strategy_store(model, cfg.strategy, sif_store, docvec_store)
     return sif_store, docvec_store
 
 
@@ -248,7 +250,7 @@ def _cmd_rel(cfg: RunConfig, args: argparse.Namespace) -> int:
                 return EXIT_OOV
             score = maybe
             kind = "word-word"
-    except ValueError as exc:
+    except UnmeasurableError as exc:
         print(f"relatedness undefined: {exc}", file=sys.stderr)
         return EXIT_OOV
     if cfg.output == "json":

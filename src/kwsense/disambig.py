@@ -22,20 +22,21 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector, centroid
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, UnmeasurableError
 from .lexicon import Lexicon, Sense
 from .relatedness import (
     DEFAULT_WEIGHTS,
     RelWeights,
     SifConfig,
-    angular_relatedness,
-    rel_sense_word_maybe,
-    rel_words,
+    combine_levels,
+    core_context_senses,
+    mean_skip_missing,
+    relatedness_matrix,
     sif_embeddings,
 )
 from .stopwords import default_stopwords
@@ -218,11 +219,11 @@ def select_active_context(
         if norm in cfg.stopwords or norm == kd_norm:
             continue
         candidates.append(word)
-    scored: list[tuple[str, float]] = []
-    for word in candidates:
-        r = rel_words(model, word, keyword)
-        if r is not None and r >= cfg.threshold:
-            scored.append((word, r))
+    rel = relatedness_matrix(
+        [model.phrase_vector(word) for word in candidates], [model.phrase_vector(keyword)]
+    )[:, 0].tolist()
+    # NaN (an unrepresentable pair) fails the threshold comparison.
+    scored = [(word, r) for word, r in zip(candidates, rel) if r >= cfg.threshold]
     scored.sort(key=lambda member: -member[1])
     return ActiveContext(target=keyword, members=tuple(scored[: cfg.max_context]))
 
@@ -239,19 +240,45 @@ def step1_base_scores(
     Context members the sense cannot be related to are skipped with the
     denominator reduced; an empty (or fully missing) context yields 0.
     """
+    if not ca.members:
+        return [SenseScore(sense_id=sense.id, score=0.0, step1=0.0) for sense in senses]
+    phrases: dict[str, int] = {}
+    plans = [
+        (
+            _phrase_ids(phrases, sense.synonyms),
+            [_phrase_ids(phrases, m.synonyms) for m in core_context_senses(lexicon, sense)],
+        )
+        for sense in senses
+    ]
+    by_word = _relatedness_by_word(model, phrases, ca.words)
     out = []
-    for sense in senses:
-        total = 0.0
-        n = 0
-        for word, _ in ca.members:
-            r = rel_sense_word_maybe(model, lexicon, sense, word, weights)
-            if r is None:
-                continue
-            total += r
-            n += 1
-        base = total / n if n else 0.0
+    for sense, (synonyms, members) in zip(senses, plans):
+        per_word = []
+        for rel in by_word:
+            r0 = mean_skip_missing(rel[i] for i in synonyms)
+            r1 = None
+            if members:
+                r1 = mean_skip_missing(mean_skip_missing(rel[i] for i in m) for m in members)
+            per_word.append(combine_levels(r0, r1, weights))
+        base = mean_skip_missing(per_word)
+        if base is None:
+            base = 0.0
         out.append(SenseScore(sense_id=sense.id, score=base, step1=base))
     return out
+
+
+def _phrase_ids(phrases: dict[str, int], items: Iterable[str]) -> list[int]:
+    """Rows of ``items`` in the call's distinct-phrase table, adding new phrases."""
+    return [phrases.setdefault(p, len(phrases)) for p in items]
+
+
+def _relatedness_by_word(
+    model: EmbeddingModel, phrases: dict[str, int], words: Sequence[str]
+) -> list[list[float]]:
+    """One list per word: the relatedness of every gathered phrase to it (NaN if missing)."""
+    return relatedness_matrix(
+        [model.phrase_vector(p) for p in phrases], [model.phrase_vector(w) for w in words]
+    ).T.tolist()
 
 
 def _normalized_word_set(terms: Iterable[str], stopwords: frozenset[str]) -> set[str]:
@@ -299,77 +326,99 @@ def _nonzero_centroid(vectors: Sequence[Vector]) -> Optional[Vector]:
     return c if c.any() else None
 
 
-def _strategy_strength(
-    model: EmbeddingModel,
-    sense: Sense,
-    ca: ActiveContext,
-    params: AlgoParams,
-    ca_centroid: Optional[Vector],
-    ca_vectors: Sequence[Vector],
-    sif_store: Optional[dict[str, Vector]],
-    docvec_store: Optional[DocVecStore],
-    stopwords: frozenset[str],
-) -> Optional[float]:
-    """Strategy strength in [0, 1], or None when the inputs are unavailable."""
-    if params.strategy is Strategy.OVERLAP:
-        return overlap(ca, sense.description_terms, stopwords)
-
-    if params.strategy is Strategy.AVERAGE:
-        if not ca.words or not sense.description_terms:
-            return None
-        total = 0.0
-        n = 0
-        for word in ca.words:
-            for term in sense.description_terms:
-                r = rel_words(model, word, term)
-                if r is None:
-                    continue
-                total += r
-                n += 1
-        return total / n if n else None
-
-    if ca_centroid is None:
-        return None
-
-    if params.strategy is Strategy.SIF:
-        assert sif_store is not None
-        v = sif_store.get(sense.id)
-        if v is None or not v.any():
-            return None
-        return angular_relatedness(ca_centroid, v)
-
-    if params.strategy is Strategy.DOC_VEC:
-        assert docvec_store is not None
-        v = docvec_store.vectors.get(sense.id)
-        if v is None or not v.any():
-            return None
-        return angular_relatedness(ca_centroid, v)
-
-    # TOP_K: compare the context centroid against the centroid of the k
-    # description-term vectors nearest to the centroid of context + keyword.
-    term_vectors = [
-        v
-        for term in sense.description_terms
-        if (v := model.phrase_vector(term)) is not None and v.any()
+def _average_strengths(
+    model: EmbeddingModel, senses: Sequence[Sense], ca: ActiveContext
+) -> list[Optional[float]]:
+    """Mean word relatedness over (context word, description term) pairs, per sense."""
+    if not ca.words:
+        return [None] * len(senses)
+    terms: dict[str, int] = {}
+    plans = [_phrase_ids(terms, sense.description_terms) for sense in senses]
+    by_word = _relatedness_by_word(model, terms, ca.words)
+    return [
+        mean_skip_missing(rel[i] for rel in by_word for i in ids) if ids else None
+        for ids in plans
     ]
-    if not term_vectors:
-        return None
+
+
+def _topk_centroids(
+    model: EmbeddingModel,
+    senses: Sequence[Sense],
+    ca: ActiveContext,
+    ca_vectors: Sequence[Vector],
+    k: int,
+) -> list[Optional[Vector]]:
+    """Per sense, the centroid of the k description-term vectors nearest to the
+    centroid of context + keyword; None when no term is representable."""
     reference_parts = list(ca_vectors)
     kd_vec = model.phrase_vector(ca.target)
     if kd_vec is not None and kd_vec.any():
         reference_parts.append(kd_vec)
     reference = _nonzero_centroid(reference_parts)
     if reference is None:
-        return None
-    ranked = sorted(
-        range(len(term_vectors)),
-        key=lambda i: -angular_relatedness(reference, term_vectors[i]),
-    )
-    top = [term_vectors[i] for i in ranked[: params.k]]
-    top_centroid = _nonzero_centroid(top)
-    if top_centroid is None:
-        return None
-    return angular_relatedness(ca_centroid, top_centroid)
+        return [None] * len(senses)
+    terms: dict[str, int] = {}
+    plans = [_phrase_ids(terms, sense.description_terms) for sense in senses]
+    vectors = [model.phrase_vector(t) for t in terms]
+    rel = relatedness_matrix(vectors, [reference])[:, 0].tolist()
+    out: list[Optional[Vector]] = []
+    for ids in plans:
+        # NaN marks an unrepresentable term; the stable sort keeps term order on ties.
+        present = [i for i in ids if rel[i] == rel[i]]
+        ranked = sorted(present, key=lambda i: -rel[i])
+        out.append(centroid([vectors[i] for i in ranked[:k]]) if ranked else None)
+    return out
+
+
+def _strategy_strengths(
+    model: EmbeddingModel,
+    senses: Sequence[Sense],
+    ca: ActiveContext,
+    params: AlgoParams,
+    store: Mapping[str, Vector],
+    stopwords: frozenset[str],
+) -> list[Optional[float]]:
+    """Strategy strength in [0, 1] per sense, or None where the inputs are unavailable."""
+    if params.strategy is Strategy.OVERLAP:
+        return [overlap(ca, sense.description_terms, stopwords) for sense in senses]
+    if params.strategy is Strategy.AVERAGE:
+        return _average_strengths(model, senses, ca)
+    ca_vectors = _context_vectors(model, ca)
+    ca_centroid = _nonzero_centroid(ca_vectors)
+    if ca_centroid is None:
+        return [None] * len(senses)
+    if params.strategy is Strategy.TOP_K:
+        sense_vectors = _topk_centroids(model, senses, ca, ca_vectors, params.k)
+    else:
+        sense_vectors = [store.get(sense.id) for sense in senses]
+    rel = relatedness_matrix(sense_vectors, [ca_centroid])[:, 0].tolist()
+    return [r if r == r else None for r in rel]
+
+
+def strategy_store(
+    model: EmbeddingModel,
+    strategy: Strategy,
+    sif_store: Optional[Mapping[str, Vector]],
+    docvec_store: Optional[DocVecStore],
+) -> Mapping[str, Vector]:
+    """The per-sense vector store ``strategy`` reads; empty if it reads none.
+
+    Raises ConfigError when the strategy needs a store that is absent, or a
+    document-vector store whose dimension differs from the model's.
+    """
+    if strategy is Strategy.SIF:
+        if sif_store is None:
+            raise ConfigError("strategy 'sif' requires a description-embedding store")
+        return sif_store
+    if strategy is Strategy.DOC_VEC:
+        if docvec_store is None:
+            raise ConfigError("strategy 'docvec' requires a document-vector store")
+        if docvec_store.dim != model.dim:
+            raise ConfigError(
+                f"document-vector dimension {docvec_store.dim} != model dimension {model.dim}"
+            )
+        return docvec_store.vectors
+    return {}
 
 
 def step2_rescore(
@@ -388,15 +437,7 @@ def step2_rescore(
     of vocabulary, sense id absent from a store, empty context for the
     centroid strategies) keep their step-1 score unchanged.
     """
-    if params.strategy is Strategy.SIF and sif_store is None:
-        raise ConfigError("strategy 'sif' requires a description-embedding store")
-    if params.strategy is Strategy.DOC_VEC:
-        if docvec_store is None:
-            raise ConfigError("strategy 'docvec' requires a document-vector store")
-        if docvec_store.dim != model.dim:
-            raise ConfigError(
-                f"document-vector dimension {docvec_store.dim} != model dimension {model.dim}"
-            )
+    store = strategy_store(model, params.strategy, sif_store, docvec_store)
     if lexicon is None:
         raise ConfigError("step 2 requires the lexicon that defined the senses")
     stop = default_stopwords() if stopwords is None else stopwords
@@ -404,14 +445,10 @@ def step2_rescore(
         return []
     max_score = max(s.score for s in scores)
     factor = 1.0 - max_score
-    ca_vectors = _context_vectors(model, ca)
-    ca_centroid = _nonzero_centroid(ca_vectors)
+    senses = [lexicon.resolve(s.sense_id) for s in scores]
+    strengths = _strategy_strengths(model, senses, ca, params, store, stop)
     out = []
-    for s in scores:
-        sense = lexicon.resolve(s.sense_id)
-        strength = _strategy_strength(
-            model, sense, ca, params, ca_centroid, ca_vectors, sif_store, docvec_store, stop
-        )
+    for s, strength in zip(scores, strengths):
         if strength is None:
             out.append(replace(s))
             continue
@@ -489,12 +526,12 @@ def disambiguate(
 ) -> DisambiguationResult:
     """Rank the senses of ``keyword`` against its context.
 
-    Raises ValueError for keywords without senses. The returned ranking is
+    Raises UnmeasurableError for keywords without senses. The returned ranking is
     sorted by descending score; ties keep lexicon file order.
     """
     senses = lexicon.senses_of(keyword)
     if not senses:
-        raise ValueError(f"unknown keyword: {keyword!r}")
+        raise UnmeasurableError(f"unknown keyword: {keyword!r}")
     ca = select_active_context(model, context_words, keyword, cfg)
     scores = step1_base_scores(model, lexicon, senses, ca, params.weights)
     scores = step2_rescore(

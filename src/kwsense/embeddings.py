@@ -30,7 +30,8 @@ def centroid(vectors: Iterable[Vector]) -> Vector:
             raise ValueError(f"mixed dimensions: {dim} vs {v.shape[0]}")
     if len(vs) == 1:
         return vs[0].copy()
-    return np.mean(np.stack(vs), axis=0)
+    # np.mean's arithmetic, without its per-call overhead.
+    return np.add.reduce(np.array(vs), axis=0) / len(vs)
 
 
 @dataclass

@@ -14,3 +14,13 @@ class ParseError(KwsenseError, ValueError):
 
 class ConfigError(KwsenseError, ValueError):
     """An invalid or incomplete run configuration."""
+
+
+class UnmeasurableError(KwsenseError, ValueError):
+    """Nothing can be measured for the input.
+
+    Raised for a keyword without candidate senses and for relatedness whose
+    inputs are all out of vocabulary. Callers that score many inputs (such as
+    corpus evaluation) record these as not attempted; any other error is a
+    fault and propagates.
+    """

@@ -10,9 +10,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .disambig import AlgoParams, ContextConfig, DocVecStore, Strategy, disambiguate
+from .disambig import AlgoParams, ContextConfig, DocVecStore, disambiguate, strategy_store
 from .embeddings import EmbeddingModel, Vector
-from .errors import ConfigError, ParseError
+from .errors import ParseError, UnmeasurableError
 from .lexicon import Lexicon
 from .relatedness import rel_words
 
@@ -308,7 +308,7 @@ def _score_target(
         result = disambiguate(
             model, lexicon, target.keyword, context, cfg, params, sif_store, docvec_store
         )
-    except ValueError as exc:
+    except UnmeasurableError as exc:
         return WsdRecord(
             item_id=item.item_id,
             keyword=target.keyword,
@@ -346,12 +346,11 @@ def eval_wsd(
     Every target counts toward the total; targets whose keyword has no sense
     are not attempted. precision = correct/attempted, recall = correct/total,
     F1 their harmonic mean. The record order (and hence the report) does not
-    depend on ``jobs``.
+    depend on ``jobs``. A missing or mismatched strategy store raises
+    ConfigError before any target is scored; any error other than
+    UnmeasurableError from a target propagates.
     """
-    if params.strategy is Strategy.SIF and sif_store is None:
-        raise ConfigError("strategy 'sif' requires a description-embedding store")
-    if params.strategy is Strategy.DOC_VEC and docvec_store is None:
-        raise ConfigError("strategy 'docvec' requires a document-vector store")
+    strategy_store(model, params.strategy, sif_store, docvec_store)
     work = [(item, target) for item in corpus.items for target in item.targets]
     if not work:
         logger.warning("corpus %r has no targets; all metrics are 0", corpus.name)

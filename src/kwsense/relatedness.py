@@ -10,6 +10,24 @@ Out-of-vocabulary inputs are a first-class "missing" outcome (returned as
 None by the ``*_maybe`` aggregations): missing pairs are skipped with the
 denominator reduced accordingly, and an error is raised only when nothing
 measurable remains.
+
+Pairs are measured by one kernel, :func:`relatedness_matrix`: it takes two
+lists of phrase vectors (``None`` or a zero vector marks a missing one) and
+returns the relatedness of every pair, NaN where either side is missing.
+The disambiguation steps gather their phrases once per call and measure
+them in one or two kernel calls per step; :func:`rel_words` is the 1 x 1
+case, and the scalar :func:`cosine` shares the kernel's cosine routine, so
+the exact-endpoint rule lives in one place. arccos is ill-conditioned at
++/-1, so entries with |cos| > 0.999999 are checked for exactly equal (or
+exactly negated) vectors and set to the exact endpoint; the other flagged
+entries are recomputed with sums in index order, so they round the same way
+whatever the bulk product does. The kernel stacks at most ``_BLOCK_ROWS``
+rows at a time and forms products with ``einsum`` instead of a BLAS matrix
+product (``@``): stacking every row of a call at once, or one BLAS matrix
+product, each raised a process's peak resident memory by far more than the
+0.6 MB of a block at dim 300. The einsum loop also computes every entry the
+same way, so identical vectors score identically and ties keep their input
+order.
 """
 from __future__ import annotations
 
@@ -17,12 +35,12 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector
-from .errors import ParseError
+from .errors import ParseError, UnmeasurableError
 from .lexicon import Lexicon, Sense
 
 logger = logging.getLogger(__name__)
@@ -49,6 +67,41 @@ class RelWeights:
 DEFAULT_WEIGHTS = RelWeights(0.5, 0.5)
 
 
+# Rows stacked per kernel block: ~0.6 MB of float64 at dim 300.
+_BLOCK_ROWS = 256
+# Beyond this |cos| arccos is ill-conditioned: one rounding unit of the
+# cosine moves relatedness by 1e-13 here and by up to 1e-8 at +/-1.
+_NEAR_ENDPOINT = 0.999999
+
+
+def _ordered_dot(u: Vector, v: Vector) -> float:
+    """Dot product summed in index order, the order of the defining formula."""
+    return float(np.add.accumulate(u * v)[-1])
+
+
+def _cosines(
+    rows: np.ndarray, cols: np.ndarray, row_norms: np.ndarray, col_norms: np.ndarray
+) -> np.ndarray:
+    """Cosine of every (row, col) pair of two matrices with nonzero row norms, in [-1, 1].
+
+    Exactly parallel (antiparallel) vectors get exactly 1 (-1), so they do not
+    lose their endpoint to rounding in the norm product. Other entries near
+    the endpoints are recomputed with sums in index order, so their rounding
+    does not depend on how the bulk product groups its terms.
+    """
+    c = np.einsum("ik,jk->ij", rows, cols) / (row_norms[:, None] * col_norms[None, :])
+    for i, j in np.argwhere(np.abs(c) > _NEAR_ENDPOINT):
+        u, v = rows[i], cols[j]
+        if np.array_equal(u, v):
+            c[i, j] = 1.0
+        elif np.array_equal(u, np.negative(v)):
+            c[i, j] = -1.0
+        else:
+            norms = math.sqrt(_ordered_dot(u, u)) * math.sqrt(_ordered_dot(v, v))
+            c[i, j] = _ordered_dot(u, v) / norms
+    return np.clip(c, -1.0, 1.0, out=c)
+
+
 def cosine(v1: Vector, v2: Vector) -> float:
     """Cosine similarity, clamped to [-1, 1]; zero vectors are rejected."""
     if v1.shape != v2.shape:
@@ -57,21 +110,51 @@ def cosine(v1: Vector, v2: Vector) -> float:
     n2 = float(np.dot(v2, v2))
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("undefined cosine for zero vector")
-    c = float(np.dot(v1, v2)) / (math.sqrt(n1) * math.sqrt(n2))
-    # arccos is ill-conditioned at +/-1, so exactly (anti)parallel inputs must
-    # not lose their endpoint to rounding in the norm product.
-    if c > 0.999999:
-        if np.array_equal(v1, v2):
-            return 1.0
-    elif c < -0.999999:
-        if np.array_equal(v1, np.negative(v2)):
-            return -1.0
-    return min(1.0, max(-1.0, c))
+    norms = np.sqrt([n1, n2])
+    return float(_cosines(v1[None, :], v2[None, :], norms[:1], norms[1:])[0, 0])
 
 
 def angular_relatedness(v1: Vector, v2: Vector) -> float:
     """1 - arccos(cosine(v1, v2)) / pi; 1 for parallel, 0.5 orthogonal, 0 antiparallel."""
     return 1.0 - math.acos(cosine(v1, v2)) / math.pi
+
+
+def _stack_directed(
+    vectors: Sequence[Optional[Vector]], ids: list[int]
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Rows and norms of the given vectors, dropping those whose squared norm is 0."""
+    mat = np.array([vectors[i] for i in ids])
+    norms = np.sqrt(np.einsum("ik,ik->i", mat, mat))
+    directed = norms > 0.0
+    if directed.all():
+        return ids, mat, norms
+    kept = [i for i, keep in zip(ids, directed.tolist()) if keep]
+    return kept, mat[directed], norms[directed]
+
+
+def relatedness_matrix(
+    rows: Sequence[Optional[Vector]], cols: Sequence[Optional[Vector]]
+) -> np.ndarray:
+    """Angular relatedness of every (row, col) vector pair; NaN where either is missing.
+
+    ``None`` and zero vectors (squared norm 0, which includes vectors so small
+    that it underflows) are missing. Rows are processed in blocks of at most
+    ``_BLOCK_ROWS``, so put the longer list first.
+    """
+    out = np.full((len(rows), len(cols)), np.nan)
+    row_ids = [i for i, v in enumerate(rows) if v is not None]
+    col_ids = [j for j, v in enumerate(cols) if v is not None]
+    if not row_ids or not col_ids:
+        return out
+    col_ids, col_mat, col_norms = _stack_directed(cols, col_ids)
+    if not col_ids:
+        return out
+    for start in range(0, len(row_ids), _BLOCK_ROWS):
+        block, row_mat, row_norms = _stack_directed(rows, row_ids[start : start + _BLOCK_ROWS])
+        if block:
+            c = _cosines(row_mat, col_mat, row_norms, col_norms)
+            out[np.ix_(block, col_ids)] = 1.0 - np.arccos(c) / math.pi
+    return out
 
 
 def rel_words(model: EmbeddingModel, x: str, y: str) -> Optional[float]:
@@ -80,41 +163,44 @@ def rel_words(model: EmbeddingModel, x: str, y: str) -> Optional[float]:
     Phrases are averaged tokenwise via the model; a phrase whose found tokens
     average to the zero vector carries no direction and also counts as missing.
     """
-    vx = model.phrase_vector(x)
-    vy = model.phrase_vector(y)
-    if vx is None or vy is None:
-        return None
-    if not vx.any() or not vy.any():
-        return None
-    return angular_relatedness(vx, vy)
+    r = relatedness_matrix([model.phrase_vector(x)], [model.phrase_vector(y)])[0, 0]
+    return None if math.isnan(r) else float(r)
 
 
-def _mean_skip_missing(values: Iterator[Optional[float]]) -> Optional[float]:
+def mean_skip_missing(values: Iterable[Optional[float]]) -> Optional[float]:
+    """Mean of the measured values in input order; None and NaN mark missing ones.
+
+    Returns None when nothing was measured.
+    """
     total = 0.0
     n = 0
     for v in values:
-        if v is not None:
+        if v is not None and v == v:
             total += v
             n += 1
     return total / n if n else None
 
 
-def _context_senses(lexicon: Optional[Lexicon], sense: Sense) -> list[Sense]:
-    """Core-context members as senses; bare labels become single-synonym pseudo-senses."""
-    out = []
-    for ref in sense.core_context:
-        if ref.is_ref:
-            if lexicon is None:
+# Resolves core-context labels into pseudo-senses when no lexicon is given.
+_LABELS_ONLY = Lexicon(senses={})
+
+
+def core_context_senses(lexicon: Optional[Lexicon], sense: Sense) -> list[Sense]:
+    """Core-context members as senses, resolved through ``Lexicon.resolve_context``.
+
+    Without a lexicon only bare labels can be resolved; a reference raises.
+    """
+    if lexicon is None:
+        for ref in sense.core_context:
+            if ref.is_ref:
                 raise ValueError(
                     f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
                 )
-            out.append(lexicon.resolve(ref.value))
-        else:
-            out.append(Sense(id=ref.value, lemmas=(ref.value,), synonyms=(ref.value,)))
-    return out
+        lexicon = _LABELS_ONLY
+    return [lexicon.resolve_context(ref) for ref in sense.core_context]
 
 
-def _combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights) -> Optional[float]:
+def combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights) -> Optional[float]:
     # A level whose inputs are entirely missing drops out and the other level
     # carries full weight; None means both levels are missing.
     if r0 is None and r1 is None:
@@ -128,7 +214,7 @@ def _combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeight
 
 def rel0_senses(model: EmbeddingModel, a: Sense, b: Sense) -> Optional[float]:
     """Mean word relatedness over the two synonym sets; None when no pair is measurable."""
-    return _mean_skip_missing(
+    return mean_skip_missing(
         rel_words(model, sa, sb) for sa in a.synonyms for sb in b.synonyms
     )
 
@@ -137,11 +223,11 @@ def rel1_senses(
     model: EmbeddingModel, lexicon: Optional[Lexicon], a: Sense, b: Sense
 ) -> Optional[float]:
     """Mean level-0 relatedness over the two core contexts; None when either is empty."""
-    oc_a = _context_senses(lexicon, a)
-    oc_b = _context_senses(lexicon, b)
+    oc_a = core_context_senses(lexicon, a)
+    oc_b = core_context_senses(lexicon, b)
     if not oc_a or not oc_b:
         return None
-    return _mean_skip_missing(rel0_senses(model, x, y) for x in oc_a for y in oc_b)
+    return mean_skip_missing(rel0_senses(model, x, y) for x in oc_a for y in oc_b)
 
 
 def rel_senses_maybe(
@@ -151,7 +237,7 @@ def rel_senses_maybe(
     b: Sense,
     weights: RelWeights = DEFAULT_WEIGHTS,
 ) -> Optional[float]:
-    return _combine_levels(
+    return combine_levels(
         rel0_senses(model, a, b), rel1_senses(model, lexicon, a, b), weights
     )
 
@@ -166,23 +252,23 @@ def rel_senses(
     """Two-level relatedness between senses; raises when neither level is measurable."""
     r = rel_senses_maybe(model, lexicon, a, b, weights)
     if r is None:
-        raise ValueError(f"senses not representable in model: {a.id!r}, {b.id!r}")
+        raise UnmeasurableError(f"senses not representable in model: {a.id!r}, {b.id!r}")
     return r
 
 
 def rel0_sense_word(model: EmbeddingModel, t: Sense, w: str) -> Optional[float]:
     """Mean word relatedness between a sense's synonyms and a word."""
-    return _mean_skip_missing(rel_words(model, syn, w) for syn in t.synonyms)
+    return mean_skip_missing(rel_words(model, syn, w) for syn in t.synonyms)
 
 
 def rel1_sense_word(
     model: EmbeddingModel, lexicon: Optional[Lexicon], t: Sense, w: str
 ) -> Optional[float]:
     """Mean level-0 sense-word relatedness over the sense's core context."""
-    oc = _context_senses(lexicon, t)
+    oc = core_context_senses(lexicon, t)
     if not oc:
         return None
-    return _mean_skip_missing(rel0_sense_word(model, member, w) for member in oc)
+    return mean_skip_missing(rel0_sense_word(model, member, w) for member in oc)
 
 
 def rel_sense_word_maybe(
@@ -192,7 +278,7 @@ def rel_sense_word_maybe(
     w: str,
     weights: RelWeights = DEFAULT_WEIGHTS,
 ) -> Optional[float]:
-    return _combine_levels(
+    return combine_levels(
         rel0_sense_word(model, t, w), rel1_sense_word(model, lexicon, t, w), weights
     )
 
@@ -207,7 +293,7 @@ def rel_sense_word(
     """Two-level relatedness between a sense and a word; raises when unmeasurable."""
     r = rel_sense_word_maybe(model, lexicon, t, w, weights)
     if r is None:
-        raise ValueError(f"not representable in model: sense {t.id!r} vs word {w!r}")
+        raise UnmeasurableError(f"not representable in model: sense {t.id!r} vs word {w!r}")
     return r
 
 

@@ -21,6 +21,7 @@ from conftest import TOY_CORPUS_ITEMS
 from kwsense import (
     AlgoParams,
     ContextConfig,
+    DocVecStore,
     RelWeights,
     Strategy,
     angular_relatedness,
@@ -356,7 +357,8 @@ def test_c7_reproduction_harness(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_c8_performance_100_senses():
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_c8_performance_100_senses(strategy):
     rng = np.random.default_rng(20260814)
     dim = 50
     desc_pool = [f"t{i:03d}" for i in range(600)]
@@ -382,18 +384,26 @@ def test_c8_performance_100_senses():
     model = EmbeddingModel(vocab=vocab, dim=dim)
     lexicon = Lexicon.from_senses(senses)
     cfg = ContextConfig(threshold=0.0, stopwords=frozenset())
+    params = AlgoParams(strategy=strategy)
+    stores = {
+        "sif_store": build_sif_store(model, lexicon),
+        "docvec_store": DocVecStore(
+            vectors={s.id: rng.normal(size=dim) for s in senses}, dim=dim
+        ),
+    }
 
-    disambiguate(model, lexicon, "kw", context_words, cfg)  # warm-up
+    disambiguate(model, lexicon, "kw", context_words, cfg, params, **stores)  # warm-up
     timings = []
     for _ in range(3):
         t0 = time.perf_counter()
-        result = disambiguate(model, lexicon, "kw", context_words, cfg)
+        result = disambiguate(model, lexicon, "kw", context_words, cfg, params, **stores)
         timings.append(time.perf_counter() - t0)
     best = min(timings)
 
     assert len(result.scores) == 100
     assert best < 0.1
-    _report("performance", f"100 senses x 30 terms, dim 50: {best * 1000:.1f} ms")
+    _report("performance",
+            f"100 senses x 30 terms, dim 50, {strategy.value}: {best * 1000:.1f} ms")
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,18 @@ class TestEvalWsd:
         assert code == EXIT_CONFIG
         assert "--lexicon" in capsys.readouterr().err
 
+    def test_docvec_dimension_mismatch_exits_2(self, base_args, toy_corpus_file, tmp_path,
+                                               capsys):
+        docvec = tmp_path / "dv3.jsonl"
+        docvec.write_text(json.dumps({"id": "java#island", "vector": [1.0, 0.0, 0.0]}) + "\n")
+        code = main(["eval-wsd", *base_args, "--strategy", "docvec", "--docvec", str(docvec),
+                     str(toy_corpus_file)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert "document-vector dimension 3 != model dimension 5" in captured.err
+
     def test_missing_corpus_file_exits_1(self, base_args, capsys):
         code = main(["eval-wsd", *base_args, "/does/not/exist.jsonl"])
         assert code == EXIT_DATA

@@ -18,6 +18,7 @@ from kwsense import (
     ParseError,
     Sense,
     Strategy,
+    UnmeasurableError,
     build_sif_store,
     disambiguate,
     load_docvec_store,
@@ -132,6 +133,12 @@ class TestStep1:
         ca = ActiveContext(target="java")
         scores = step1_base_scores(toy_model, toy_lexicon, senses, ca)
         assert [s.score for s in scores] == [0.0, 0.0, 0.0]
+
+    def test_context_ref_without_lexicon_raises(self, toy_model, toy_lexicon):
+        senses = toy_lexicon.senses_of("island")
+        ca = select_active_context(toy_model, ["sea"], "island", _cfg())
+        with pytest.raises(ValueError, match="'land#ground' needs a lexicon"):
+            step1_base_scores(toy_model, None, senses, ca)
 
     def test_order_matches_input_senses(self, toy_model, toy_lexicon):
         senses = toy_lexicon.senses_of("java")
@@ -416,7 +423,7 @@ class TestDisambiguate:
         assert result.top.sense_id == "java#language"
 
     def test_unknown_keyword_raises(self, toy_model, toy_lexicon):
-        with pytest.raises(ValueError, match="unknown keyword"):
+        with pytest.raises(UnmeasurableError, match="unknown keyword"):
             disambiguate(toy_model, toy_lexicon, "python", ["island"], _cfg())
 
     def test_single_sense_keyword_returns_it(self, toy_model, toy_lexicon):
@@ -436,6 +443,38 @@ class TestDisambiguate:
             "java#island", "java#coffee", "java#language",
         ]
         assert [s.score for s in result.scores] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_identical_definitions_tie_exactly_in_lexicon_order(self, toy_model, strategy):
+        twin = dict(
+            lemmas=("java",), synonyms=("java", "coffee"),
+            core_context=(ContextRef("beverage"), ContextRef("bean cup")),
+            description_terms=("coffee", "drink", "cup", "qzx", "coffee"), frequency=2.0,
+        )
+        senses = [
+            Sense(id="java#a", **twin),
+            Sense(id="java#island", lemmas=("java",), synonyms=("java",),
+                  core_context=(ContextRef("island"),),
+                  description_terms=("island", "sea"), frequency=1.0),
+            Sense(id="java#b", **twin),
+        ]
+        lexicon = Lexicon.from_senses(senses)
+        docvecs = DocVecStore(vectors={
+            "java#a": toy_model.vocab["cup"],
+            "java#island": toy_model.vocab["sea"],
+            "java#b": toy_model.vocab["cup"].copy(),
+        }, dim=5)
+        result = disambiguate(
+            toy_model, lexicon, "java", ["drink", "island", "brew"], _cfg(),
+            AlgoParams(strategy=strategy),
+            sif_store=build_sif_store(toy_model, lexicon), docvec_store=docvecs,
+        )
+        ids = [s.sense_id for s in result.scores]
+        a, b = result.scores[ids.index("java#a")], result.scores[ids.index("java#b")]
+        assert (a.score, a.step1, a.step2_delta, a.step3_delta) == \
+            (b.score, b.step1, b.step2_delta, b.step3_delta)
+        assert ids.index("java#b") == ids.index("java#a") + 1
+        assert a.step1 > 0.0
 
     def test_scores_monotone_and_bounded(self, toy_model, toy_lexicon):
         result = disambiguate(

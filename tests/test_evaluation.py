@@ -5,14 +5,20 @@ import json
 import logging
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kwsense.evaluation
 from kwsense import (
+    AlgoParams,
     ConfigError,
     ContextConfig,
+    DocVecStore,
     ParseError,
+    Strategy,
+    UnmeasurableError,
     WordPair,
     WordPairDataset,
     eval_wordpairs,
@@ -239,6 +245,43 @@ class TestEvalWsd:
         with pytest.raises(ConfigError, match="sif"):
             self._run(toy_model, toy_lexicon, corpus,
                       params=AlgoParams(strategy=Strategy.SIF))
+
+    def test_docvec_dimension_mismatch_raises_before_any_target(
+        self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+                            lambda *args: calls.append(args))
+        corpus = load_wsd_corpus(toy_corpus_file)
+        store = DocVecStore(vectors={"java#island": np.ones(3)}, dim=3)
+        with pytest.raises(ConfigError, match="dimension 3 != model dimension 5"):
+            self._run(toy_model, toy_lexicon, corpus,
+                      params=AlgoParams(strategy=Strategy.DOC_VEC), docvec_store=store)
+        assert calls == []
+
+    def test_internal_error_propagates(
+        self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
+    ):
+        def broken(*args):
+            raise ValueError("all input arrays must have the same shape")
+
+        monkeypatch.setattr(kwsense.evaluation, "disambiguate", broken)
+        corpus = load_wsd_corpus(toy_corpus_file)
+        with pytest.raises(ValueError, match="same shape"):
+            self._run(toy_model, toy_lexicon, corpus)
+
+    def test_unmeasurable_target_is_recorded_not_attempted(
+        self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
+    ):
+        def unmeasurable(model, lexicon, keyword, *args):
+            raise UnmeasurableError(f"nothing to measure for {keyword!r}")
+
+        monkeypatch.setattr(kwsense.evaluation, "disambiguate", unmeasurable)
+        corpus = load_wsd_corpus(toy_corpus_file)
+        report = self._run(toy_model, toy_lexicon, corpus)
+        assert report.total == 6
+        assert report.attempted == 0
+        assert report.records[0].error == "nothing to measure for 'java'"
 
     def test_report_dict_round_trips_to_json(self, toy_model, toy_lexicon, toy_corpus_file):
         corpus = load_wsd_corpus(toy_corpus_file)

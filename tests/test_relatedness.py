@@ -16,6 +16,7 @@ from kwsense import (
     RelWeights,
     Sense,
     SifConfig,
+    UnmeasurableError,
     angular_relatedness,
     cosine,
     load_word_frequencies,
@@ -252,8 +253,15 @@ class TestSenseWord:
 
     def test_oov_word_raises(self, plane_model):
         t = _sense("t", ("sea",))
-        with pytest.raises(ValueError, match="not representable"):
+        with pytest.raises(UnmeasurableError, match="not representable"):
             rel_sense_word(plane_model, None, t, "qzx")
+
+    def test_context_ref_without_lexicon_raises(self, plane_model):
+        t = _sense("t", ("sea",), (ContextRef("north"), ContextRef("s2", is_ref=True)))
+        with pytest.raises(ValueError, match="'s2' needs a lexicon"):
+            rel1_sense_word(plane_model, None, t, "sea")
+        with pytest.raises(ValueError, match="'s2' needs a lexicon"):
+            rel1_senses(plane_model, None, t, t)
 
 
 class TestWordFrequencies:
