@@ -6,15 +6,18 @@ raw tokens to vectors; all entries of one model share a single dimension.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import BinaryIO, Iterable, Optional
 
 import numpy as np
 
 from .errors import ParseError
 
 logger = logging.getLogger(__name__)
+
+_BLOCK_BYTES = 1 << 20  # bytes per read of load_binary_model
 
 Vector = np.ndarray
 
@@ -91,18 +94,21 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
     The file may begin with a ``<count> <dim>`` header line; otherwise the
     dimension is inferred from the first vector line. Each remaining line is
     ``token v1 ... vdim``. Duplicate tokens keep the first occurrence and are
-    counted on the returned model. Blank lines are skipped. Malformed lines
-    (wrong column count, non-numeric or non-finite components) raise
-    :class:`ParseError` naming the line.
+    counted on the returned model. Lines end at ``\\n``; blank lines are
+    skipped. Malformed lines (invalid UTF-8, wrong column count, non-numeric
+    or non-finite components) raise :class:`ParseError` naming the line.
     """
     path = Path(path)
     vocab: dict[str, Vector] = {}
     dim: int | None = None
     duplicates = 0
     saw_first = False
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: line {lineno}: invalid UTF-8") from None
             if not parts:
                 continue
             if not saw_first:
@@ -136,18 +142,76 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
     return EmbeddingModel(vocab=vocab, dim=dim, name=name or path.name, duplicates=duplicates)
 
 
+def _read_binary_entries(
+    fh: BinaryIO, path: Path, count: int, dim: int
+) -> tuple[list[str], np.ndarray]:
+    """The ``count`` tokens after the header of ``fh`` and their float64 rows."""
+    vec_bytes = 4 * dim
+    left = os.fstat(fh.fileno()).st_size - fh.tell()  # file bytes not yet read
+    matrix = np.empty((min(count, left // (vec_bytes + 1)), dim))
+    tokens: list[str] = []
+    buf = bytearray(min(_BLOCK_BYTES, left))
+    stage = bytearray(len(buf))
+    view, stage_view = memoryview(buf), memoryview(stage)
+    pos = end = 0  # buf[pos:end] holds the bytes read but not yet parsed
+    while True:
+        first = i = len(tokens)
+        staged = 0  # bytes of stage holding this block's vectors
+        while i < count:
+            space = buf.find(b" ", pos, end)
+            vec_end = space + 1 + vec_bytes
+            if space < 0 or vec_end > end:
+                break
+            tokens.append(buf[pos:space].lstrip(b"\r\n").decode("utf-8", errors="replace"))
+            stage_view[staged:staged + vec_bytes] = view[space + 1:vec_end]
+            staged += vec_bytes
+            pos = vec_end
+            i += 1
+        if staged:
+            vecs = np.frombuffer(stage, dtype="<f4", count=staged // 4).reshape(-1, dim)
+            finite = np.isfinite(vecs).all(axis=1)
+            if not finite.all():
+                bad = first + int(np.argmin(finite))
+                raise ParseError(f"{path}: entry {bad}: non-finite vector component")
+            matrix[first:i] = vecs
+        if i == count:
+            break
+        tail = end - pos
+        if tail == len(buf) and left:
+            # One entry is longer than the buffer: grow it, within the file.
+            grown = bytearray(min(2 * len(buf), tail + left))
+            grown[:tail] = buf
+            buf, stage = grown, bytearray(len(grown))
+            view, stage_view = memoryview(buf), memoryview(stage)
+        else:
+            view[:tail] = view[pos:end]
+        got = fh.readinto(view[tail:])
+        if not got:
+            raise ParseError(f"{path}: truncated after {i} of {count} entries")
+        pos, end, left = 0, tail + got, left - got
+    return tokens, matrix
+
+
 def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingModel:
     """Load a word2vec-style binary embedding file.
 
     Layout: an ASCII header ``<count> <dim>\\n``, then per entry the token
     bytes up to a space, followed by ``dim`` little-endian float32 values and
-    an optional newline. Values are widened to float64. Truncation raises
-    :class:`ParseError` reporting how many entries were read. Token bytes are
-    decoded as UTF-8 (undecodable bytes are replaced, never fatal).
+    an optional newline (``\\n``/``\\r`` bytes before a token are skipped).
+    Values are widened to float64. Truncation raises :class:`ParseError`
+    reporting how many entries were read. Token bytes are decoded as UTF-8
+    (undecodable bytes are replaced, never fatal). Duplicate tokens keep the
+    first occurrence and are counted on the returned model.
+
+    The file is read in 1 MiB blocks (``_BLOCK_BYTES``) into one reused
+    buffer (grown only for an entry longer than a block), and each block's
+    vectors are checked and widened by numpy at once. Every vector is a row
+    view of one ``(rows, dim)`` float64 matrix, including the rows of dropped
+    duplicates. Allocation is bounded by the file size, not by the header:
+    ``rows`` is at most the number of ``4 * dim + 1``-byte entries the file
+    can hold, and the buffer at most the bytes it holds.
     """
     path = Path(path)
-    vocab: dict[str, Vector] = {}
-    duplicates = 0
     with path.open("rb") as fh:
         header = fh.readline()
         parts = header.split()
@@ -156,29 +220,11 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
         count, dim = int(parts[0]), int(parts[1])
         if count == 0 or dim == 0:
             raise ParseError(f"{path}: header declares an empty model")
-        vec_bytes = 4 * dim
-        for i in range(count):
-            token_buf = bytearray()
-            while True:
-                ch = fh.read(1)
-                if not ch:
-                    raise ParseError(f"{path}: truncated after {i} of {count} entries")
-                if ch == b" ":
-                    break
-                if ch in (b"\n", b"\r") and not token_buf:
-                    continue
-                token_buf += ch
-            raw = fh.read(vec_bytes)
-            if len(raw) < vec_bytes:
-                raise ParseError(f"{path}: truncated after {i} of {count} entries")
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}: entry {i}: non-finite vector component")
-            token = token_buf.decode("utf-8", errors="replace")
-            if token in vocab:
-                duplicates += 1
-            else:
-                vocab[token] = vec
+        tokens, matrix = _read_binary_entries(fh, path, count, dim)
+    vocab: dict[str, Vector] = {}
+    for token, row in zip(tokens, matrix):
+        vocab.setdefault(token, row)
+    duplicates = count - len(vocab)
     if duplicates:
         logger.warning("%s: %d duplicate tokens dropped (first occurrence kept)", path, duplicates)
     return EmbeddingModel(vocab=vocab, dim=dim, name=name or path.name, duplicates=duplicates)

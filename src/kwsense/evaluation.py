@@ -202,8 +202,12 @@ def load_wsd_corpus(path: str | Path, name: str | None = None) -> WsdCorpus:
                         f"{where}: targets need 'position', 'keyword', and 'gold'"
                     )
                 pos = t["position"]
-                if not isinstance(pos, int) or not 0 <= pos < len(tokens):
+                if isinstance(pos, bool) or not isinstance(pos, int):
+                    raise ParseError(f"{where}: target position {pos!r} is not an integer")
+                if not 0 <= pos < len(tokens):
                     raise ParseError(f"{where}: target position {pos!r} out of range")
+                if not isinstance(t["keyword"], str):
+                    raise ParseError(f"{where}: target keyword must be a string")
                 gold = t["gold"]
                 if not isinstance(gold, list) or any(not isinstance(g, str) for g in gold):
                     raise ParseError(f"{where}: gold must be a list of sense ids")

@@ -378,11 +378,12 @@ def sif_embeddings(
 
     Each description is a bag of tokens; tokens missing from the model are
     skipped, and a description with no in-vocabulary token is omitted from the
-    result with a warning. With fewer than two embeddings the principal
-    component removal is skipped.
+    result; one warning per call counts them. With fewer than two embeddings
+    the principal component removal is skipped.
     """
     freqs = load_word_frequencies(cfg.word_freq_source) if cfg.word_freq_source else {}
     out: dict[str, Vector] = {}
+    omitted: list[str] = []
     for sense_id, tokens in descriptions.items():
         acc = np.zeros(model.dim)
         weight_sum = 0.0
@@ -395,9 +396,14 @@ def sif_embeddings(
             acc = acc + weight * v
             weight_sum += weight
         if weight_sum == 0.0:
-            logger.warning("description %r has no in-vocabulary tokens; omitted", sense_id)
+            omitted.append(sense_id)
             continue
         out[sense_id] = acc / weight_sum
+    if omitted:
+        logger.warning(
+            "%d descriptions have no in-vocabulary tokens and were omitted (first: %s)",
+            len(omitted), ", ".join(map(repr, omitted[:3])),
+        )
     if cfg.remove_component and len(out) >= 2:
         direction = _principal_direction(list(out.values()))
         if direction is not None:

@@ -219,6 +219,14 @@ class TestConfigValidation:
         code = main(["rel", "--model", "/does/not/exist.vec", "a", "b"])
         assert code == EXIT_DATA
 
+    def test_non_utf8_text_model_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"sea 1 0\nisl\xe9and 0 1\n")
+        code = main(["rel", "--model", str(path), "sea", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 2: invalid UTF-8" in err
+
     def test_bad_w0_exits_2(self, toy_model_file, capsys):
         code = main(["rel", "--model", str(toy_model_file), "--w0", "-0.1", "a", "b"])
         assert code == EXIT_CONFIG

@@ -65,6 +65,19 @@ class TestTextLoader:
         assert model.duplicates == 1
         np.testing.assert_array_equal(model.vocab["cat"], [1.0, 0.0])
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2\ncaf\xc3\xa9 1 2\nb\xff 3 4\n")
+        with pytest.raises(ParseError, match="line 3: invalid UTF-8"):
+            load_text_model(path)
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2\r\ncaf\xc3\xa9 1 2\r\nb 3 4\r\n")
+        model = load_text_model(path)
+        assert list(model.vocab) == ["café", "b"]
+        np.testing.assert_array_equal(model.vocab["b"], [3.0, 4.0])
+
     def test_round_trip_preserves_tokens_and_values(self, tmp_path, toy_model):
         path = tmp_path / "dump.txt"
         save_text_model(toy_model, path)

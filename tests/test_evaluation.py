@@ -162,6 +162,26 @@ class TestWsdCorpus:
         with pytest.raises(ParseError, match="position"):
             load_wsd_corpus(path)
 
+    @pytest.mark.parametrize("position", [True, False, 1.0, "1"])
+    def test_non_integer_position_names_line(self, tmp_path, position):
+        path = tmp_path / "corpus.jsonl"
+        good = {"item_id": "x", "tokens": ["a", "b"],
+                "targets": [{"position": 1, "keyword": "b", "gold": ["g"]}]}
+        bad = {**good, "targets": [{"position": position, "keyword": "b", "gold": ["g"]}]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match="line 2: target position .* is not an integer"):
+            load_wsd_corpus(path)
+
+    @pytest.mark.parametrize("keyword", [7, None, ["a"]])
+    def test_non_string_keyword_names_line(self, tmp_path, keyword):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({
+            "item_id": "x", "tokens": ["a", "b"],
+            "targets": [{"position": 0, "keyword": keyword, "gold": ["g"]}],
+        }) + "\n")
+        with pytest.raises(ParseError, match="line 1: target keyword must be a string"):
+            load_wsd_corpus(path)
+
     def test_missing_fields_named_with_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"item_id": "x", "tokens": ["a"]}) + "\n")

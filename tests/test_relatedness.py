@@ -319,6 +319,17 @@ class TestSifEmbeddings:
         assert "good" in vectors
         assert any("bad" in rec.message for rec in caplog.records)
 
+    def test_one_warning_per_call_counts_omitted(self, toy_model, caplog):
+        descriptions = {f"oov{i}": ["qzx"] for i in range(5)}
+        descriptions["good"] = ["island"]
+        with caplog.at_level(logging.WARNING, logger="kwsense.relatedness"):
+            vectors = sif_embeddings(toy_model, descriptions, SifConfig())
+        assert list(vectors) == ["good"]
+        (record,) = caplog.records
+        assert record.getMessage().startswith("5 descriptions have no in-vocabulary tokens")
+        assert "'oov0', 'oov1', 'oov2'" in record.getMessage()
+        assert "oov3" not in record.getMessage()
+
     def test_two_descriptions_orthogonal_to_svd_direction(self, toy_model):
         # With two descriptions the centered matrix has rank 1, so the power
         # iteration lands exactly on the first right singular vector and the
