@@ -69,7 +69,6 @@ class RunConfig:
     output: str
     stopwords: frozenset[str]
     stopwords_source: str
-    deterministic: bool = True  # nothing in the pipeline draws random numbers
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -105,7 +104,7 @@ class RunConfig:
         if env_stopwords:
             try:
                 stopwords = load_stopwords(env_stopwords)
-            except OSError as exc:
+            except (OSError, ParseError) as exc:
                 raise ConfigError(f"cannot read {STOPWORDS_ENV} file: {exc}") from None
             stopwords_source = env_stopwords
         else:
@@ -164,7 +163,6 @@ class RunConfig:
             "sif_freqs": str(self.sif_freqs_path) if self.sif_freqs_path else None,
             "jobs": self.jobs,
             "stopwords": self.stopwords_source,
-            "deterministic": self.deterministic,
         }
 
 

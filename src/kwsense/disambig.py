@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector, centroid
-from .errors import ConfigError, ParseError, UnmeasurableError
+from .errors import ConfigError, ParseError, UnmeasurableError, text_lines
 from .lexicon import Lexicon, Sense
 from .relatedness import (
     DEFAULT_WEIGHTS,
@@ -36,10 +36,15 @@ from .relatedness import (
     combine_levels,
     core_context_senses,
     mean_skip_missing,
+    ordered_relatedness,
     relatedness_matrix,
     sif_embeddings,
 )
 from .stopwords import default_stopwords
+
+# Off the endpoints the kernel is within ~1e-13 of the defining formula, so
+# it may order values closer than this differently from that formula.
+_TIE_WINDOW = 1e-12
 
 
 class Strategy(str, Enum):
@@ -145,35 +150,34 @@ def load_docvec_store(path: str | Path) -> DocVecStore:
     path = Path(path)
     vectors: dict[str, Vector] = {}
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
-                raise ParseError(f"{where}: expected an object with 'id' and 'vector'")
-            sense_id, raw = obj["id"], obj["vector"]
-            if not isinstance(sense_id, str) or not sense_id:
-                raise ParseError(f"{where}: id must be a nonempty string")
-            if not isinstance(raw, list) or not raw:
-                raise ParseError(f"{where}: vector must be a nonempty list of numbers")
-            try:
-                vec = np.array(raw, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ParseError(f"{where}: vector must be a list of numbers") from None
-            if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-                raise ParseError(f"{where}: vector components must be finite numbers")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ParseError(f"{where}: expected {dim} components, got {vec.shape[0]}")
-            if sense_id in vectors:
-                raise ParseError(f"{where}: duplicate id {sense_id!r}")
-            vectors[sense_id] = vec
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
+            raise ParseError(f"{where}: expected an object with 'id' and 'vector'")
+        sense_id, raw = obj["id"], obj["vector"]
+        if not isinstance(sense_id, str) or not sense_id:
+            raise ParseError(f"{where}: id must be a nonempty string")
+        if not isinstance(raw, list) or not raw:
+            raise ParseError(f"{where}: vector must be a nonempty list of numbers")
+        try:
+            vec = np.array(raw, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(f"{where}: vector must be a list of numbers") from None
+        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+            raise ParseError(f"{where}: vector components must be finite numbers")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ParseError(f"{where}: expected {dim} components, got {vec.shape[0]}")
+        if sense_id in vectors:
+            raise ParseError(f"{where}: duplicate id {sense_id!r}")
+        vectors[sense_id] = vec
     if dim is None:
         raise ParseError(f"{path}: no document vectors found")
     return DocVecStore(vectors=vectors, dim=dim)
@@ -219,13 +223,33 @@ def select_active_context(
         if norm in cfg.stopwords or norm == kd_norm:
             continue
         candidates.append(word)
-    rel = relatedness_matrix(
-        [model.phrase_vector(word) for word in candidates], [model.phrase_vector(keyword)]
-    )[:, 0].tolist()
+    vectors = [model.phrase_vector(word) for word in candidates]
+    kd_vec = model.phrase_vector(keyword)
+    rel = relatedness_matrix(vectors, [kd_vec])[:, 0].tolist()
     # NaN (an unrepresentable pair) fails the threshold comparison.
-    scored = [(word, r) for word, r in zip(candidates, rel) if r >= cfg.threshold]
-    scored.sort(key=lambda member: -member[1])
-    return ActiveContext(target=keyword, members=tuple(scored[: cfg.max_context]))
+    kept = [i for i, r in enumerate(rel) if r >= cfg.threshold]
+    top = _top(kept, rel, cfg.max_context, vectors, kd_vec)
+    return ActiveContext(target=keyword, members=tuple((candidates[i], rel[i]) for i in top))
+
+
+def _top(
+    ids: list[int], rel: list[float], n: int, vectors: Sequence[Vector], reference: Vector
+) -> list[int]:
+    """The first ``n`` of ``ids`` by descending ``rel[i]``; ties keep input order.
+
+    ``rel[i]`` is the relatedness of ``vectors[i]`` to ``reference``. When the
+    values either side of the cut are within ``_TIE_WINDOW``, the entries
+    that close to the cut are first re-measured in ``rel`` with the defining
+    formula's rounding, so the kernel's summation order cannot decide a tie.
+    """
+    ranked = sorted(ids, key=lambda i: -rel[i])
+    if len(ranked) > n and rel[ranked[n - 1]] - rel[ranked[n]] <= _TIE_WINDOW:
+        cut = rel[ranked[n - 1]]
+        for i in dict.fromkeys(ranked):
+            if abs(rel[i] - cut) <= _TIE_WINDOW:
+                rel[i] = ordered_relatedness(vectors[i], reference)
+        ranked = sorted(ids, key=lambda i: -rel[i])
+    return ranked[:n]
 
 
 def step1_base_scores(
@@ -363,10 +387,9 @@ def _topk_centroids(
     rel = relatedness_matrix(vectors, [reference])[:, 0].tolist()
     out: list[Optional[Vector]] = []
     for ids in plans:
-        # NaN marks an unrepresentable term; the stable sort keeps term order on ties.
-        present = [i for i in ids if rel[i] == rel[i]]
-        ranked = sorted(present, key=lambda i: -rel[i])
-        out.append(centroid([vectors[i] for i in ranked[:k]]) if ranked else None)
+        # NaN marks an unrepresentable term.
+        top = _top([i for i in ids if rel[i] == rel[i]], rel, k, vectors, reference)
+        out.append(centroid([vectors[i] for i in top]) if top else None)
     return out
 
 

@@ -1,7 +1,11 @@
 """Word embedding models: loading, lookup, and vector aggregation.
 
-Vectors are 1-D float64 numpy arrays with finite components. Models map
-raw tokens to vectors; all entries of one model share a single dimension.
+Vectors are 1-D numpy arrays with finite components. Models map raw tokens
+to vectors; all entries of one model share a single dimension. Text models
+hold float64 rows; binary models hold float32 rows, views of one matrix, as
+the file stores them. Everything that does arithmetic on model vectors
+widens them to float64 first, which is exact, so a binary model gives the
+same results as a float64 model of the same values.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ Vector = np.ndarray
 
 
 def centroid(vectors: Iterable[Vector]) -> Vector:
-    """Componentwise mean of a nonempty collection of same-dimension vectors."""
+    """Componentwise float64 mean of a nonempty collection of same-dimension vectors."""
     vs = list(vectors)
     if not vs:
         raise ValueError("no vectors to aggregate")
@@ -32,9 +36,9 @@ def centroid(vectors: Iterable[Vector]) -> Vector:
         if v.shape[0] != dim:
             raise ValueError(f"mixed dimensions: {dim} vs {v.shape[0]}")
     if len(vs) == 1:
-        return vs[0].copy()
+        return vs[0].astype(np.float64)
     # np.mean's arithmetic, without its per-call overhead.
-    return np.add.reduce(np.array(vs), axis=0) / len(vs)
+    return np.add.reduce(np.array(vs, dtype=np.float64), axis=0) / len(vs)
 
 
 @dataclass
@@ -145,35 +149,32 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
 def _read_binary_entries(
     fh: BinaryIO, path: Path, count: int, dim: int
 ) -> tuple[list[str], np.ndarray]:
-    """The ``count`` tokens after the header of ``fh`` and their float64 rows."""
+    """The ``count`` tokens after the header of ``fh`` and their float32 rows."""
     vec_bytes = 4 * dim
     left = os.fstat(fh.fileno()).st_size - fh.tell()  # file bytes not yet read
-    matrix = np.empty((min(count, left // (vec_bytes + 1)), dim))
+    # The file's own layout: vector bytes are copied straight into their rows.
+    matrix = np.empty((min(count, left // (vec_bytes + 1)), dim), dtype="<f4")
+    rows = memoryview(matrix.view(np.uint8).reshape(-1))
     tokens: list[str] = []
     buf = bytearray(min(_BLOCK_BYTES, left))
-    stage = bytearray(len(buf))
-    view, stage_view = memoryview(buf), memoryview(stage)
+    view = memoryview(buf)
     pos = end = 0  # buf[pos:end] holds the bytes read but not yet parsed
     while True:
         first = i = len(tokens)
-        staged = 0  # bytes of stage holding this block's vectors
         while i < count:
             space = buf.find(b" ", pos, end)
             vec_end = space + 1 + vec_bytes
             if space < 0 or vec_end > end:
                 break
             tokens.append(buf[pos:space].lstrip(b"\r\n").decode("utf-8", errors="replace"))
-            stage_view[staged:staged + vec_bytes] = view[space + 1:vec_end]
-            staged += vec_bytes
+            rows[i * vec_bytes:(i + 1) * vec_bytes] = view[space + 1:vec_end]
             pos = vec_end
             i += 1
-        if staged:
-            vecs = np.frombuffer(stage, dtype="<f4", count=staged // 4).reshape(-1, dim)
-            finite = np.isfinite(vecs).all(axis=1)
+        if i > first:
+            finite = np.isfinite(matrix[first:i]).all(axis=1)
             if not finite.all():
                 bad = first + int(np.argmin(finite))
                 raise ParseError(f"{path}: entry {bad}: non-finite vector component")
-            matrix[first:i] = vecs
         if i == count:
             break
         tail = end - pos
@@ -181,8 +182,7 @@ def _read_binary_entries(
             # One entry is longer than the buffer: grow it, within the file.
             grown = bytearray(min(2 * len(buf), tail + left))
             grown[:tail] = buf
-            buf, stage = grown, bytearray(len(grown))
-            view, stage_view = memoryview(buf), memoryview(stage)
+            buf, view = grown, memoryview(grown)
         else:
             view[:tail] = view[pos:end]
         got = fh.readinto(view[tail:])
@@ -198,16 +198,18 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
     Layout: an ASCII header ``<count> <dim>\\n``, then per entry the token
     bytes up to a space, followed by ``dim`` little-endian float32 values and
     an optional newline (``\\n``/``\\r`` bytes before a token are skipped).
-    Values are widened to float64. Truncation raises :class:`ParseError`
+    Values stay float32, as stored. Truncation raises :class:`ParseError`
     reporting how many entries were read. Token bytes are decoded as UTF-8
     (undecodable bytes are replaced, never fatal). Duplicate tokens keep the
     first occurrence and are counted on the returned model.
 
     The file is read in 1 MiB blocks (``_BLOCK_BYTES``) into one reused
-    buffer (grown only for an entry longer than a block), and each block's
-    vectors are checked and widened by numpy at once. Every vector is a row
-    view of one ``(rows, dim)`` float64 matrix, including the rows of dropped
-    duplicates. Allocation is bounded by the file size, not by the header:
+    buffer (grown only for an entry longer than a block); each vector's bytes
+    are copied into its row and each block's rows are checked by numpy at
+    once. Every vector is a row view of one ``(rows, dim)`` float32 matrix,
+    including the rows of dropped duplicates: half the memory of float64
+    rows, and nothing lost, since kwsense widens rows exactly before any
+    arithmetic. Allocation is bounded by the file size, not by the header:
     ``rows`` is at most the number of ``4 * dim + 1``-byte entries the file
     can hold, and the buffer at most the bytes it holds.
     """

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the text-file line reader that raises them."""
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
 
 
 class KwsenseError(Exception):
@@ -24,3 +28,17 @@ class UnmeasurableError(KwsenseError, ValueError):
     corpus evaluation) record these as not attempted; any other error is a
     fault and propagates.
     """
+
+
+def text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 text file, with Python's universal line ends.
+
+    An undecodable byte raises :class:`ParseError` naming the file and line.
+    """
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # escaped undecodable bytes do not encode
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}: line {lineno}: invalid UTF-8") from None
+            yield lineno, line

@@ -12,7 +12,7 @@ import numpy as np
 
 from .disambig import AlgoParams, ContextConfig, DocVecStore, disambiguate, strategy_store
 from .embeddings import EmbeddingModel, Vector
-from .errors import ParseError, UnmeasurableError
+from .errors import ParseError, UnmeasurableError, text_lines
 from .lexicon import Lexicon
 from .relatedness import rel_words
 
@@ -91,21 +91,20 @@ def load_wordpair_dataset(path: str | Path, name: str | None = None) -> WordPair
     """Load a TSV word-pair file: word1<TAB>word2<TAB>human-score per line."""
     path = Path(path)
     pairs = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            w1, w2, raw = (p.strip() for p in parts)
-            if not w1 or not w2:
-                raise ParseError(f"{path}: line {lineno}: empty word")
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric score {raw!r}") from None
-            pairs.append(WordPair(w1, w2, score))
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+        w1, w2, raw = (p.strip() for p in parts)
+        if not w1 or not w2:
+            raise ParseError(f"{path}: line {lineno}: empty word")
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric score {raw!r}") from None
+        pairs.append(WordPair(w1, w2, score))
     if len(pairs) < 2:
         raise ParseError(f"{path}: need at least two pairs")
     return WordPairDataset(name=name or path.stem, pairs=tuple(pairs))
@@ -176,45 +175,44 @@ def load_wsd_corpus(path: str | Path, name: str | None = None) -> WsdCorpus:
     """
     path = Path(path)
     items = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{where}: each line must be a JSON object")
-            for key in ("item_id", "tokens", "targets"):
-                if key not in obj:
-                    raise ParseError(f"{where}: missing required field {key!r}")
-            tokens = obj["tokens"]
-            if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
-                raise ParseError(f"{where}: tokens must be a list of strings")
-            targets = []
-            if not isinstance(obj["targets"], list):
-                raise ParseError(f"{where}: targets must be a list")
-            for t in obj["targets"]:
-                if not isinstance(t, dict) or any(k not in t for k in ("position", "keyword", "gold")):
-                    raise ParseError(
-                        f"{where}: targets need 'position', 'keyword', and 'gold'"
-                    )
-                pos = t["position"]
-                if isinstance(pos, bool) or not isinstance(pos, int):
-                    raise ParseError(f"{where}: target position {pos!r} is not an integer")
-                if not 0 <= pos < len(tokens):
-                    raise ParseError(f"{where}: target position {pos!r} out of range")
-                if not isinstance(t["keyword"], str):
-                    raise ParseError(f"{where}: target keyword must be a string")
-                gold = t["gold"]
-                if not isinstance(gold, list) or any(not isinstance(g, str) for g in gold):
-                    raise ParseError(f"{where}: gold must be a list of sense ids")
-                targets.append(WsdTarget(position=pos, keyword=t["keyword"], gold=tuple(gold)))
-            items.append(
-                WsdItem(item_id=str(obj["item_id"]), tokens=tuple(tokens), targets=tuple(targets))
-            )
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: each line must be a JSON object")
+        for key in ("item_id", "tokens", "targets"):
+            if key not in obj:
+                raise ParseError(f"{where}: missing required field {key!r}")
+        tokens = obj["tokens"]
+        if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
+            raise ParseError(f"{where}: tokens must be a list of strings")
+        targets = []
+        if not isinstance(obj["targets"], list):
+            raise ParseError(f"{where}: targets must be a list")
+        for t in obj["targets"]:
+            if not isinstance(t, dict) or any(k not in t for k in ("position", "keyword", "gold")):
+                raise ParseError(
+                    f"{where}: targets need 'position', 'keyword', and 'gold'"
+                )
+            pos = t["position"]
+            if isinstance(pos, bool) or not isinstance(pos, int):
+                raise ParseError(f"{where}: target position {pos!r} is not an integer")
+            if not 0 <= pos < len(tokens):
+                raise ParseError(f"{where}: target position {pos!r} out of range")
+            if not isinstance(t["keyword"], str):
+                raise ParseError(f"{where}: target keyword must be a string")
+            gold = t["gold"]
+            if not isinstance(gold, list) or any(not isinstance(g, str) for g in gold):
+                raise ParseError(f"{where}: gold must be a list of sense ids")
+            targets.append(WsdTarget(position=pos, keyword=t["keyword"], gold=tuple(gold)))
+        items.append(
+            WsdItem(item_id=str(obj["item_id"]), tokens=tuple(tokens), targets=tuple(targets))
+        )
     return WsdCorpus(name=name or path.stem, items=tuple(items))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -198,18 +198,17 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     senses: list[Sense] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{where}: each line must be a JSON object")
-            senses.append(_sense_from_obj(obj, where))
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: each line must be a JSON object")
+        senses.append(_sense_from_obj(obj, where))
     try:
         return Lexicon.from_senses(senses, strict=True)
     except ValueError as exc:

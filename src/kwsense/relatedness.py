@@ -27,7 +27,9 @@ product (``@``): stacking every row of a call at once, or one BLAS matrix
 product, each raised a process's peak resident memory by far more than the
 0.6 MB of a block at dim 300. The einsum loop also computes every entry the
 same way, so identical vectors score identically and ties keep their input
-order.
+order. Blocks are stacked as float64, which widens float32 model rows
+exactly; :func:`ordered_relatedness` measures one pair with sums in index
+order, for callers that must break near-ties as the defining formula does.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector
-from .errors import ParseError, UnmeasurableError
+from .errors import ParseError, UnmeasurableError, text_lines
 from .lexicon import Lexicon, Sense
 
 logger = logging.getLogger(__name__)
@@ -91,21 +93,40 @@ def _cosines(
     """
     c = np.einsum("ik,jk->ij", rows, cols) / (row_norms[:, None] * col_norms[None, :])
     for i, j in np.argwhere(np.abs(c) > _NEAR_ENDPOINT):
-        u, v = rows[i], cols[j]
-        if np.array_equal(u, v):
-            c[i, j] = 1.0
-        elif np.array_equal(u, np.negative(v)):
-            c[i, j] = -1.0
-        else:
-            norms = math.sqrt(_ordered_dot(u, u)) * math.sqrt(_ordered_dot(v, v))
-            c[i, j] = _ordered_dot(u, v) / norms
+        c[i, j] = _ordered_cosine(rows[i], cols[j])
     return np.clip(c, -1.0, 1.0, out=c)
+
+
+def _ordered_cosine(u: Vector, v: Vector) -> float:
+    """Cosine of two float64 vectors by the defining formula, in [-1, 1].
+
+    Exactly equal (negated) vectors give exactly 1 (-1); otherwise the sums
+    run in index order.
+    """
+    if np.array_equal(u, v):
+        return 1.0
+    if np.array_equal(u, np.negative(v)):
+        return -1.0
+    norms = math.sqrt(_ordered_dot(u, u)) * math.sqrt(_ordered_dot(v, v))
+    return min(1.0, max(-1.0, _ordered_dot(u, v) / norms))
+
+
+def ordered_relatedness(u: Vector, v: Vector) -> float:
+    """Angular relatedness of two nonzero vectors with the defining formula's rounding.
+
+    Used to decide near-ties, whose order the bulk product may round either way.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return 1.0 - math.acos(_ordered_cosine(u, v)) / math.pi
 
 
 def cosine(v1: Vector, v2: Vector) -> float:
     """Cosine similarity, clamped to [-1, 1]; zero vectors are rejected."""
     if v1.shape != v2.shape:
         raise ValueError(f"dimension mismatch: {v1.shape[0]} vs {v2.shape[0]}")
+    # np.dot sums float32 inputs in float32.
+    v1, v2 = v1.astype(np.float64, copy=False), v2.astype(np.float64, copy=False)
     n1 = float(np.dot(v1, v1))
     n2 = float(np.dot(v2, v2))
     if n1 == 0.0 or n2 == 0.0:
@@ -123,7 +144,7 @@ def _stack_directed(
     vectors: Sequence[Optional[Vector]], ids: list[int]
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Rows and norms of the given vectors, dropping those whose squared norm is 0."""
-    mat = np.array([vectors[i] for i in ids])
+    mat = np.array([vectors[i] for i in ids], dtype=np.float64)
     norms = np.sqrt(np.einsum("ik,ik->i", mat, mat))
     directed = norms > 0.0
     if directed.all():
@@ -330,16 +351,15 @@ def load_word_frequencies(path: str | Path) -> dict[str, float]:
     path = Path(path)
     counts: dict[str, int] = {}
     total = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) <= 0:
-                raise ParseError(f"{path}: line {lineno}: expected 'token count'")
-            token, count = parts[0], int(parts[1])
-            counts[token] = counts.get(token, 0) + count
-            total += count
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) <= 0:
+            raise ParseError(f"{path}: line {lineno}: expected 'token count'")
+        token, count = parts[0], int(parts[1])
+        counts[token] = counts.get(token, 0) + count
+        total += count
     if not counts:
         raise ParseError(f"{path}: no frequency entries found")
     return {token: count / total for token, count in counts.items()}
@@ -385,20 +405,24 @@ def sif_embeddings(
     out: dict[str, Vector] = {}
     omitted: list[str] = []
     for sense_id, tokens in descriptions.items():
-        acc = np.zeros(model.dim)
+        rows: list[Vector] = []
+        weights: list[float] = []
         weight_sum = 0.0
         for token in tokens:
             v = model.lookup(token)
             if v is None:
                 continue
             p = freqs.get(token.lower(), freqs.get(token, 0.0))
-            weight = cfg.smoothing / (cfg.smoothing + p)
-            acc = acc + weight * v
-            weight_sum += weight
+            rows.append(v)
+            weights.append(cfg.smoothing / (cfg.smoothing + p))
+            weight_sum += weights[-1]
         if weight_sum == 0.0:
             omitted.append(sense_id)
             continue
-        out[sense_id] = acc / weight_sum
+        # Rows widen to float64 in one stack; the reduction adds the weighted
+        # rows to 0 one after another, in token order.
+        weighted = np.array(rows, dtype=np.float64) * np.array(weights)[:, None]
+        out[sense_id] = np.add.reduce(weighted, axis=0, initial=0.0) / weight_sum
     if omitted:
         logger.warning(
             "%d descriptions have no in-vocabulary tokens and were omitted (first: %s)",

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import text_lines
+
 STOPWORDS_VERSION = "1.0"
 
 _WORDS = """
@@ -37,11 +39,13 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a replacement stopword list: one token per line, blank lines skipped."""
+    """Read a replacement stopword list: one token per line, blank lines skipped.
+
+    Invalid UTF-8 raises :class:`ParseError` naming the line.
+    """
     words = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            token = line.strip()
-            if token:
-                words.append(token.lower())
+    for _, line in text_lines(Path(path)):
+        token = line.strip()
+        if token:
+            words.append(token.lower())
     return frozenset(words)

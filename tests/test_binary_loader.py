@@ -2,9 +2,9 @@
 
 ``reference_load_binary`` is the loader kwsense used before block reads: it
 reads token bytes one at a time and widens each vector on its own. The block
-loader must give the same tokens in the same order, the same duplicate count
-and bit-identical float64 vectors, or raise a ``ParseError`` with the same
-text. Shrinking ``embeddings._BLOCK_BYTES`` makes entries straddle block
+loader keeps rows as float32; it must give the same tokens in the same order,
+the same duplicate count and float32 rows that widen to bit-identical float64
+vectors, or raise a ``ParseError`` with the same text. Shrinking ``embeddings._BLOCK_BYTES`` makes entries straddle block
 boundaries and forces the buffer to grow.
 """
 from __future__ import annotations
@@ -60,14 +60,14 @@ def reference_load_binary(path: Path) -> EmbeddingModel:
 
 
 def _outcome(load, path: Path):
-    """(tokens, vector bytes, dim, duplicates), or the ParseError text."""
+    """(tokens, float64 vector bytes, dim, duplicates), or the ParseError text."""
     try:
         model = load(path)
     except ParseError as exc:
         return str(exc)
     return (
         list(model.vocab),
-        [v.tobytes() for v in model.vocab.values()],
+        [v.astype(np.float64).tobytes() for v in model.vocab.values()],
         model.dim,
         model.duplicates,
     )
@@ -185,7 +185,7 @@ def test_lying_header_allocates_by_file_size(tmp_path, header):
     assert str(info.value) == _outcome(reference_load_binary, path)
 
 
-def test_rows_are_views_of_one_float64_matrix(tmp_path):
+def test_rows_are_views_of_one_float32_matrix(tmp_path):
     rng = np.random.default_rng(3)
     # 1200 x 300 float32 is ~1.4 MB: more than one block at the real block size.
     vectors = rng.standard_normal((1200, 300)).astype(np.float32)
@@ -198,5 +198,5 @@ def test_rows_are_views_of_one_float64_matrix(tmp_path):
     assert model.duplicates == 100 and len(model) == 1100
     bases = {id(v.base) for v in model.vocab.values()}
     assert len(bases) == 1
-    assert all(v.dtype == np.float64 and v.shape == (300,) for v in model.vocab.values())
+    assert all(v.dtype == np.float32 and v.shape == (300,) for v in model.vocab.values())
     np.testing.assert_array_equal(model.vocab["t5"], vectors[5])

@@ -227,6 +227,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "line 2: invalid UTF-8" in err
 
+    def test_non_utf8_lexicon_exits_1(self, toy_model_file, toy_lexicon_file, capsys):
+        with toy_lexicon_file.open("ab") as fh:
+            fh.write(b'{"id": "x", "lemmas": ["\xff"], "synonyms": ["x"]}\n')
+        code = main(["disambiguate", "--model", str(toy_model_file),
+                     "--lexicon", str(toy_lexicon_file), "java", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 6: invalid UTF-8" in err
+
     def test_bad_w0_exits_2(self, toy_model_file, capsys):
         code = main(["rel", "--model", str(toy_model_file), "--w0", "-0.1", "a", "b"])
         assert code == EXIT_CONFIG
@@ -256,6 +265,15 @@ class TestStopwordsEnv:
         code = main(["rel", *base_args, "sea", "island"])
         assert code == EXIT_CONFIG
         assert "KWSENSE_STOPWORDS" in capsys.readouterr().err
+
+    def test_non_utf8_env_file_exits_2(self, base_args, tmp_path, monkeypatch, capsys):
+        sw = tmp_path / "stop.txt"
+        sw.write_bytes(b"the\n\xffisland\n")
+        monkeypatch.setenv("KWSENSE_STOPWORDS", str(sw))
+        code = main(["disambiguate", *base_args, "java", "island"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "line 2: invalid UTF-8" in err
 
     def test_builtin_source_echoed(self, base_args, monkeypatch, capsys):
         monkeypatch.delenv("KWSENSE_STOPWORDS", raising=False)

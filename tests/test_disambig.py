@@ -375,6 +375,13 @@ class TestDocVecStore:
         with pytest.raises(ParseError, match="duplicate"):
             load_docvec_store(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dv.jsonl"
+        path.write_bytes(json.dumps({"id": "a", "vector": [1.0]}).encode()
+                         + b'\n{"id": "\xc3", "vector": [2.0]}\n')
+        with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
+            load_docvec_store(path)
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "dv.jsonl"
         path.write_text(json.dumps({"id": "a"}) + "\n")

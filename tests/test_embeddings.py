@@ -104,7 +104,7 @@ class TestBinaryLoader:
         assert model.dim == 2
         np.testing.assert_allclose(model.vocab["hi"], [1.0, 2.0], rtol=1e-7)
         np.testing.assert_allclose(model.vocab["yo"], [3.0, 4.0], rtol=1e-7)
-        assert model.vocab["hi"].dtype == np.float64
+        assert model.vocab["hi"].dtype == np.float32
 
     def test_multibyte_utf8_token(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -109,6 +109,12 @@ class TestWordPairs:
         with pytest.raises(ParseError, match="line 1"):
             load_wordpair_dataset(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"sea\tisland\t7.5\ncaf\xe9\tcup\t1\n")
+        with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
+            load_wordpair_dataset(path)
+
     def test_requires_two_pairs(self):
         with pytest.raises(ValueError):
             WordPairDataset(name="tiny", pairs=(WordPair("a", "b", 1.0),))
@@ -180,6 +186,13 @@ class TestWsdCorpus:
             "targets": [{"position": 0, "keyword": keyword, "gold": ["g"]}],
         }) + "\n")
         with pytest.raises(ParseError, match="line 1: target keyword must be a string"):
+            load_wsd_corpus(path)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        item = {"item_id": "x", "tokens": ["a"], "targets": []}
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n" + json.dumps(item).encode().replace(b'"a"', b'"\xff"') + b"\n")
+        with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
             load_wsd_corpus(path)
 
     def test_missing_fields_named_with_line(self, tmp_path):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -180,8 +180,28 @@ def _check_against_oracle(model, lexicon, senses, context, threshold, max_contex
             assert abs(got.score - want) <= TOL, strategy
 
 
+def _parallel_terms_tied_at_the_cut():
+    # w0 = 0.5 * w1 and the phrase "w0 w1" = 0.75 * w1 tie in relatedness to the
+    # top-k reference; summed in another order they round apart, and which one
+    # is cut at k = 3 moves the step-2 score by 1.5e-3.
+    w1 = np.array([1.0, 1.0, -1.0])
+    vocab = {"w0": 0.5 * w1, "w1": w1, "w2": np.array([0.0, -0.5, -0.5]), "kw": w1.copy()}
+    sense = Sense(id="kw#0", lemmas=("kw",), synonyms=("w0",),
+                  description_terms=("w0", "w0 w1", "w0", "w1 w2"))
+    return {
+        "model": EmbeddingModel(vocab=vocab, dim=3),
+        "lexicon": Lexicon.from_senses([sense]),
+        "senses": [sense],
+        "context": ["w0", "w2"],
+        "threshold": 0.0,
+        "max_context": 2,
+        "k": 3,
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
+@example(_parallel_terms_tied_at_the_cut())
 def test_steps_match_oracle_across_blocks(scenario):
     # Two-row blocks make nearly every call span several blocks.
     with mock.patch.object(relatedness, "_BLOCK_ROWS", 2):

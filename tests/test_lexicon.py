@@ -96,6 +96,13 @@ class TestLoader:
         with pytest.raises(ParseError, match="line 2"):
             load_lexicon(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        line = json.dumps({"id": "a", "lemmas": ["a"], "synonyms": ["a"]}).encode()
+        path = tmp_path / "lex.jsonl"
+        path.write_bytes(line + b"\n" + line.replace(b'"a"', b'"\xff"') + b"\n")
+        with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
+            load_lexicon(path)
+
     def test_empty_synonyms_rejected(self, tmp_path):
         path = tmp_path / "lex.jsonl"
         path.write_text(json.dumps({"id": "a", "lemmas": ["a"], "synonyms": []}) + "\n")

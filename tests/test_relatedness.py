@@ -278,6 +278,12 @@ class TestWordFrequencies:
         with pytest.raises(ParseError, match="line 2"):
             load_word_frequencies(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "freqs.txt"
+        path.write_bytes(b"the 30\ncat\xff 10\n")
+        with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
+            load_word_frequencies(path)
+
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "freqs.txt"
         path.write_text("\n")
