@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector, centroid
-from .errors import ConfigError, ParseError, UnmeasurableError, text_lines
+from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
 from .lexicon import Lexicon, Sense
 from .relatedness import (
     DEFAULT_WEIGHTS,
@@ -150,26 +150,20 @@ def load_docvec_store(path: str | Path) -> DocVecStore:
     path = Path(path)
     vectors: dict[str, Vector] = {}
     dim: int | None = None
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+    for where, obj in json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
             raise ParseError(f"{where}: expected an object with 'id' and 'vector'")
         sense_id, raw = obj["id"], obj["vector"]
         if not isinstance(sense_id, str) or not sense_id:
             raise ParseError(f"{where}: id must be a nonempty string")
-        if not isinstance(raw, list) or not raw:
+        # Only JSON numbers: np.array would also take bools and numeric strings.
+        if not isinstance(raw, list) or not raw or not set(map(type, raw)) <= {int, float}:
             raise ParseError(f"{where}: vector must be a nonempty list of numbers")
         try:
             vec = np.array(raw, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: vector must be a list of numbers") from None
-        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+        except OverflowError:
+            raise ParseError(f"{where}: vector components must be finite numbers") from None
+        if not np.all(np.isfinite(vec)):
             raise ParseError(f"{where}: vector components must be finite numbers")
         if dim is None:
             dim = vec.shape[0]

@@ -2,10 +2,11 @@
 
 Vectors are 1-D numpy arrays with finite components. Models map raw tokens
 to vectors; all entries of one model share a single dimension. Text models
-hold float64 rows; binary models hold float32 rows, views of one matrix, as
-the file stores them. Everything that does arithmetic on model vectors
-widens them to float64 first, which is exact, so a binary model gives the
-same results as a float64 model of the same values.
+hold float64 rows, views of one matrix per block of lines; binary models
+hold float32 rows, views of one matrix, as the file stores them. Everything
+that does arithmetic on model vectors widens them to float64 first, which is
+exact, so a binary model gives the same results as a float64 model of the
+same values.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .errors import ParseError
 logger = logging.getLogger(__name__)
 
 _BLOCK_BYTES = 1 << 20  # bytes per read of load_binary_model
+_TEXT_BLOCK_BYTES = 1 << 17  # bytes of whole lines per block of load_text_model
 
 Vector = np.ndarray
 
@@ -89,7 +91,70 @@ class EmbeddingModel:
 
 
 def _looks_like_header(parts: list[str]) -> bool:
-    return len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit()
+    # isdecimal, not isdigit: exactly the digits int() accepts (not "²").
+    return len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal()
+
+
+def _parse_line(
+    raw: bytes, path: Path, lineno: int, dim: int | None
+) -> int | tuple[str, Vector] | None:
+    """One line of a text model: None if blank, the dimension if it is the header, else its entry.
+
+    ``dim`` is None until the first non-blank line, the only one that can be
+    the header; otherwise that line sets it. This is the definition of a valid
+    line and of every per-line :class:`ParseError`.
+    """
+    try:
+        parts = raw.decode("utf-8").split()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: line {lineno}: invalid UTF-8") from None
+    if not parts:
+        return None
+    if dim is None and _looks_like_header(parts):
+        try:
+            return int(parts[1])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{path}: line {lineno}: header dimension too large") from None
+    token, values = parts[0], parts[1:]
+    if dim is None and not values:
+        raise ParseError(f"{path}: line {lineno}: no vector components")
+    if dim is not None and len(values) != dim:
+        raise ParseError(f"{path}: line {lineno}: expected {dim} components, got {len(values)}")
+    try:
+        vec = np.array(values, dtype=np.float64)
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-numeric vector component") from None
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"{path}: line {lineno}: non-finite vector component")
+    return token, vec
+
+
+def _parse_block(block: list[bytes], dim: int) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and ``(lines, dim)`` float64 rows of a block of vector lines.
+
+    None unless every line is a valid vector line by a stricter rule than
+    :func:`_parse_line`'s: ``np.loadtxt`` rejects some components ``float``
+    accepts (``1_0``, non-ASCII digits) and ends a line at a bare ``\\r``.
+    Where both accept a line they give the same values, so a block that
+    passes here parses exactly as line by line.
+    """
+    try:
+        lines = b"".join(block).decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    if len(lines) > len(block):  # the last line ended at "\n"
+        lines.pop()
+    pairs = [line.split(None, 1) for line in lines]
+    if any(len(pair) != 2 for pair in pairs):
+        return None
+    tokens, rests = zip(*pairs)
+    try:
+        matrix = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape != (len(lines), dim) or not np.isfinite(matrix).all():
+        return None
+    return list(tokens), matrix
 
 
 def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel:
@@ -101,44 +166,41 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
     counted on the returned model. Lines end at ``\\n``; blank lines are
     skipped. Malformed lines (invalid UTF-8, wrong column count, non-numeric
     or non-finite components) raise :class:`ParseError` naming the line.
+
+    Once the dimension is known the file is read in blocks of whole lines of
+    about ``_TEXT_BLOCK_BYTES``, each decoded once and its components parsed
+    by one ``np.loadtxt`` call; every vector is a float64 row view of its
+    block's matrix (dropped duplicates keep their rows). A block that fails
+    any check of that fast parse is parsed line by line, which decides
+    whether it is valid and which error to raise.
     """
     path = Path(path)
     vocab: dict[str, Vector] = {}
     dim: int | None = None
     duplicates = 0
-    saw_first = False
+    lineno = 0
     with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                parts = raw.decode("utf-8").split()
-            except UnicodeDecodeError:
-                raise ParseError(f"{path}: line {lineno}: invalid UTF-8") from None
-            if not parts:
-                continue
-            if not saw_first:
-                saw_first = True
-                if _looks_like_header(parts):
-                    dim = int(parts[1])
-                    continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                if not values:
-                    raise ParseError(f"{path}: line {lineno}: no vector components")
-                dim = len(values)
-            if len(values) != dim:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {dim} components, got {len(values)}"
-                )
-            try:
-                vec = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric vector component") from None
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}: line {lineno}: non-finite vector component")
-            if token in vocab:
-                duplicates += 1
-                continue
-            vocab[token] = vec
+        # One line at a time until the header or first vector line sets dim.
+        while block := fh.readlines(1 if dim is None else _TEXT_BLOCK_BYTES):
+            parsed = None if dim is None else _parse_block(block, dim)
+            if parsed is not None:
+                entries = zip(*parsed)
+            else:
+                entries = []
+                for i, raw in enumerate(block, start=lineno + 1):
+                    entry = _parse_line(raw, path, i, dim)
+                    if isinstance(entry, int):
+                        dim = entry
+                    elif entry is not None:
+                        if dim is None:
+                            dim = len(entry[1])
+                        entries.append(entry)
+            lineno += len(block)
+            for token, vec in entries:
+                if token in vocab:
+                    duplicates += 1
+                else:
+                    vocab[token] = vec
     if dim is None or not vocab:
         raise ParseError(f"{path}: no vector lines found")
     if duplicates:

@@ -1,6 +1,7 @@
-"""Shared exception types, and the text-file line reader that raises them."""
+"""Shared exception types, and the text-file line readers that raise them."""
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterator
 
@@ -42,3 +43,22 @@ def text_lines(path: Path) -> Iterator[tuple[int, str]]:
             except UnicodeEncodeError:
                 raise ParseError(f"{path}: line {lineno}: invalid UTF-8") from None
             yield lineno, line
+
+
+def json_lines(path: Path) -> Iterator[tuple[str, object]]:
+    """Each non-blank line of a JSONL file as ``("<file>: line N", decoded value)``.
+
+    Invalid JSON, including nesting too deep or an integer too long to decode,
+    raises :class:`ParseError` naming the file and line.
+    """
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc}") from None
+        yield where, obj

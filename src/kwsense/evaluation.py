@@ -1,8 +1,8 @@
 """Evaluation: word-pair correlation and corpus-level disambiguation scoring."""
 from __future__ import annotations
 
-import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,7 +12,7 @@ import numpy as np
 
 from .disambig import AlgoParams, ContextConfig, DocVecStore, disambiguate, strategy_store
 from .embeddings import EmbeddingModel, Vector
-from .errors import ParseError, UnmeasurableError, text_lines
+from .errors import ParseError, UnmeasurableError, json_lines, text_lines
 from .lexicon import Lexicon
 from .relatedness import rel_words
 
@@ -104,6 +104,8 @@ def load_wordpair_dataset(path: str | Path, name: str | None = None) -> WordPair
             score = float(raw)
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric score {raw!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"{path}: line {lineno}: non-finite score {raw!r}")
         pairs.append(WordPair(w1, w2, score))
     if len(pairs) < 2:
         raise ParseError(f"{path}: need at least two pairs")
@@ -175,14 +177,7 @@ def load_wsd_corpus(path: str | Path, name: str | None = None) -> WsdCorpus:
     """
     path = Path(path)
     items = []
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+    for where, obj in json_lines(path):
         if not isinstance(obj, dict):
             raise ParseError(f"{where}: each line must be a JSON object")
         for key in ("item_id", "tokens", "targets"):

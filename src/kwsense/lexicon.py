@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ParseError, text_lines
+from .errors import ParseError, json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -174,8 +175,9 @@ def _sense_from_obj(obj: dict, where: str) -> Sense:
     core_context = tuple(_parse_context_entry(e, where) for e in raw_context)
     description = _string_tuple(obj.get("description_terms", []), "description_terms", where)
     frequency = obj.get("frequency", 0.0)
-    if not isinstance(frequency, (int, float)) or isinstance(frequency, bool) or frequency < 0:
-        raise ParseError(f"{where}: frequency must be a number >= 0")
+    # json.loads gives NaN, Infinity and ints too large for a float.
+    if type(frequency) not in (int, float) or not 0 <= frequency <= sys.float_info.max:
+        raise ParseError(f"{where}: frequency must be a finite number >= 0")
     try:
         return Sense(
             id=obj["id"],
@@ -198,14 +200,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     senses: list[Sense] = []
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
+    for where, obj in json_lines(path):
         if not isinstance(obj, dict):
             raise ParseError(f"{where}: each line must be a JSON object")
         senses.append(_sense_from_obj(obj, where))

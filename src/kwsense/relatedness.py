@@ -355,9 +355,13 @@ def load_word_frequencies(path: str | Path) -> dict[str, float]:
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) <= 0:
+        try:
+            count = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
+        except ValueError:  # more digits than int() converts
+            count = 0
+        if count <= 0:
             raise ParseError(f"{path}: line {lineno}: expected 'token count'")
-        token, count = parts[0], int(parts[1])
+        token = parts[0]
         counts[token] = counts.get(token, 0) + count
         total += count
     if not counts:

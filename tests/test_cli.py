@@ -236,6 +236,32 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "line 6: invalid UTF-8" in err
 
+    def test_superscript_model_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("3 \u00b2\nsea 1\nisland 2\n")
+        code = main(["rel", "--model", str(path), "sea", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 1: non-numeric" in err
+
+    def test_superscript_sif_frequency_exits_1(self, base_args, tmp_path, capsys):
+        path = tmp_path / "freqs.txt"
+        path.write_text("sea 3\ncat \u00b2\n")
+        code = main(["disambiguate", *base_args, "--strategy", "sif",
+                     "--sif-freqs", str(path), "java", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 2: expected 'token count'" in err
+
+    def test_nan_lexicon_frequency_exits_1(self, toy_model_file, toy_lexicon_file, capsys):
+        with toy_lexicon_file.open("a") as fh:
+            fh.write('{"id": "x", "lemmas": ["x"], "synonyms": ["x"], "frequency": NaN}\n')
+        code = main(["disambiguate", "--output", "json", "--model", str(toy_model_file),
+                     "--lexicon", str(toy_lexicon_file), "java", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 6: frequency must be a finite" in err
+
     def test_bad_w0_exits_2(self, toy_model_file, capsys):
         code = main(["rel", "--model", str(toy_model_file), "--w0", "-0.1", "a", "b"])
         assert code == EXIT_CONFIG

@@ -388,6 +388,23 @@ class TestDocVecStore:
         with pytest.raises(ParseError, match="vector"):
             load_docvec_store(path)
 
+    @pytest.mark.parametrize("vector, message", [
+        ("[1.0, true]", "list of numbers"),
+        ("[false, 2.0]", "list of numbers"),
+        ('[1.0, "1.5"]', "list of numbers"),
+        ("[[1.0], [2.0]]", "list of numbers"),
+        ("[1.0, null]", "list of numbers"),
+        ("[1.0, NaN]", "finite numbers"),
+        ("[1.0, Infinity]", "finite numbers"),
+        ("[1.0, 1%s]" % ("0" * 400), "finite numbers"),
+    ])
+    def test_non_number_components_name_line(self, tmp_path, vector, message):
+        path = tmp_path / "dv.jsonl"
+        path.write_text(json.dumps({"id": "a", "vector": [1.0, 2]}) + "\n"
+                        + '{"id": "b", "vector": %s}\n' % vector)
+        with pytest.raises(ParseError, match=f"line 2: .*{message}"):
+            load_docvec_store(path)
+
 
 class TestBuildSifStore:
     def test_multiword_terms_are_tokenized(self, toy_model):

@@ -78,6 +78,24 @@ class TestTextLoader:
         assert list(model.vocab) == ["café", "b"]
         np.testing.assert_array_equal(model.vocab["b"], [3.0, 4.0])
 
+    def test_superscript_digit_is_not_a_header(self, tmp_path):
+        # "²".isdigit() but int("²") fails: a data line, not a header.
+        path = tmp_path / "m.txt"
+        path.write_text("3 \u00b2\na 1\n")
+        with pytest.raises(ParseError, match="line 1: non-numeric vector component"):
+            load_text_model(path)
+
+    def test_decimal_digits_of_any_script_make_a_header(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("\u0663 \u0662\na 1 2\n")
+        assert load_text_model(path).dim == 2
+
+    def test_header_past_int_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("3 " + "1" * 5000 + "\na 1\n")
+        with pytest.raises(ParseError, match="line 1: header dimension too large"):
+            load_text_model(path)
+
     def test_round_trip_preserves_tokens_and_values(self, tmp_path, toy_model):
         path = tmp_path / "dump.txt"
         save_text_model(toy_model, path)

@@ -115,6 +115,13 @@ class TestWordPairs:
         with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
             load_wordpair_dataset(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_score_names_line(self, tmp_path, score):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"sea\tisland\t7.5\ncoffee\tcup\t{score}\na\tb\t1\n")
+        with pytest.raises(ParseError, match="line 2: non-finite score"):
+            load_wordpair_dataset(path)
+
     def test_requires_two_pairs(self):
         with pytest.raises(ValueError):
             WordPairDataset(name="tiny", pairs=(WordPair("a", "b", 1.0),))

@@ -133,6 +133,23 @@ class TestLoader:
         with pytest.raises(ParseError, match="frequency"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("frequency", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_frequency_names_line(self, tmp_path, frequency):
+        good = json.dumps({"id": "a", "lemmas": ["a"], "synonyms": ["a"]})
+        bad = '{"id": "b", "lemmas": ["b"], "synonyms": ["b"], "frequency": %s}' % frequency
+        path = tmp_path / "lex.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match="line 2: frequency must be a finite number"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize("line", ["[" * 100000, "1" * 5000])
+    def test_undecodable_json_names_line(self, tmp_path, line):
+        # json.loads raises RecursionError / ValueError, not JSONDecodeError.
+        path = tmp_path / "lex.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ParseError, match="line 1: invalid JSON"):
+            load_lexicon(path)
+
     def test_bad_context_entry_rejected(self, tmp_path):
         obj = {
             "id": "a", "lemmas": ["a"], "synonyms": ["a"],

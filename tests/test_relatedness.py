@@ -284,6 +284,18 @@ class TestWordFrequencies:
         with pytest.raises(ParseError, match=f"^{path}: line 2: invalid UTF-8$"):
             load_word_frequencies(path)
 
+    def test_superscript_count_names_line(self, tmp_path):
+        path = tmp_path / "freqs.txt"
+        path.write_text("the 30\ncat \u00b2\n")
+        with pytest.raises(ParseError, match="line 2: expected 'token count'"):
+            load_word_frequencies(path)
+
+    def test_count_past_int_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "freqs.txt"
+        path.write_text("the 30\ncat " + "1" * 5000 + "\n")
+        with pytest.raises(ParseError, match="line 2: expected 'token count'"):
+            load_word_frequencies(path)
+
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "freqs.txt"
         path.write_text("\n")
