@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .compiled import description_index, sense_index, word_rows
 from .embeddings import EmbeddingModel, Vector, centroid
 from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
 from .lexicon import Lexicon, Sense
@@ -33,19 +34,12 @@ from .relatedness import (
     DEFAULT_WEIGHTS,
     RelWeights,
     SifConfig,
-    combine_levels,
-    core_context_senses,
-    mean_skip_missing,
-    ordered_relatedness,
+    rank_top,
     relatedness_matrix,
+    relatedness_rows,
     sif_embeddings,
 )
 from .stopwords import default_stopwords
-
-# Off the endpoints the kernel is within ~1e-13 of the defining formula, so
-# it may order values closer than this differently from that formula.
-_TIE_WINDOW = 1e-12
-
 
 class Strategy(str, Enum):
     """How step 2 compares the active context with sense descriptions."""
@@ -222,28 +216,8 @@ def select_active_context(
     rel = relatedness_matrix(vectors, [kd_vec])[:, 0].tolist()
     # NaN (an unrepresentable pair) fails the threshold comparison.
     kept = [i for i, r in enumerate(rel) if r >= cfg.threshold]
-    top = _top(kept, rel, cfg.max_context, vectors, kd_vec)
+    top = rank_top(kept, rel, cfg.max_context, vectors, kd_vec)
     return ActiveContext(target=keyword, members=tuple((candidates[i], rel[i]) for i in top))
-
-
-def _top(
-    ids: list[int], rel: list[float], n: int, vectors: Sequence[Vector], reference: Vector
-) -> list[int]:
-    """The first ``n`` of ``ids`` by descending ``rel[i]``; ties keep input order.
-
-    ``rel[i]`` is the relatedness of ``vectors[i]`` to ``reference``. When the
-    values either side of the cut are within ``_TIE_WINDOW``, the entries
-    that close to the cut are first re-measured in ``rel`` with the defining
-    formula's rounding, so the kernel's summation order cannot decide a tie.
-    """
-    ranked = sorted(ids, key=lambda i: -rel[i])
-    if len(ranked) > n and rel[ranked[n - 1]] - rel[ranked[n]] <= _TIE_WINDOW:
-        cut = rel[ranked[n - 1]]
-        for i in dict.fromkeys(ranked):
-            if abs(rel[i] - cut) <= _TIE_WINDOW:
-                rel[i] = ordered_relatedness(vectors[i], reference)
-        ranked = sorted(ids, key=lambda i: -rel[i])
-    return ranked[:n]
 
 
 def step1_base_scores(
@@ -260,43 +234,12 @@ def step1_base_scores(
     """
     if not ca.members:
         return [SenseScore(sense_id=sense.id, score=0.0, step1=0.0) for sense in senses]
-    phrases: dict[str, int] = {}
-    plans = [
-        (
-            _phrase_ids(phrases, sense.synonyms),
-            [_phrase_ids(phrases, m.synonyms) for m in core_context_senses(lexicon, sense)],
-        )
-        for sense in senses
+    index = sense_index(model, lexicon, senses)
+    bases = index.base_scores(word_rows(model, ca.words), weights)
+    return [
+        SenseScore(sense_id=sense.id, score=base, step1=base)
+        for sense, base in zip(senses, bases)
     ]
-    by_word = _relatedness_by_word(model, phrases, ca.words)
-    out = []
-    for sense, (synonyms, members) in zip(senses, plans):
-        per_word = []
-        for rel in by_word:
-            r0 = mean_skip_missing(rel[i] for i in synonyms)
-            r1 = None
-            if members:
-                r1 = mean_skip_missing(mean_skip_missing(rel[i] for i in m) for m in members)
-            per_word.append(combine_levels(r0, r1, weights))
-        base = mean_skip_missing(per_word)
-        if base is None:
-            base = 0.0
-        out.append(SenseScore(sense_id=sense.id, score=base, step1=base))
-    return out
-
-
-def _phrase_ids(phrases: dict[str, int], items: Iterable[str]) -> list[int]:
-    """Rows of ``items`` in the call's distinct-phrase table, adding new phrases."""
-    return [phrases.setdefault(p, len(phrases)) for p in items]
-
-
-def _relatedness_by_word(
-    model: EmbeddingModel, phrases: dict[str, int], words: Sequence[str]
-) -> list[list[float]]:
-    """One list per word: the relatedness of every gathered phrase to it (NaN if missing)."""
-    return relatedness_matrix(
-        [model.phrase_vector(p) for p in phrases], [model.phrase_vector(w) for w in words]
-    ).T.tolist()
 
 
 def _normalized_word_set(terms: Iterable[str], stopwords: frozenset[str]) -> set[str]:
@@ -344,51 +287,9 @@ def _nonzero_centroid(vectors: Sequence[Vector]) -> Optional[Vector]:
     return c if c.any() else None
 
 
-def _average_strengths(
-    model: EmbeddingModel, senses: Sequence[Sense], ca: ActiveContext
-) -> list[Optional[float]]:
-    """Mean word relatedness over (context word, description term) pairs, per sense."""
-    if not ca.words:
-        return [None] * len(senses)
-    terms: dict[str, int] = {}
-    plans = [_phrase_ids(terms, sense.description_terms) for sense in senses]
-    by_word = _relatedness_by_word(model, terms, ca.words)
-    return [
-        mean_skip_missing(rel[i] for rel in by_word for i in ids) if ids else None
-        for ids in plans
-    ]
-
-
-def _topk_centroids(
-    model: EmbeddingModel,
-    senses: Sequence[Sense],
-    ca: ActiveContext,
-    ca_vectors: Sequence[Vector],
-    k: int,
-) -> list[Optional[Vector]]:
-    """Per sense, the centroid of the k description-term vectors nearest to the
-    centroid of context + keyword; None when no term is representable."""
-    reference_parts = list(ca_vectors)
-    kd_vec = model.phrase_vector(ca.target)
-    if kd_vec is not None and kd_vec.any():
-        reference_parts.append(kd_vec)
-    reference = _nonzero_centroid(reference_parts)
-    if reference is None:
-        return [None] * len(senses)
-    terms: dict[str, int] = {}
-    plans = [_phrase_ids(terms, sense.description_terms) for sense in senses]
-    vectors = [model.phrase_vector(t) for t in terms]
-    rel = relatedness_matrix(vectors, [reference])[:, 0].tolist()
-    out: list[Optional[Vector]] = []
-    for ids in plans:
-        # NaN marks an unrepresentable term.
-        top = _top([i for i in ids if rel[i] == rel[i]], rel, k, vectors, reference)
-        out.append(centroid([vectors[i] for i in top]) if top else None)
-    return out
-
-
 def _strategy_strengths(
     model: EmbeddingModel,
+    lexicon: Lexicon,
     senses: Sequence[Sense],
     ca: ActiveContext,
     params: AlgoParams,
@@ -399,16 +300,27 @@ def _strategy_strengths(
     if params.strategy is Strategy.OVERLAP:
         return [overlap(ca, sense.description_terms, stopwords) for sense in senses]
     if params.strategy is Strategy.AVERAGE:
-        return _average_strengths(model, senses, ca)
+        if not ca.words:
+            return [None] * len(senses)
+        return description_index(model, lexicon, senses).average(word_rows(model, ca.words))
     ca_vectors = _context_vectors(model, ca)
     ca_centroid = _nonzero_centroid(ca_vectors)
     if ca_centroid is None:
         return [None] * len(senses)
     if params.strategy is Strategy.TOP_K:
-        sense_vectors = _topk_centroids(model, senses, ca, ca_vectors, params.k)
+        # Each sense's k description terms nearest to the centroid of context + keyword.
+        kd_vec = model.phrase_vector(ca.target)
+        if kd_vec is not None and kd_vec.any():
+            ca_vectors.append(kd_vec)
+        reference = _nonzero_centroid(ca_vectors)
+        if reference is None:
+            return [None] * len(senses)
+        index = description_index(model, lexicon, senses)
+        rows = index.topk_centroids(reference, params.k)
+        rel = relatedness_rows(rows, ca_centroid[None, :])[:, 0].tolist()
     else:
-        sense_vectors = [store.get(sense.id) for sense in senses]
-    rel = relatedness_matrix(sense_vectors, [ca_centroid])[:, 0].tolist()
+        rel = relatedness_matrix([store.get(s.id) for s in senses], [ca_centroid])[:, 0].tolist()
+    # NaN: no term representable, id absent from the store, or a zero vector.
     return [r if r == r else None for r in rel]
 
 
@@ -463,14 +375,15 @@ def step2_rescore(
     max_score = max(s.score for s in scores)
     factor = 1.0 - max_score
     senses = [lexicon.resolve(s.sense_id) for s in scores]
-    strengths = _strategy_strengths(model, senses, ca, params, store, stop)
+    strengths = _strategy_strengths(model, lexicon, senses, ca, params, store, stop)
     out = []
     for s, strength in zip(scores, strengths):
         if strength is None:
-            out.append(replace(s))
+            out.append(s)
             continue
         delta = factor * strength
-        out.append(replace(s, score=s.score + delta, step2_delta=delta))
+        # Built directly: dataclasses.replace takes twice as long per score.
+        out.append(SenseScore(s.sense_id, s.score + delta, s.step1, delta, s.step3_delta))
     return out
 
 
@@ -494,7 +407,7 @@ def step3_frequency(
     by_id = {s.id: s for s in senses}
     total = sum(s.frequency for s in senses)
     if not scores or total <= 0:
-        return [replace(s) for s in scores]
+        return list(scores)
     max_score = max(s.score for s in scores)
     factor = 1.0 - max_score
     gate = params.proximity_factor * max_score
@@ -502,9 +415,9 @@ def step3_frequency(
     for s in scores:
         if s.score > gate:
             boost = factor * norm_freq(by_id[s.sense_id], total, params.freq_a, params.freq_b)
-            out.append(replace(s, score=s.score + boost, step3_delta=boost))
+            out.append(SenseScore(s.sense_id, s.score + boost, s.step1, s.step2_delta, boost))
         else:
-            out.append(replace(s))
+            out.append(s)
     return out
 
 

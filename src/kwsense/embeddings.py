@@ -279,9 +279,13 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
     with path.open("rb") as fh:
         header = fh.readline()
         parts = header.split()
+        # bytes.isdigit accepts ASCII digits only.
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             raise ParseError(f"{path}: binary header must be '<count> <dim>'")
-        count, dim = int(parts[0]), int(parts[1])
+        try:
+            count, dim = int(parts[0]), int(parts[1])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{path}: binary header count or dimension too large") from None
         if count == 0 or dim == 0:
             raise ParseError(f"{path}: header declares an empty model")
         tokens, matrix = _read_binary_entries(fh, path, count, dim)

@@ -48,8 +48,10 @@ def text_lines(path: Path) -> Iterator[tuple[int, str]]:
 def json_lines(path: Path) -> Iterator[tuple[str, object]]:
     """Each non-blank line of a JSONL file as ``("<file>: line N", decoded value)``.
 
-    Invalid JSON, including nesting too deep or an integer too long to decode,
-    raises :class:`ParseError` naming the file and line.
+    Invalid JSON, including nesting too deep, an integer too long to decode,
+    or a string escape that is a lone surrogate (``"\\ud800"``, which no
+    UTF-8 output can carry), raises :class:`ParseError` naming the file and
+    line.
     """
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -61,4 +63,10 @@ def json_lines(path: Path) -> Iterator[tuple[str, object]]:
             raise ParseError(f"{where}: invalid JSON: {exc.msg}") from None
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"{where}: invalid JSON: {exc}") from None
+        # Only a \u escape can put a surrogate into a line that decoded as UTF-8.
+        if "\\u" in line:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{where}: invalid JSON: lone surrogate in a string") from None
         yield where, obj

@@ -83,6 +83,12 @@ class Lexicon:
 
     senses: dict[str, Sense]
     index: dict[str, list[str]] = field(default_factory=dict)
+    # Compiled keywords per model, kept by kwsense.compiled; not part of the value.
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies start with no compiled keywords: those hold weak references.
+        return {**self.__dict__, "compiled": {}}
 
     @classmethod
     def from_senses(cls, senses: Iterable[Sense], strict: bool = True) -> "Lexicon":

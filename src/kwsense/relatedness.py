@@ -11,12 +11,13 @@ None by the ``*_maybe`` aggregations): missing pairs are skipped with the
 denominator reduced accordingly, and an error is raised only when nothing
 measurable remains.
 
-Pairs are measured by one kernel, :func:`relatedness_matrix`: it takes two
-lists of phrase vectors (``None`` or a zero vector marks a missing one) and
-returns the relatedness of every pair, NaN where either side is missing.
-The disambiguation steps gather their phrases once per call and measure
-them in one or two kernel calls per step; :func:`rel_words` is the 1 x 1
-case, and the scalar :func:`cosine` shares the kernel's cosine routine, so
+Pairs are measured by one kernel, :func:`relatedness_rows`: it takes two
+float64 matrices (a zero row marks a missing vector) and returns the
+relatedness of every pair of rows, NaN where either side is missing.
+:func:`relatedness_matrix` is the same for lists of vectors (``None`` also
+marks a missing one), and :func:`rel_words` its 1 x 1 case; the compiled
+keywords of :mod:`kwsense.compiled` call the kernel on blocks of phrase
+centroids. The scalar :func:`cosine` shares the kernel's cosine routine, so
 the exact-endpoint rule lives in one place. arccos is ill-conditioned at
 +/-1, so entries with |cos| > 0.999999 are checked for exactly equal (or
 exactly negated) vectors and set to the exact endpoint; the other flagged
@@ -74,6 +75,9 @@ _BLOCK_ROWS = 256
 # Beyond this |cos| arccos is ill-conditioned: one rounding unit of the
 # cosine moves relatedness by 1e-13 here and by up to 1e-8 at +/-1.
 _NEAR_ENDPOINT = 0.999999
+# Off the endpoints the kernel is within ~1e-13 of the defining formula, so
+# it may order values closer than this differently from that formula.
+_TIE_WINDOW = 1e-12
 
 
 def _ordered_dot(u: Vector, v: Vector) -> float:
@@ -92,9 +96,11 @@ def _cosines(
     does not depend on how the bulk product groups its terms.
     """
     c = np.einsum("ik,jk->ij", rows, cols) / (row_norms[:, None] * col_norms[None, :])
-    for i, j in np.argwhere(np.abs(c) > _NEAR_ENDPOINT):
-        c[i, j] = _ordered_cosine(rows[i], cols[j])
-    return np.clip(c, -1.0, 1.0, out=c)
+    near = np.abs(c) > _NEAR_ENDPOINT
+    if near.any():
+        for i, j in zip(*np.nonzero(near)):
+            c[i, j] = _ordered_cosine(rows[i], cols[j])
+    return np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)
 
 
 def _ordered_cosine(u: Vector, v: Vector) -> float:
@@ -140,17 +146,28 @@ def angular_relatedness(v1: Vector, v2: Vector) -> float:
     return 1.0 - math.acos(cosine(v1, v2)) / math.pi
 
 
-def _stack_directed(
-    vectors: Sequence[Optional[Vector]], ids: list[int]
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Rows and norms of the given vectors, dropping those whose squared norm is 0."""
-    mat = np.array([vectors[i] for i in ids], dtype=np.float64)
-    norms = np.sqrt(np.einsum("ik,ik->i", mat, mat))
-    directed = norms > 0.0
-    if directed.all():
-        return ids, mat, norms
-    kept = [i for i, keep in zip(ids, directed.tolist()) if keep]
-    return kept, mat[directed], norms[directed]
+def relatedness_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Angular relatedness of every (row, col) pair of two float64 matrices.
+
+    NaN where either vector is missing: its squared norm is 0, which includes
+    vectors so small that it underflows.
+    """
+    row_norms = np.sqrt(np.einsum("ik,ik->i", rows, rows))
+    col_norms = np.sqrt(np.einsum("ik,ik->i", cols, cols))
+    row_missing, col_missing = row_norms == 0.0, col_norms == 0.0
+    any_row, any_col = row_missing.any(), col_missing.any()
+    # A unit stand-in norm keeps a missing vector's cosines near 0, away from
+    # the endpoint re-check; its entries are set to NaN below.
+    if any_row:
+        row_norms[row_missing] = 1.0
+    if any_col:
+        col_norms[col_missing] = 1.0
+    out = 1.0 - np.arccos(_cosines(rows, cols, row_norms, col_norms)) / math.pi
+    if any_row:
+        out[row_missing] = np.nan
+    if any_col:
+        out[:, col_missing] = np.nan
+    return out
 
 
 def relatedness_matrix(
@@ -159,7 +176,7 @@ def relatedness_matrix(
     """Angular relatedness of every (row, col) vector pair; NaN where either is missing.
 
     ``None`` and zero vectors (squared norm 0, which includes vectors so small
-    that it underflows) are missing. Rows are processed in blocks of at most
+    that it underflows) are missing. Rows are stacked in blocks of at most
     ``_BLOCK_ROWS``, so put the longer list first.
     """
     out = np.full((len(rows), len(cols)), np.nan)
@@ -167,15 +184,35 @@ def relatedness_matrix(
     col_ids = [j for j, v in enumerate(cols) if v is not None]
     if not row_ids or not col_ids:
         return out
-    col_ids, col_mat, col_norms = _stack_directed(cols, col_ids)
-    if not col_ids:
-        return out
+    col_mat = np.array([cols[j] for j in col_ids], dtype=np.float64)
     for start in range(0, len(row_ids), _BLOCK_ROWS):
-        block, row_mat, row_norms = _stack_directed(rows, row_ids[start : start + _BLOCK_ROWS])
-        if block:
-            c = _cosines(row_mat, col_mat, row_norms, col_norms)
-            out[np.ix_(block, col_ids)] = 1.0 - np.arccos(c) / math.pi
+        block = row_ids[start : start + _BLOCK_ROWS]
+        row_mat = np.array([rows[i] for i in block], dtype=np.float64)
+        out[np.ix_(block, col_ids)] = relatedness_rows(row_mat, col_mat)
     return out
+
+
+def rank_top(
+    ids: list[int], rel: list[float], n: int, vectors: Sequence[Vector], reference: Vector
+) -> list[int]:
+    """The first ``n`` of ``ids`` by descending ``rel[i]``; ties keep input order.
+
+    ``rel[i]`` is the relatedness of ``vectors[i]`` to ``reference``. When the
+    values either side of the cut are within ``_TIE_WINDOW``, the distinct
+    entries that close to the cut are first re-measured in ``rel`` with the
+    defining formula's rounding, so the kernel's summation order cannot decide
+    a tie. When they are all one entry (a phrase listed more than once), the
+    re-measure could not reorder anything and is skipped.
+    """
+    ranked = sorted(ids, key=lambda i: -rel[i])
+    if len(ranked) > n and rel[ranked[n - 1]] - rel[ranked[n]] <= _TIE_WINDOW:
+        cut = rel[ranked[n - 1]]
+        near = {i for i in ranked if abs(rel[i] - cut) <= _TIE_WINDOW}
+        if len(near) > 1:
+            for i in near:
+                rel[i] = ordered_relatedness(vectors[i], reference)
+            ranked = sorted(ids, key=lambda i: -rel[i])
+    return ranked[:n]
 
 
 def rel_words(model: EmbeddingModel, x: str, y: str) -> Optional[float]:

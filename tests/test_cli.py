@@ -262,6 +262,24 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "line 6: frequency must be a finite" in err
 
+    def test_lone_surrogate_lexicon_id_exits_1(self, toy_model_file, toy_lexicon_file, capsys):
+        # Table output would print the id, which no UTF-8 stream can encode.
+        with toy_lexicon_file.open("a") as fh:
+            fh.write('{"id": "java#\\ud800", "lemmas": ["java"], "synonyms": ["java"]}\n')
+        code = main(["disambiguate", "--model", str(toy_model_file),
+                     "--lexicon", str(toy_lexicon_file), "java", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 6: invalid JSON: lone surrogate" in err
+
+    def test_huge_binary_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"1" * 5000 + b" 2\n")
+        code = main(["rel", "--model", str(path), "sea", "island"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "header count or dimension too large" in err
+
     def test_bad_w0_exits_2(self, toy_model_file, capsys):
         code = main(["rel", "--model", str(toy_model_file), "--w0", "-0.1", "a", "b"])
         assert code == EXIT_CONFIG

@@ -1,0 +1,352 @@
+"""Compiled keywords: phrase tables, the step-1 crossover, the per-pair cache.
+
+Compiled keywords hold references to the model's own rows and index arrays,
+never float64 copies; their centroids and means must equal the scalar
+definitions bit for bit, and the cache must give every (model, lexicon) pair
+its own results.
+"""
+from __future__ import annotations
+
+import copy
+import gc
+import pickle
+import sys
+import time
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import oracle
+from conftest import make_toy_model, make_toy_senses
+from kwsense import (
+    ActiveContext,
+    AlgoParams,
+    ContextConfig,
+    ContextRef,
+    EmbeddingModel,
+    Lexicon,
+    RelWeights,
+    Sense,
+    Strategy,
+    compiled,
+    disambiguate,
+    eval_wsd,
+    load_wsd_corpus,
+    relatedness,
+    select_active_context,
+    step1_base_scores,
+)
+from kwsense.embeddings import centroid
+from kwsense.relatedness import mean_skip_missing
+from test_kernel import scenarios
+
+TOL = 1e-10
+STOP = frozenset({"the", "of"})
+
+
+def _random_model(seed: int, dim: int = 6, size: int = 60, dtype=np.float64) -> EmbeddingModel:
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(size, dim)).astype(dtype)
+    return EmbeddingModel(vocab={f"w{i}": matrix[i] for i in range(size)}, dim=dim)
+
+
+class TestPhraseTable:
+    PHRASES = ["w1", "w2 w3", "w4 qzx w5 w6", "qzx", "w7 w8 w9", "W10", "w1", "w2 w3 w2 w3"]
+
+    def test_rows_are_the_models_own_rows(self):
+        model = _random_model(1, dtype=np.float32)
+        table, ids = compiled._phrase_table(model, self.PHRASES)
+        own = {id(v) for v in model.vocab.values()}
+        assert all(id(row) in own and row.dtype == np.float32 for row in table.rows)
+        assert len(table.rows) == 1 + 2 + 3 + 3 + 1 + 4
+        assert "qzx" not in ids and table.size == len(ids) == 6
+
+    def test_centroids_equal_phrase_vectors_exactly(self):
+        model = _random_model(2, dtype=np.float32)
+        table, ids = compiled._phrase_table(model, self.PHRASES)
+        got = table.centroids(range(table.size))
+        assert not got[-1].any()
+        for phrase, i in ids.items():
+            want = model.phrase_vector(phrase).astype(np.float64)
+            np.testing.assert_array_equal(got[i], want)
+        subset = [1, 3, 5]
+        np.testing.assert_array_equal(table.centroids(subset)[:-1], got[subset])
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 256])
+    def test_relatedness_in_blocks(self, block_rows):
+        model = _random_model(3)
+        table, ids = compiled._phrase_table(model, self.PHRASES)
+        words = compiled.word_rows(model, ["w11", "qzx", "w12"])
+        with mock.patch.object(relatedness, "_BLOCK_ROWS", block_rows):
+            got = table.relatedness(words)
+        want = relatedness.relatedness_matrix(
+            [model.phrase_vector(p) for p in ids],
+            [model.phrase_vector(w) for w in ["w11", "qzx", "w12"]],
+        )
+        np.testing.assert_array_equal(got[:-1], want)
+        assert np.isnan(got[-1]).all() and np.isnan(got[:, 1]).all()
+
+
+@pytest.mark.parametrize("count", [0, 1, 9, 40])
+@pytest.mark.parametrize("columns", [(1, 1), (3, 1), (1, 4), (3, 4)])
+def test_means_add_in_index_order(count, columns):
+    rng = np.random.default_rng(count)
+    values = rng.random((count, *columns)) * 10.0 ** rng.integers(-3, 3, size=(count, 1, 1))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    got = compiled._means(values)
+    for index in np.ndindex(*columns):
+        want = mean_skip_missing(values[(slice(None), *index)].tolist())
+        if want is None:
+            assert np.isnan(got[index])
+        else:
+            assert got[index] == want
+
+
+def _keyword_with(n_senses: int) -> tuple[EmbeddingModel, Lexicon, list[Sense]]:
+    model = _random_model(4, dim=5, size=80)
+    model.vocab["kw"] = model.vocab.pop("w79")
+    senses = [
+        Sense(
+            id=f"kw#{i}", lemmas=("kw",),
+            synonyms=(f"w{3 * i}", f"w{3 * i + 1} w{3 * i + 2}", "qzx"),
+            core_context=(ContextRef(f"w{40 + i}"), ContextRef("o", is_ref=True)),
+        )
+        for i in range(n_senses)
+    ]
+    # Only one level measurable: synonyms out of vocabulary, or no core context.
+    senses += [
+        Sense(id="kw#oov", lemmas=("kw",), synonyms=("qzx",), core_context=(ContextRef("w64"),)),
+        Sense(id="kw#bare", lemmas=("kw",), synonyms=("w65",)),
+    ]
+    other = Sense(id="o", lemmas=("o",), synonyms=("w60", "w61 w62"))
+    return model, Lexicon.from_senses([*senses, other]), senses
+
+
+@pytest.mark.parametrize("n_senses", [2, 20], ids=["loop", "arrays"])
+def test_step1_both_sides_of_the_crossover(n_senses):
+    model, lexicon, senses = _keyword_with(n_senses)
+    index = compiled.sense_index(model, lexicon, senses)
+    assert (index.phrases.size <= compiled.STEP1_LOOP_PHRASES) == (n_senses == 2)
+    ca = select_active_context(model, ["w70", "w71", "qzx", "w72"], "kw",
+                               ContextConfig(threshold=0.0, stopwords=STOP))
+    assert len(ca) == 3
+    assert (index.padded is None) == (n_senses == 2)
+    weights = RelWeights(0.3, 0.7)
+    got = [s.score for s in step1_base_scores(model, lexicon, senses, ca, weights)]
+    for crossover in (-1, 10**6):  # every keyword on the array side, then on the loop side
+        lexicon.compiled.clear()
+        with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover):
+            again = step1_base_scores(model, lexicon, senses, ca, weights)
+        assert [s.score for s in again] == got
+    want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, ca.members,
+                                      w0=0.3, w1=0.7, stopwords=STOP)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_step1_paths_match_oracle(scenario):
+    # The oracle's own active context, so that only step 1 is compared.
+    model, lexicon, senses = scenario["model"], scenario["lexicon"], scenario["senses"]
+    members = oracle.active_context(model, scenario["context"], "kw", STOP,
+                                    scenario["threshold"], scenario["max_context"])
+    ca = ActiveContext(target="kw", members=tuple(members))
+    want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, members, stopwords=STOP)
+    scores = {}
+    for crossover in (-1, 10**6):  # every keyword on the array side, then on the loop side
+        lexicon.compiled.clear()
+        with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover), \
+                mock.patch.object(relatedness, "_BLOCK_ROWS", 2):
+            scores[crossover] = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
+        assert all(abs(a - b) <= TOL for a, b in zip(scores[crossover], want))
+    assert scores[-1] == scores[10**6]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 15])
+def test_topk_centroids_follow_rank_order(k):
+    # Copies and multiples of a few vectors make many exact ties among
+    # distinct phrases, in descriptions longer than a sort's small-array cutoff.
+    rng = np.random.default_rng(k)
+    bases = rng.normal(size=(4, 5))
+    vocab = {f"w{i}": bases[i % 4] * (1 + i // 4) for i in range(16)}
+    model = EmbeddingModel(vocab=vocab, dim=5)
+    words = [*vocab, "qzx", "w1 w5", "w2 qzx", "w3 w7 w11"]
+    senses = [Sense(id=f"kw#{i}", lemmas=("kw",), synonyms=("kw",),
+                    description_terms=tuple(rng.choice(words, size=rng.integers(0, 40))))
+              for i in range(6)]
+    lexicon = Lexicon.from_senses(senses)
+    index = compiled.description_index(model, lexicon, senses)
+    reference = rng.normal(size=5)
+    got = index.topk_centroids(reference, k)
+    table, ids = compiled._phrase_table(model, [t for s in senses for t in s.description_terms])
+    vectors = table.centroids(range(table.size))
+    rel = relatedness.relatedness_rows(vectors, reference[None, :])[:, 0].tolist()
+    for sense, row in zip(senses, got):
+        found = [ids[t] for t in sense.description_terms
+                 if t in ids and rel[ids[t]] == rel[ids[t]]]
+        top = relatedness.rank_top(found, list(rel), k, vectors, reference)
+        want = centroid([vectors[i] for i in top]) if top else np.zeros(5)
+        np.testing.assert_array_equal(row, want)
+
+
+def _variant_lexicon() -> Lexicon:
+    """The toy lexicon with other senses and descriptions for the keyword 'java'."""
+    senses = make_toy_senses()
+    senses[0] = Sense(id="java#island", lemmas=("java",), synonyms=("java", "bali"),
+                      core_context=(ContextRef("sea"),),
+                      description_terms=("sea land", "place", "bali"), frequency=1.0)
+    senses[1] = Sense(id="java#coffee", lemmas=("java",), synonyms=("java", "brew"),
+                      core_context=(ContextRef("cup"), ContextRef("drink")),
+                      description_terms=("bean", "beverage"), frequency=4.0)
+    return Lexicon.from_senses(senses)
+
+
+def _variant_model() -> EmbeddingModel:
+    model = make_toy_model()
+    vocab = {tok: v[::-1].copy() if tok in ("drink", "sea", "code") else v
+             for tok, v in model.vocab.items()}
+    return EmbeddingModel(vocab=vocab, dim=model.dim)
+
+
+def test_each_model_lexicon_pair_gets_its_own_results():
+    models = [make_toy_model(), _variant_model()]
+    lexicons = [Lexicon.from_senses(make_toy_senses()), _variant_lexicon()]
+    context = ["drink", "sea", "island", "code", "cup", "land"]
+    cfg = ContextConfig(threshold=0.3, max_context=5, stopwords=STOP)
+    results = {}
+    for rounds in range(2):  # the second round reads the cache the first one filled
+        for mi, model in enumerate(models):
+            for li, lexicon in enumerate(lexicons):
+                for strategy in (Strategy.AVERAGE, Strategy.TOP_K):
+                    params = AlgoParams(strategy=strategy, k=2)
+                    got = disambiguate(model, lexicon, "java", context, cfg, params)
+                    _, want = oracle.run_pipeline(
+                        model, lexicon, "java", context, stopwords=STOP, threshold=0.3,
+                        max_context=5, strategy=strategy.value, k=2)
+                    assert [s.sense_id for s in got.scores] == [sid for sid, _ in want]
+                    for s, (_, score) in zip(got.scores, want):
+                        assert abs(s.score - score) <= TOL
+                    key = (mi, li, strategy)
+                    if rounds:
+                        assert got.to_json() == results[key]
+                    results[key] = got.to_json()
+    assert len(set(results.values())) == len(results)
+
+
+def test_pair_cache_is_dropped_with_the_model(toy_lexicon):
+    model = make_toy_model()
+    senses = toy_lexicon.senses_of("java")
+    compiled.sense_index(model, toy_lexicon, senses)
+    key = id(model)
+    assert key in toy_lexicon.compiled
+    del model
+    gc.collect()
+    assert key not in toy_lexicon.compiled
+
+
+def test_used_lexicon_pickles_and_copies_without_its_cache(toy_model):
+    lexicon = Lexicon.from_senses(make_toy_senses())
+    before = disambiguate(toy_model, lexicon, "java", ["island", "sea"])
+    assert lexicon.compiled
+    for other in (pickle.loads(pickle.dumps(lexicon)), copy.deepcopy(lexicon)):
+        assert other == lexicon and other.compiled == {}
+        assert disambiguate(toy_model, other, "java", ["island", "sea"]) == before
+
+
+def test_replaced_senses_are_compiled_again(toy_model):
+    senses = make_toy_senses()
+    lexicon = Lexicon.from_senses(senses)
+    first = compiled.description_index(toy_model, lexicon, lexicon.senses_of("java"))
+    assert compiled.description_index(toy_model, lexicon, lexicon.senses_of("java")) is first
+    other = [Sense(id=s.id, lemmas=s.lemmas, synonyms=s.synonyms, description_terms=("sea",))
+             for s in lexicon.senses_of("java")]
+    again = compiled.description_index(toy_model, lexicon, other)
+    assert again is not first and again.phrases.size == 1
+
+
+def test_second_eval_wsd_reuses_compiled_keywords(toy_corpus_file):
+    model, lexicon = make_toy_model(), Lexicon.from_senses(make_toy_senses())
+    corpus = load_wsd_corpus(toy_corpus_file)
+    builds = []
+
+    def counting(build):
+        def wrapper(*args):
+            builds.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    with mock.patch.object(compiled, "_build_sense_index", counting(compiled._build_sense_index)), \
+            mock.patch.object(compiled, "_build_description_index",
+                              counting(compiled._build_description_index)):
+        first = eval_wsd(model, lexicon, corpus)
+        compiled_once = len(builds)
+        second = eval_wsd(model, lexicon, corpus)
+    # "java" is the only keyword with senses: one step-1 and one description build.
+    assert compiled_once == 2
+    assert len(builds) == compiled_once
+    assert first == second
+
+
+def test_threads_share_one_cache(toy_corpus_file):
+    # eval_wsd's worker threads compile into the same cache; a lost or torn
+    # entry would change a record. More workers than cores, frequent switches.
+    model, lexicon = make_toy_model(), Lexicon.from_senses(make_toy_senses())
+    corpus = load_wsd_corpus(toy_corpus_file)
+    corpus = type(corpus)(name=corpus.name, items=corpus.items * 20)
+    want = eval_wsd(make_toy_model(), Lexicon.from_senses(make_toy_senses()), corpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        got = eval_wsd(model, lexicon, corpus, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 60
+    assert got == want
+
+
+class TestRankTopSkipsOneRepeatedPhrase:
+    def _count_remeasures(self, monkeypatch) -> list:
+        calls = []
+        real = relatedness.ordered_relatedness
+
+        def counting(u, v):
+            calls.append(1)
+            return real(u, v)
+
+        monkeypatch.setattr(relatedness, "ordered_relatedness", counting)
+        return calls
+
+    def test_same_phrase_each_side_of_the_cut(self, monkeypatch):
+        calls = self._count_remeasures(monkeypatch)
+        vectors = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+        rel = [0.7, 0.9]
+        assert relatedness.rank_top([0, 1, 0], rel, 2, vectors, np.array([1.0, 1.0])) == [1, 0]
+        assert calls == [] and rel == [0.7, 0.9]
+
+    def test_distinct_phrases_at_the_cut_are_remeasured(self, monkeypatch):
+        calls = self._count_remeasures(monkeypatch)
+        vectors = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+        rel = [0.75, 0.75]
+        assert relatedness.rank_top([0, 1], rel, 1, vectors, np.array([1.0, 1.0])) == [0]
+        assert len(calls) == 2
+
+    def test_description_term_listed_twice_across_the_cut(self, monkeypatch, toy_model):
+        sense = Sense(id="java#x", lemmas=("java",), synonyms=("java",),
+                      description_terms=("island", "sea", "island", "code", "island"))
+        other = Sense(id="java#y", lemmas=("java",), synonyms=("coffee",),
+                      description_terms=("cup", "cup", "drink"))
+        lexicon = Lexicon.from_senses([sense, other])
+        context = ["bali", "drink"]
+        cfg = ContextConfig(threshold=0.0, stopwords=STOP)
+        calls = self._count_remeasures(monkeypatch)
+        got = disambiguate(toy_model, lexicon, "java", context, cfg,
+                           AlgoParams(strategy=Strategy.TOP_K, k=1))
+        assert calls == []
+        _, want = oracle.run_pipeline(toy_model, lexicon, "java", context, stopwords=STOP,
+                                      threshold=0.0, strategy="topk", k=1)
+        assert [s.sense_id for s in got.scores] == [sid for sid, _ in want]
+        for s, (_, score) in zip(got.scores, want):
+            assert abs(s.score - score) <= TOL

@@ -150,6 +150,20 @@ class TestLoader:
         with pytest.raises(ParseError, match="line 1: invalid JSON"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDC00", "\\ud83d x", "\\ude00\\ud83d"])
+    def test_lone_surrogate_escape_names_line(self, tmp_path, escape):
+        good = json.dumps({"id": "a", "lemmas": ["a"], "synonyms": ["a"]})
+        bad = '{"id": "java#%s", "lemmas": ["java"], "synonyms": ["java"]}' % escape
+        path = tmp_path / "lex.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match="line 2: invalid JSON: lone surrogate"):
+            load_lexicon(path)
+
+    def test_surrogate_pair_escape_loads(self, tmp_path):
+        path = tmp_path / "lex.jsonl"
+        path.write_text('{"id": "java#\\ud83d\\ude00", "lemmas": ["java"], "synonyms": ["java"]}\n')
+        assert list(load_lexicon(path).senses) == ["java#\U0001f600"]
+
     def test_bad_context_entry_rejected(self, tmp_path):
         obj = {
             "id": "a", "lemmas": ["a"], "synonyms": ["a"],

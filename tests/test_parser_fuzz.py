@@ -1,11 +1,14 @@
 """Fuzz tests of the data-file parsers and of the CLI that reads their files.
 
-Whatever the bytes of a lexicon, corpus, word-pair, document-vector or
-token-frequency file, its parser returns a value that keeps the format's
-rules (finite numbers, positions in range) or raises ``ParseError``. The
-message names the file and, unless it is about the file as a whole (nothing
-found, or a rule across lines), a line that exists. The CLI turns that error
-into exit code 1 and a ``data error:`` line, never a traceback.
+Whatever the bytes of a lexicon, corpus, word-pair, document-vector,
+token-frequency or stopword file, its parser returns a value that keeps the
+format's rules (finite numbers, positions in range) or raises ``ParseError``.
+The message names the file and, unless it is about the file as a whole
+(nothing found, or a rule across lines), a line that exists. The CLI turns
+that error into exit code 1 and a ``data error:`` line (exit code 2 and a
+``configuration error:`` line for the ``KWSENSE_STOPWORDS`` file), never a
+traceback. Binary models have no lines: their header and entries are fuzzed
+separately.
 """
 from __future__ import annotations
 
@@ -13,19 +16,24 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kwsense import ParseError
-from kwsense.cli import EXIT_DATA, main
+from kwsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from kwsense.disambig import load_docvec_store
+from kwsense.embeddings import load_binary_model
 from kwsense.evaluation import load_wordpair_dataset, load_wsd_corpus
 from kwsense.lexicon import load_lexicon
 from kwsense.relatedness import load_word_frequencies
+from kwsense.stopwords import load_stopwords
 
 # Messages about the whole file, which name no line.
 WHOLE_FILE = re.compile(
@@ -226,3 +234,57 @@ def test_word_frequencies(tmp_path, toy_model_file, toy_lexicon_file, data):
     _check_cli(load_word_frequencies, _valid_frequencies, path, data, [
         "disambiguate", "--model", str(toy_model_file), "--lexicon", str(toy_lexicon_file),
         "--strategy", "sif", "--sif-freqs", str(path), "java", "island"])
+
+
+def _valid_stopwords(words: frozenset) -> bool:
+    return all(w and w == w.lower() and w == w.strip() for w in words)
+
+
+@FUZZ
+@given(data=_files(_mostly(WORDS.map(str.upper), GARBAGE)))
+def test_stopwords(tmp_path, toy_model_file, toy_lexicon_file, data):
+    path = tmp_path / "stop.txt"
+    error = _parse(load_stopwords, _valid_stopwords, path, data)
+    with mock.patch.dict(os.environ, {"KWSENSE_STOPWORDS": str(path)}):
+        code, err = _run_cli([
+            "disambiguate", "--model", str(toy_model_file), "--lexicon", str(toy_lexicon_file),
+            "java", "island"])
+    if error is None:
+        assert code == EXIT_OK, err
+    else:
+        assert code == EXIT_CONFIG and err.startswith("configuration error:"), err
+        assert error in err, err
+
+
+HEADER_NUMBERS = st.one_of(
+    st.integers(0, 4).map(str), st.sampled_from(["1" * 5000, "\u00b2", "-1", "2.0", "0x2", ""]))
+
+
+@st.composite
+def _binary_models(draw):
+    """A header of (mostly) two numbers, then 0-3 entries of two float32 values."""
+    header = " ".join(draw(st.lists(HEADER_NUMBERS, min_size=1, max_size=3)))
+    entries = b"".join(
+        draw(st.sampled_from([b"sea ", b"island ", b"\nsea "]))
+        + struct.pack("<2f", *draw(st.lists(st.floats(width=32), min_size=2, max_size=2)))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return header.encode() + b"\n" + entries[: draw(st.integers(0, len(entries)))]
+
+
+@FUZZ
+@given(data=_binary_models())
+def test_binary_model(tmp_path, data):
+    path = tmp_path / "model.bin"
+    path.write_bytes(data)
+    try:
+        model = load_binary_model(path)
+    except ParseError as exc:
+        error = str(exc)
+        assert error.startswith(f"{path}: "), error
+    else:
+        error = None
+        assert all(np.isfinite(v).all() and v.shape == (model.dim,) for v in model.vocab.values())
+    code, err = _run_cli(["rel", "--model", str(path), "sea", "island"])
+    if error is not None:
+        assert code == EXIT_DATA and err.startswith("data error:") and error in err, err
