@@ -8,6 +8,7 @@ re-ranking). An evaluation harness scores word-pair correlation benchmarks
 and tagged disambiguation corpora.
 """
 
+from .compiled import rel_sense_word, rel_senses
 from .disambig import (
     ActiveContext,
     AlgoParams,
@@ -66,12 +67,6 @@ from .relatedness import (
     angular_relatedness,
     cosine,
     load_word_frequencies,
-    rel0_sense_word,
-    rel0_senses,
-    rel1_sense_word,
-    rel1_senses,
-    rel_sense_word,
-    rel_senses,
     rel_words,
     sif_embeddings,
 )
@@ -127,10 +122,6 @@ __all__ = [
     "load_wsd_corpus",
     "norm_freq",
     "overlap",
-    "rel0_sense_word",
-    "rel0_senses",
-    "rel1_sense_word",
-    "rel1_senses",
     "rel_sense_word",
     "rel_senses",
     "rel_words",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .compiled import rel_sense_word, rel_senses
 from .disambig import (
     AlgoParams,
     ContextConfig,
@@ -36,7 +37,7 @@ from .embeddings import EmbeddingModel, load_binary_model, load_text_model
 from .errors import ConfigError, ParseError, UnmeasurableError
 from .evaluation import eval_wordpairs, eval_wsd, load_wordpair_dataset, load_wsd_corpus
 from .lexicon import Lexicon, load_lexicon
-from .relatedness import RelWeights, SifConfig, rel_senses, rel_sense_word, rel_words
+from .relatedness import RelWeights, SifConfig, rel_words
 from .stopwords import STOPWORDS_VERSION, default_stopwords, load_stopwords
 
 EXIT_OK = 0
@@ -51,23 +52,22 @@ STOPWORDS_ENV = "KWSENSE_STOPWORDS"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run settings; construction fails before any file is loaded."""
+    """Validated run settings; construction fails before any file is loaded.
+
+    Ranges are checked where they are defined, by ``ContextConfig``,
+    ``AlgoParams`` and ``RelWeights``, and argparse ``choices`` check the
+    model format, strategy and output format.
+    """
 
     model_path: Path
     model_format: str
     lexicon_path: Optional[Path]
-    strategy: Strategy
-    k: int
-    threshold: float
-    max_context: int
-    w0: float
-    proximity_factor: float
-    freq_a: float
+    context: ContextConfig
+    params: AlgoParams
     docvec_path: Optional[Path]
     sif_freqs_path: Optional[Path]
     jobs: int
     output: str
-    stopwords: frozenset[str]
     stopwords_source: str
 
     @classmethod
@@ -78,28 +78,8 @@ class RunConfig:
         model_format = args.model_format
         if model_format is None:
             model_format = "binary" if model_path.suffix == ".bin" else "text"
-        if model_format not in ("text", "binary"):
-            raise ConfigError(f"unknown model format: {model_format!r}")
-        try:
-            strategy = Strategy(args.strategy)
-        except ValueError:
-            raise ConfigError(f"unknown strategy: {args.strategy!r}") from None
-        if args.k < 1:
-            raise ConfigError("--k must be >= 1")
-        if not 0.0 <= args.threshold <= 1.0:
-            raise ConfigError("--threshold must lie in [0, 1]")
-        if args.max_context < 1:
-            raise ConfigError("--max-context must be >= 1")
-        if not 0.0 <= args.w0 <= 1.0:
-            raise ConfigError("--w0 must lie in [0, 1]")
-        if not 0.0 <= args.proximity_factor <= 1.0:
-            raise ConfigError("--proximity-factor must lie in [0, 1]")
-        if not 0.0 <= args.freq_a <= 1.0:
-            raise ConfigError("--freq-a must lie in [0, 1]")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        if args.output not in ("table", "json"):
-            raise ConfigError(f"unknown output format: {args.output!r}")
         env_stopwords = os.environ.get(STOPWORDS_ENV)
         if env_stopwords:
             try:
@@ -110,38 +90,31 @@ class RunConfig:
         else:
             stopwords = default_stopwords()
             stopwords_source = f"builtin:{STOPWORDS_VERSION}"
+        try:
+            context = ContextConfig(
+                max_context=args.max_context, threshold=args.threshold, stopwords=stopwords
+            )
+            params = AlgoParams(
+                weights=RelWeights.split(args.w0),
+                proximity_factor=args.proximity_factor,
+                freq_a=args.freq_a,
+                freq_b=1.0 - args.freq_a,
+                strategy=Strategy(args.strategy),
+                k=args.k,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return cls(
             model_path=model_path,
             model_format=model_format,
             lexicon_path=Path(args.lexicon) if args.lexicon else None,
-            strategy=strategy,
-            k=args.k,
-            threshold=args.threshold,
-            max_context=args.max_context,
-            w0=args.w0,
-            proximity_factor=args.proximity_factor,
-            freq_a=args.freq_a,
+            context=context,
+            params=params,
             docvec_path=Path(args.docvec) if args.docvec else None,
             sif_freqs_path=Path(args.sif_freqs) if args.sif_freqs else None,
             jobs=args.jobs,
             output=args.output,
-            stopwords=stopwords,
             stopwords_source=stopwords_source,
-        )
-
-    def context_config(self) -> ContextConfig:
-        return ContextConfig(
-            max_context=self.max_context, threshold=self.threshold, stopwords=self.stopwords
-        )
-
-    def algo_params(self) -> AlgoParams:
-        return AlgoParams(
-            weights=RelWeights.split(self.w0),
-            proximity_factor=self.proximity_factor,
-            freq_a=self.freq_a,
-            freq_b=1.0 - self.freq_a,
-            strategy=self.strategy,
-            k=self.k,
         )
 
     def echo(self) -> dict:
@@ -150,15 +123,15 @@ class RunConfig:
             "model": str(self.model_path),
             "model_format": self.model_format,
             "lexicon": str(self.lexicon_path) if self.lexicon_path else None,
-            "strategy": self.strategy.value,
-            "k": self.k,
-            "threshold": self.threshold,
-            "max_context": self.max_context,
-            "w0": self.w0,
-            "w1": 1.0 - self.w0,
-            "proximity_factor": self.proximity_factor,
-            "freq_a": self.freq_a,
-            "freq_b": 1.0 - self.freq_a,
+            "strategy": self.params.strategy.value,
+            "k": self.params.k,
+            "threshold": self.context.threshold,
+            "max_context": self.context.max_context,
+            "w0": self.params.weights.w0,
+            "w1": self.params.weights.w1,
+            "proximity_factor": self.params.proximity_factor,
+            "freq_a": self.params.freq_a,
+            "freq_b": self.params.freq_b,
             "docvec": str(self.docvec_path) if self.docvec_path else None,
             "sif_freqs": str(self.sif_freqs_path) if self.sif_freqs_path else None,
             "jobs": self.jobs,
@@ -181,15 +154,15 @@ def _load_lexicon(cfg: RunConfig) -> Lexicon:
 def _build_stores(cfg: RunConfig, model: EmbeddingModel, lexicon: Lexicon):
     sif_store = None
     docvec_store: Optional[DocVecStore] = None
-    if cfg.strategy is Strategy.SIF:
+    if cfg.params.strategy is Strategy.SIF:
         sif_store = build_sif_store(
             model, lexicon, SifConfig(word_freq_source=cfg.sif_freqs_path)
         )
-    if cfg.strategy is Strategy.DOC_VEC:
+    if cfg.params.strategy is Strategy.DOC_VEC:
         if cfg.docvec_path is None:
             raise ConfigError("strategy 'docvec' requires --docvec")
         docvec_store = load_docvec_store(cfg.docvec_path)
-    strategy_store(model, cfg.strategy, sif_store, docvec_store)
+    strategy_store(model, cfg.params.strategy, sif_store, docvec_store)
     return sif_store, docvec_store
 
 
@@ -218,19 +191,17 @@ def _cmd_rel(cfg: RunConfig, args: argparse.Namespace) -> int:
     if a_sense or b_sense:
         lexicon = _load_lexicon(cfg)
     model = _load_model(cfg)
-    weights = RelWeights.split(cfg.w0)
+    weights = cfg.params.weights
 
     def resolve(arg: str):
-        sense_id = arg[len(SENSE_PREFIX) :]
         assert lexicon is not None
-        return lexicon.resolve(sense_id)
+        try:
+            return lexicon.resolve(arg[len(SENSE_PREFIX) :])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
-    try:
-        sense_a = resolve(args.a) if a_sense else None
-        sense_b = resolve(args.b) if b_sense else None
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+    sense_a = resolve(args.a) if a_sense else None
+    sense_b = resolve(args.b) if b_sense else None
     try:
         if a_sense and b_sense:
             score = rel_senses(model, lexicon, sense_a, sense_b, weights)
@@ -263,8 +234,6 @@ def _cmd_disambiguate(cfg: RunConfig, args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(cfg)
     model = _load_model(cfg)
     sif_store, docvec_store = _build_stores(cfg, model, lexicon)
-    context_cfg = cfg.context_config()
-    params = cfg.algo_params()
     results = []
     for i, keyword in enumerate(args.keywords):
         context = [w for j, w in enumerate(args.keywords) if j != i]
@@ -272,7 +241,7 @@ def _cmd_disambiguate(cfg: RunConfig, args: argparse.Namespace) -> int:
             results.append({"keyword": keyword, "senses": None})
             continue
         result = disambiguate(
-            model, lexicon, keyword, context, context_cfg, params, sif_store, docvec_store
+            model, lexicon, keyword, context, cfg.context, cfg.params, sif_store, docvec_store
         )
         results.append(result.to_dict())
     if cfg.output == "json":
@@ -325,8 +294,8 @@ def _cmd_eval_wsd(cfg: RunConfig, args: argparse.Namespace) -> int:
         model,
         lexicon,
         corpus,
-        cfg.context_config(),
-        cfg.algo_params(),
+        cfg.context,
+        cfg.params,
         sif_store,
         docvec_store,
         jobs=cfg.jobs,

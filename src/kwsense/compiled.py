@@ -1,4 +1,14 @@
-"""Compiled keywords: each keyword's phrases resolved once per (model, lexicon) pair.
+"""Two-level sense relatedness, and keywords compiled once per (model, lexicon) pair.
+
+This module is the one definition of sense relatedness. Level 0 is the mean
+word relatedness over synonym pairs, level 1 the mean of level 0 over pairs
+of core-context members (sense references resolved through the lexicon,
+bare labels as one-synonym pseudo-senses). Means skip missing pairs with the
+denominator reduced, and a level without a measured pair drops out while the
+other carries full weight (:func:`combine_levels`). Step 1 reads it through
+:meth:`SenseIndex.relatedness` and :meth:`SenseIndex.base_scores`;
+:func:`rel_sense_word` is that method's 1 x 1 case and :func:`rel_senses`
+measures one index's phrases against another's.
 
 Step 1 and the ``average`` and ``topk`` strategies relate every synonym,
 core-context member synonym and description term of every candidate sense
@@ -17,15 +27,16 @@ Per call the referenced rows are stacked ``_BLOCK_ROWS`` phrases at a time,
 the phrase centroids are formed by adding tokens position after position
 (``centroid``'s order), and each block is measured against the context by
 one :func:`relatedness_rows` call. Means skip missing values and add the
-others one after another, in the order the scalar definitions add them, so
-scores equal those definitions' bit for bit.
+others one after another, in input order, so every path gives the same
+scores bit for bit.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 ``sif`` or ``docvec`` never compiles its descriptions. Compiled parts are
 cached per (model, lexicon) pair: on the lexicon, per model, until the model
 is garbage-collected. Both are treated as immutable after loading. The key
 is the tuple of sense ids, and an entry is used only for the very sense
-objects it was compiled from.
+objects it was compiled from. :func:`rel_senses` and :func:`rel_sense_word`
+build their indexes without the cache.
 """
 from __future__ import annotations
 
@@ -39,16 +50,9 @@ import numpy as np
 
 from . import relatedness as _relatedness
 from .embeddings import EmbeddingModel, Vector
+from .errors import UnmeasurableError
 from .lexicon import Lexicon, Sense
-from .relatedness import (
-    _TIE_WINDOW,
-    RelWeights,
-    combine_levels,
-    core_context_senses,
-    mean_skip_missing,
-    rank_top,
-    relatedness_rows,
-)
+from .relatedness import _TIE_WINDOW, DEFAULT_WEIGHTS, RelWeights, rank_top, relatedness_rows
 
 # Step 1 aggregates with a Python loop up to this many compiled phrases, and
 # with arrays above it. On the benchmark's keywords (2-vCPU guest) the arrays
@@ -143,6 +147,51 @@ def _padded(segments: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array(rows, dtype=np.int32).reshape(len(segments), longest).T
 
 
+def mean_skip_missing(values: Iterable[Optional[float]]) -> Optional[float]:
+    """Mean of the measured values in input order; None and NaN mark missing ones.
+
+    Returns None when nothing was measured.
+    """
+    total = 0.0
+    n = 0
+    for v in values:
+        if v is not None and v == v:
+            total += v
+            n += 1
+    return total / n if n else None
+
+
+def combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights) -> Optional[float]:
+    # A level whose inputs are entirely missing drops out and the other level
+    # carries full weight; None means both levels are missing.
+    if r0 is None and r1 is None:
+        return None
+    if r1 is None:
+        return r0
+    if r0 is None:
+        return r1
+    return weights.w0 * r0 + weights.w1 * r1
+
+
+# Resolves core-context labels into pseudo-senses when no lexicon is given.
+_LABELS_ONLY = Lexicon(senses={})
+
+
+def core_context_senses(lexicon: Optional[Lexicon], sense: Sense) -> list[Sense]:
+    """Core-context members as senses, resolved through ``Lexicon.resolve_context``.
+
+    Without a lexicon only bare labels can be resolved; a reference raises.
+    """
+    if lexicon is None:
+        for ref in sense.core_context:
+            if ref.is_ref:
+                raise ValueError(
+                    f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
+                )
+        lexicon = _LABELS_ONLY
+    return [lexicon.resolve_context(ref) for ref in sense.core_context]
+
+
 def _means(values: np.ndarray) -> np.ndarray:
     """Mean over axis 0 of the non-NaN values, added in index order; NaN where there are none.
 
@@ -174,32 +223,42 @@ class SenseIndex:
     members: list[list[list[int]]]
     padded: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def base_scores(self, words: np.ndarray, weights: RelWeights) -> list[float]:
-        """Step-1 score per sense against the rows of ``words``: 0 when nothing is measurable."""
+    def relatedness(
+        self, words: np.ndarray, weights: RelWeights
+    ) -> np.ndarray | list[list[Optional[float]]]:
+        """Two-level relatedness of every sense (row) to every row of ``words`` (column).
+
+        NaN (the array path) or None (the loop path) where neither level is
+        measurable: an array above ``STEP1_LOOP_PHRASES`` phrases, else lists.
+        """
         rel = self.phrases.relatedness(words)
         if self.padded is None:
-            return self._base_scores_loop(rel, weights)
+            by_word = rel.T.tolist()  # the last entry, row -1, is NaN
+            return [
+                [
+                    combine_levels(
+                        mean_skip_missing(r[i] for i in syn),
+                        mean_skip_missing(mean_skip_missing(r[i] for i in m) for m in mem),
+                        weights,
+                    )
+                    for r in by_word
+                ]
+                for syn, mem in zip(self.synonyms, self.members)
+            ]
         synonyms, member_synonyms, members = self.padded
         r0 = _means(rel[synonyms])
         r1 = _means(np.vstack((_means(rel[member_synonyms]), rel[-1:]))[members])
         # A level with nothing measured drops out and the other carries full weight.
-        combined = np.where(
+        return np.where(
             r1 != r1, r0, np.where(r0 != r0, r1, weights.w0 * r0 + weights.w1 * r1)
         )
-        return np.nan_to_num(_means(combined.T), nan=0.0).tolist()
 
-    def _base_scores_loop(self, rel: np.ndarray, weights: RelWeights) -> list[float]:
-        by_word = rel.T.tolist()  # the last entry, row -1, is NaN
-        out = []
-        for syn, mem in zip(self.synonyms, self.members):
-            per_word = []
-            for r in by_word:
-                r0 = mean_skip_missing(r[i] for i in syn)
-                r1 = mean_skip_missing(mean_skip_missing(r[i] for i in m) for m in mem)
-                per_word.append(combine_levels(r0, r1, weights))
-            base = mean_skip_missing(per_word)
-            out.append(0.0 if base is None else base)
-        return out
+    def base_scores(self, words: np.ndarray, weights: RelWeights) -> list[float]:
+        """Step-1 score per sense: its mean :meth:`relatedness` over ``words``, 0 if none."""
+        values = self.relatedness(words, weights)
+        if self.padded is not None:
+            return np.nan_to_num(_means(values.T), nan=0.0).tolist()
+        return [0.0 if (m := mean_skip_missing(v)) is None else m for v in values]
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,10 +278,12 @@ class DescriptionIndex:
         """Per sense, the centroid of its ``k`` terms nearest to ``reference``; 0 if it has none.
 
         Terms rank by descending relatedness, ties in input order, and are
-        added in rank order. A sense whose cut falls within ``_TIE_WINDOW``
-        of the next term is ranked by :func:`rank_top` instead. A table of one
-        block forms its centroids once; a larger one is measured block by
-        block and forms only the chosen terms' centroids again.
+        added in rank order. A sense whose ranking holds a near-tie as
+        :func:`rank_top` defines it (distinct neighbours within ``_TIE_WINDOW``,
+        in a run of close neighbours that starts among its first ``k`` terms)
+        is ranked by :func:`rank_top` instead. A table of one block forms its
+        centroids once; a larger one is measured block by block and forms only
+        the chosen terms' centroids again.
         """
         table = self.phrases
         whole = table.size <= _relatedness._BLOCK_ROWS
@@ -235,18 +296,27 @@ class DescriptionIndex:
         by_term = rel[terms]
         order = (-by_term).argsort(axis=1, kind="stable")  # NaN (unrepresentable) last
         found = np.count_nonzero(by_term == by_term, axis=1)
-        chosen = np.take_along_axis(terms, order[:, :k], axis=1)
+        ranked_ids = terms[np.arange(len(terms))[:, None], order]
+        chosen = ranked_ids[:, :k].copy()
         chosen[np.arange(chosen.shape[1]) >= np.minimum(found, k)[:, None]] = -1
-        if chosen.shape[1] < terms.shape[1]:
-            ranked = np.take_along_axis(by_term, order[:, k - 1 : k + 1], axis=1)
-            near = (found > k) & (ranked[:, 0] - ranked[:, 1] <= _TIE_WINDOW)
+        # Only two distinct phrases within _TIE_WINDOW of each other make a near-tie.
+        if (np.diff(np.sort(rel)) <= _TIE_WINDOW).any():  # NaN sorts last
+            ranked = rel[ranked_ids]
+            close = ranked[:, :-1] - ranked[:, 1:] <= _TIE_WINDOW  # False next to NaN
+            differ = ranked_ids[:, :-1] != ranked_ids[:, 1:]
+            # Distinct close neighbours inside the kept prefix, or in the run of
+            # close neighbours that goes on from the k-th term.
+            from_cut = np.logical_and.accumulate(close[:, k - 1 :], axis=1)
+            near = (close[:, : k - 1] & differ[:, : k - 1]).any(axis=1) | (
+                from_cut & differ[:, k - 1 :]
+            ).any(axis=1)
             rel_list = rel.tolist()
             for s in np.flatnonzero(near).tolist():
                 ids = [i for i in terms[s].tolist() if i != -1 and rel_list[i] == rel_list[i]]
                 distinct = sorted(set(ids))
-                top = rank_top(ids, rel_list, k, dict(zip(distinct, table.centroids(distinct))),
-                               reference)
-                chosen[s] = top + [-1] * (k - len(top))
+                top = rank_top(ids, rel_list, k,
+                               dict(zip(distinct, table.centroids(distinct))), reference)
+                chosen[s] = top + [-1] * (chosen.shape[1] - len(top))
         if not whole:
             distinct = sorted(set(chosen[chosen >= 0].tolist()))
             vectors = table.centroids(distinct)
@@ -343,3 +413,54 @@ def word_rows(model: EmbeddingModel, words: Sequence[str]) -> np.ndarray:
     return np.array([zero if v is None else v for v in vectors], dtype=np.float64).reshape(
         len(words), model.dim
     )
+
+
+def rel_sense_word(
+    model: EmbeddingModel,
+    lexicon: Optional[Lexicon],
+    t: Sense,
+    w: str,
+    weights: RelWeights = DEFAULT_WEIGHTS,
+) -> float:
+    """Two-level relatedness between a sense and a word; raises when unmeasurable.
+
+    The 1 x 1 case of :meth:`SenseIndex.relatedness`, on an index built for
+    this call alone (not cached).
+    """
+    index = _build_sense_index(model, lexicon, [t])
+    r = index.relatedness(word_rows(model, [w]), weights)[0][0]
+    if r is None or r != r:
+        raise UnmeasurableError(f"not representable in model: sense {t.id!r} vs word {w!r}")
+    return float(r)
+
+
+def rel_senses(
+    model: EmbeddingModel,
+    lexicon: Optional[Lexicon],
+    a: Sense,
+    b: Sense,
+    weights: RelWeights = DEFAULT_WEIGHTS,
+) -> float:
+    """Two-level relatedness between senses; raises when neither level is measurable.
+
+    ``a``'s phrases (rows) are measured against ``b``'s phrase centroids
+    (columns) in one call, on indexes built for this call alone (not cached).
+    Level 0 is the mean over the synonym pairs, level 1 the mean over pairs of
+    core-context members of their level 0; pairs run over ``a`` outer and ``b``
+    inner, and a level without a measured pair drops out.
+    """
+    ia, ib = (_build_sense_index(model, lexicon, [s]) for s in (a, b))
+    # The zero row after b's centroids makes column -1 (no token) NaN.
+    rel = ia.phrases.relatedness(ib.phrases.centroids(range(ib.phrases.size))).tolist()
+
+    def level0(rows: list[int], cols: list[int]) -> Optional[float]:
+        return mean_skip_missing(rel[i][j] for i in rows for j in cols)
+
+    r = combine_levels(
+        level0(ia.synonyms[0], ib.synonyms[0]),
+        mean_skip_missing(level0(x, y) for x in ia.members[0] for y in ib.members[0]),
+        weights,
+    )
+    if r is None:
+        raise UnmeasurableError(f"senses not representable in model: {a.id!r}, {b.id!r}")
+    return r

@@ -80,7 +80,9 @@ class AlgoParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.proximity_factor <= 1.0:
             raise ValueError("proximity_factor must lie in [0, 1]")
-        if self.freq_a < 0 or self.freq_b < 0 or abs(self.freq_a + self.freq_b - 1.0) > 1e-9:
+        # Written so that NaN fails the check.
+        if not (self.freq_a >= 0 and self.freq_b >= 0
+                and abs(self.freq_a + self.freq_b - 1.0) <= 1e-9):
             raise ValueError("freq_a and freq_b must be >= 0 and sum to 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")

@@ -1,15 +1,12 @@
-"""Semantic relatedness between words and senses.
+"""Word-level semantic relatedness, the batched kernel, and description embeddings.
 
 The word-level measure maps cosine similarity to [0, 1] through the angular
-distance: rel(x, y) = 1 - arccos(cos(x, y)) / pi. Sense-level relatedness
-averages the word-level measure over synonym sets (level 0) and over the
-senses' core contexts (level 1), then combines the two levels with weights
-that sum to one.
-
-Out-of-vocabulary inputs are a first-class "missing" outcome (returned as
-None by the ``*_maybe`` aggregations): missing pairs are skipped with the
-denominator reduced accordingly, and an error is raised only when nothing
-measurable remains.
+distance: rel(x, y) = 1 - arccos(cos(x, y)) / pi. Out-of-vocabulary words and
+phrases whose found tokens average to the zero vector are a "missing"
+outcome (None from :func:`rel_words`, NaN in the kernel). Sense-level
+relatedness, which averages this measure over synonym sets (level 0) and
+core contexts (level 1) and combines the two levels with :class:`RelWeights`,
+is defined once, in :mod:`kwsense.compiled`.
 
 Pairs are measured by one kernel, :func:`relatedness_rows`: it takes two
 float64 matrices (a zero row marks a missing vector) and returns the
@@ -36,15 +33,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector
-from .errors import ParseError, UnmeasurableError, text_lines
-from .lexicon import Lexicon, Sense
+from .errors import ParseError, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +54,10 @@ class RelWeights:
     w1: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.w0 < 0 or self.w1 < 0:
+        # Written so that NaN fails both checks.
+        if not (self.w0 >= 0 and self.w1 >= 0):
             raise ValueError("level weights must be >= 0")
-        if abs(self.w0 + self.w1 - 1.0) > 1e-9:
+        if not abs(self.w0 + self.w1 - 1.0) <= 1e-9:
             raise ValueError(f"level weights must sum to 1, got {self.w0} + {self.w1}")
 
     @classmethod
@@ -197,21 +195,32 @@ def rank_top(
 ) -> list[int]:
     """The first ``n`` of ``ids`` by descending ``rel[i]``; ties keep input order.
 
-    ``rel[i]`` is the relatedness of ``vectors[i]`` to ``reference``. When the
-    values either side of the cut are within ``_TIE_WINDOW``, the distinct
-    entries that close to the cut are first re-measured in ``rel`` with the
-    defining formula's rounding, so the kernel's summation order cannot decide
-    a tie. When they are all one entry (a phrase listed more than once), the
-    re-measure could not reorder anything and is skipped.
+    ``rel[i]`` is the relatedness of ``vectors[i]`` to ``reference``. A run of
+    ranked entries each within ``_TIE_WINDOW`` of the next is a near-tie when
+    it starts among the first ``n`` and holds two distinct entries: its
+    entries are first re-measured in ``rel`` with the defining formula's
+    rounding, so the kernel's summation order decides no tie, neither at the
+    cut nor inside the kept prefix. Repeats of one entry (a phrase listed more
+    than once) tie exactly and need no re-measure.
     """
     ranked = sorted(ids, key=lambda i: -rel[i])
-    if len(ranked) > n and rel[ranked[n - 1]] - rel[ranked[n]] <= _TIE_WINDOW:
-        cut = rel[ranked[n - 1]]
-        near = {i for i in ranked if abs(rel[i] - cut) <= _TIE_WINDOW}
-        if len(near) > 1:
-            for i in near:
-                rel[i] = ordered_relatedness(vectors[i], reference)
-            ranked = sorted(ids, key=lambda i: -rel[i])
+    head = [rel[i] for i in ranked[: n + 1]]
+    if len(head) < 2 or min(map(operator.sub, head, head[1:])) > _TIE_WINDOW:
+        return ranked[:n]
+    near: set[int] = set()
+    start = 0
+    while start < min(n, len(ranked)):
+        end = start + 1
+        while end < len(ranked) and rel[ranked[end - 1]] - rel[ranked[end]] <= _TIE_WINDOW:
+            end += 1
+        run = set(ranked[start:end])
+        if len(run) > 1:
+            near |= run
+        start = end
+    if near:
+        for i in near:
+            rel[i] = ordered_relatedness(vectors[i], reference)
+        ranked = sorted(ids, key=lambda i: -rel[i])
     return ranked[:n]
 
 
@@ -223,136 +232,6 @@ def rel_words(model: EmbeddingModel, x: str, y: str) -> Optional[float]:
     """
     r = relatedness_matrix([model.phrase_vector(x)], [model.phrase_vector(y)])[0, 0]
     return None if math.isnan(r) else float(r)
-
-
-def mean_skip_missing(values: Iterable[Optional[float]]) -> Optional[float]:
-    """Mean of the measured values in input order; None and NaN mark missing ones.
-
-    Returns None when nothing was measured.
-    """
-    total = 0.0
-    n = 0
-    for v in values:
-        if v is not None and v == v:
-            total += v
-            n += 1
-    return total / n if n else None
-
-
-# Resolves core-context labels into pseudo-senses when no lexicon is given.
-_LABELS_ONLY = Lexicon(senses={})
-
-
-def core_context_senses(lexicon: Optional[Lexicon], sense: Sense) -> list[Sense]:
-    """Core-context members as senses, resolved through ``Lexicon.resolve_context``.
-
-    Without a lexicon only bare labels can be resolved; a reference raises.
-    """
-    if lexicon is None:
-        for ref in sense.core_context:
-            if ref.is_ref:
-                raise ValueError(
-                    f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
-                )
-        lexicon = _LABELS_ONLY
-    return [lexicon.resolve_context(ref) for ref in sense.core_context]
-
-
-def combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights) -> Optional[float]:
-    # A level whose inputs are entirely missing drops out and the other level
-    # carries full weight; None means both levels are missing.
-    if r0 is None and r1 is None:
-        return None
-    if r1 is None:
-        return r0
-    if r0 is None:
-        return r1
-    return weights.w0 * r0 + weights.w1 * r1
-
-
-def rel0_senses(model: EmbeddingModel, a: Sense, b: Sense) -> Optional[float]:
-    """Mean word relatedness over the two synonym sets; None when no pair is measurable."""
-    return mean_skip_missing(
-        rel_words(model, sa, sb) for sa in a.synonyms for sb in b.synonyms
-    )
-
-
-def rel1_senses(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], a: Sense, b: Sense
-) -> Optional[float]:
-    """Mean level-0 relatedness over the two core contexts; None when either is empty."""
-    oc_a = core_context_senses(lexicon, a)
-    oc_b = core_context_senses(lexicon, b)
-    if not oc_a or not oc_b:
-        return None
-    return mean_skip_missing(rel0_senses(model, x, y) for x in oc_a for y in oc_b)
-
-
-def rel_senses_maybe(
-    model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
-    a: Sense,
-    b: Sense,
-    weights: RelWeights = DEFAULT_WEIGHTS,
-) -> Optional[float]:
-    return combine_levels(
-        rel0_senses(model, a, b), rel1_senses(model, lexicon, a, b), weights
-    )
-
-
-def rel_senses(
-    model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
-    a: Sense,
-    b: Sense,
-    weights: RelWeights = DEFAULT_WEIGHTS,
-) -> float:
-    """Two-level relatedness between senses; raises when neither level is measurable."""
-    r = rel_senses_maybe(model, lexicon, a, b, weights)
-    if r is None:
-        raise UnmeasurableError(f"senses not representable in model: {a.id!r}, {b.id!r}")
-    return r
-
-
-def rel0_sense_word(model: EmbeddingModel, t: Sense, w: str) -> Optional[float]:
-    """Mean word relatedness between a sense's synonyms and a word."""
-    return mean_skip_missing(rel_words(model, syn, w) for syn in t.synonyms)
-
-
-def rel1_sense_word(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], t: Sense, w: str
-) -> Optional[float]:
-    """Mean level-0 sense-word relatedness over the sense's core context."""
-    oc = core_context_senses(lexicon, t)
-    if not oc:
-        return None
-    return mean_skip_missing(rel0_sense_word(model, member, w) for member in oc)
-
-
-def rel_sense_word_maybe(
-    model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
-    t: Sense,
-    w: str,
-    weights: RelWeights = DEFAULT_WEIGHTS,
-) -> Optional[float]:
-    return combine_levels(
-        rel0_sense_word(model, t, w), rel1_sense_word(model, lexicon, t, w), weights
-    )
-
-
-def rel_sense_word(
-    model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
-    t: Sense,
-    w: str,
-    weights: RelWeights = DEFAULT_WEIGHTS,
-) -> float:
-    """Two-level relatedness between a sense and a word; raises when unmeasurable."""
-    r = rel_sense_word_maybe(model, lexicon, t, w, weights)
-    if r is None:
-        raise UnmeasurableError(f"not representable in model: sense {t.id!r} vs word {w!r}")
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,21 @@ from kwsense import (
     DocVecStore,
     RelWeights,
     Strategy,
+    UnmeasurableError,
     angular_relatedness,
     build_sif_store,
     disambiguate,
     eval_wsd,
     load_docvec_store,
     load_wsd_corpus,
+    rel_sense_word,
+    rel_senses,
     spearman,
 )
 from kwsense.cli import main as cli_main
 from kwsense.embeddings import EmbeddingModel
 from kwsense.lexicon import ContextRef, Lexicon, Sense
-from kwsense.relatedness import rel_sense_word_maybe, rel_senses_maybe, rel_words
+from kwsense.relatedness import rel_words
 
 REPO = Path(__file__).resolve().parent.parent
 STOP = frozenset({"the", "of", "a", "is", "an", "at", "on"})
@@ -91,6 +94,14 @@ def test_c1_angular_relatedness_properties():
 # ---------------------------------------------------------------------------
 
 
+def _or_none(fn, *args):
+    """``fn(*args)``, or None where it is unmeasurable."""
+    try:
+        return fn(*args)
+    except UnmeasurableError:
+        return None
+
+
 def test_c2_equation_oracle_equivalence(toy_model, toy_lexicon):
     t0 = time.perf_counter()
     senses = list(toy_lexicon.senses.values())
@@ -103,14 +114,14 @@ def test_c2_equation_oracle_equivalence(toy_model, toy_lexicon):
     for weights in (RelWeights(0.5, 0.5), RelWeights(0.3, 0.7), RelWeights(1.0, 0.0)):
         for a in senses:
             for b in senses:
-                lib = rel_senses_maybe(toy_model, toy_lexicon, a, b, weights)
+                lib = _or_none(rel_senses, toy_model, toy_lexicon, a, b, weights)
                 ref = oracle.rel_tt(toy_model, toy_lexicon, a, b, weights.w0, weights.w1)
                 assert (lib is None) == (ref is None)
                 if lib is not None:
                     max_diff = max(max_diff, abs(lib - ref))
                 checked += 1
             for w in context_words + ["qzx"]:
-                lib = rel_sense_word_maybe(toy_model, toy_lexicon, a, w, weights)
+                lib = _or_none(rel_sense_word, toy_model, toy_lexicon, a, w, weights)
                 ref = oracle.rel_tw(toy_model, toy_lexicon, a, w, weights.w0, weights.w1)
                 assert (lib is None) == (ref is None)
                 if lib is not None:

@@ -55,7 +55,7 @@ class TestRel:
     def test_unknown_sense_id_exits_2(self, base_args, capsys):
         code = main(["rel", *base_args, "sense:nope", "sea"])
         assert code == EXIT_CONFIG
-        assert "nope" in capsys.readouterr().err
+        assert capsys.readouterr().err == "configuration error: unknown sense id: 'nope'\n"
 
     def test_sense_arg_without_lexicon_exits_2(self, toy_model_file, capsys):
         code = main(["rel", "--model", str(toy_model_file), "sense:java#island", "sea"])
@@ -281,8 +281,10 @@ class TestConfigValidation:
         assert err.startswith("data error:") and "header count or dimension too large" in err
 
     def test_bad_w0_exits_2(self, toy_model_file, capsys):
-        code = main(["rel", "--model", str(toy_model_file), "--w0", "-0.1", "a", "b"])
-        assert code == EXIT_CONFIG
+        for flag, value in (("--w0", "-0.1"), ("--w0", "nan"), ("--freq-a", "nan")):
+            code = main(["rel", "--model", str(toy_model_file), flag, value, "a", "b"])
+            assert code == EXIT_CONFIG, (flag, value)
+            assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_bad_jobs_exits_2(self, toy_model_file, capsys):
         code = main(["rel", "--model", str(toy_model_file), "--jobs", "0", "a", "b"])

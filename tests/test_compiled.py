@@ -38,8 +38,8 @@ from kwsense import (
     select_active_context,
     step1_base_scores,
 )
+from kwsense.compiled import mean_skip_missing
 from kwsense.embeddings import centroid
-from kwsense.relatedness import mean_skip_missing
 from test_kernel import scenarios
 
 TOL = 1e-10
@@ -305,6 +305,25 @@ def test_threads_share_one_cache(toy_corpus_file):
         sys.setswitchinterval(interval)
     assert time.monotonic() - started < 60
     assert got == want
+
+
+def test_topk_decides_a_tie_behind_a_repeated_term_at_the_cut():
+    # w0 = 3 * w5: the kernel gives both the same relatedness to the
+    # reference, the defining formula ranks w0 higher. With w5 listed twice,
+    # k = 1 cuts between its two copies, and w0 must still win the slot.
+    rng = np.random.default_rng(2)
+    vocab = {f"w{i}": rng.normal(size=8) for i in range(6)}
+    vocab["w0"] = 3 * vocab["w5"]
+    model = EmbeddingModel(vocab=vocab, dim=8)
+    reference = rng.normal(size=8)
+    sense = Sense(id="kw#0", lemmas=("kw",), synonyms=("kw",),
+                  description_terms=("w5", "w5", "w0"))
+    index = compiled.description_index(model, Lexicon.from_senses([sense]), [sense])
+    rel = relatedness.relatedness_matrix([vocab["w5"], vocab["w0"]], [reference])[:, 0]
+    assert rel[0] == rel[1]
+    assert (relatedness.ordered_relatedness(vocab["w0"], reference)
+            > relatedness.ordered_relatedness(vocab["w5"], reference))
+    np.testing.assert_array_equal(index.topk_centroids(reference, 1)[0], vocab["w0"])
 
 
 class TestRankTopSkipsOneRepeatedPhrase:

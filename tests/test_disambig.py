@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from kwsense import (
     ActiveContext,
     AlgoParams,
@@ -30,7 +31,7 @@ from kwsense import (
     step3_frequency,
 )
 from kwsense.lexicon import ContextRef
-from kwsense.relatedness import angular_relatedness, rel_sense_word_maybe, rel_words
+from kwsense.relatedness import angular_relatedness, rel_words
 
 STOP = frozenset({"the", "is", "an", "of", "a"})
 
@@ -84,6 +85,22 @@ class TestActiveContext:
         ca = select_active_context(model, ["y", "x"], "kw", _cfg(max_context=1))
         assert ca.words == ("y",)
 
+    @pytest.mark.parametrize("seed, dim", [(9, 3), (7, 8), (2, 8)])
+    def test_near_ties_inside_the_kept_list_follow_the_defining_formula(self, seed, dim):
+        # w0 = 3 * w5 is parallel to w5, so both relate to kw alike; the kernel
+        # rounds the two values in another order than the defining formula,
+        # and no max_context cut falls between them.
+        rng = np.random.default_rng(seed)
+        vocab = {f"w{i}": rng.normal(size=dim) for i in range(6)}
+        vocab["kw"] = rng.normal(size=dim)
+        vocab["w0"] = 3 * vocab["w5"]
+        model = EmbeddingModel(vocab=vocab, dim=dim)
+        ca = select_active_context(model, ["w5", "w0"], "kw", _cfg(threshold=0.0))
+        want = oracle.active_context(model, ["w5", "w0"], "kw", STOP, 0.0, 4)
+        assert ca.words == tuple(w for w, _ in want)
+        for (_, got), (_, ref) in zip(ca.members, want):
+            assert abs(got - ref) <= 1e-10
+
     def test_all_stopwords_give_empty_context(self, toy_model):
         ca = select_active_context(toy_model, ["the", "of", "a"], "java", _cfg())
         assert ca.members == ()
@@ -122,7 +139,7 @@ class TestStep1:
         scores = step1_base_scores(toy_model, toy_lexicon, senses, ca)
         for s, sense in zip(scores, senses):
             expected = np.mean(
-                [rel_sense_word_maybe(toy_model, toy_lexicon, sense, w) for w in ca.words]
+                [oracle.rel_tw(toy_model, toy_lexicon, sense, w) for w in ca.words]
             )
             assert s.score == pytest.approx(float(expected), abs=1e-12)
             assert s.step1 == s.score
@@ -545,6 +562,8 @@ class TestParamValidation:
     def test_freq_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             AlgoParams(freq_a=0.5, freq_b=0.6)
+        with pytest.raises(ValueError, match="sum to 1"):
+            AlgoParams(freq_a=math.nan, freq_b=math.nan)
 
     def test_k_positive(self):
         with pytest.raises(ValueError, match="k"):

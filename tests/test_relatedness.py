@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kwsense
+import oracle
 from kwsense import (
     EmbeddingModel,
     Lexicon,
@@ -20,15 +23,12 @@ from kwsense import (
     angular_relatedness,
     cosine,
     load_word_frequencies,
-    rel0_sense_word,
-    rel0_senses,
-    rel1_sense_word,
-    rel1_senses,
     rel_sense_word,
     rel_senses,
     rel_words,
     sif_embeddings,
 )
+from kwsense import compiled
 from kwsense.lexicon import ContextRef
 
 
@@ -142,14 +142,25 @@ class TestRelWeights:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             RelWeights(0.5, 0.6)
+        with pytest.raises(ValueError, match="sum to 1"):
+            RelWeights(math.inf, 0.0)
 
     def test_must_be_nonnegative(self):
         with pytest.raises(ValueError, match=">= 0"):
             RelWeights(-0.5, 1.5)
+        with pytest.raises(ValueError, match=">= 0"):
+            RelWeights(math.nan, math.nan)
+        with pytest.raises(ValueError, match=">= 0"):
+            RelWeights.split(math.nan)
 
 
 def _sense(sid: str, synonyms: tuple[str, ...], context: tuple[ContextRef, ...] = ()) -> Sense:
     return Sense(id=sid, lemmas=(sid,), synonyms=synonyms, core_context=context)
+
+
+# Level 0 alone: RelWeights(1, 0) (or no core context); level 1 alone: RelWeights(0, 1).
+LEVEL0 = RelWeights(1.0, 0.0)
+LEVEL1 = RelWeights(0.0, 1.0)
 
 
 class TestSenseLevels:
@@ -157,48 +168,53 @@ class TestSenseLevels:
         a = _sense("a", ("sea",))
         b = _sense("b", ("island", "sea"))
         # (rel(sea, island) + rel(sea, sea)) / 2 = (0.75 + 1.0) / 2
-        assert rel0_senses(plane_model, a, b) == pytest.approx(0.875, abs=1e-12)
+        assert rel_senses(plane_model, None, a, b) == pytest.approx(0.875, abs=1e-12)
 
     def test_rel0_skips_missing_pairs(self, plane_model):
         a = _sense("a", ("sea",))
         b = _sense("b", ("island", "qzx"))
-        assert rel0_senses(plane_model, a, b) == pytest.approx(0.75, abs=1e-12)
+        assert rel_senses(plane_model, None, a, b) == pytest.approx(0.75, abs=1e-12)
 
     def test_rel0_all_missing_is_none(self, plane_model):
-        a = _sense("a", ("sea",))
-        b = _sense("b", ("qzx",))
-        assert rel0_senses(plane_model, a, b) is None
+        # Level 0 missing: with level 1 measurable it carries full weight, whatever w0.
+        a = _sense("a", ("sea",), (ContextRef("island"),))
+        b = _sense("b", ("qzx",), (ContextRef("sea"),))
+        assert rel_senses(plane_model, None, a, b, LEVEL0) == rel_senses(
+            plane_model, None, a, b, LEVEL1
+        ) == pytest.approx(0.75, abs=1e-12)
 
     def test_rel1_over_context_members(self, plane_model):
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("north",), (ContextRef("sea"), ContextRef("island")))
         expected = (rel_words(plane_model, "island", "sea") + 1.0) / 2
-        assert rel1_senses(plane_model, None, a, b) == pytest.approx(expected, abs=1e-12)
+        assert rel_senses(plane_model, None, a, b, LEVEL1) == pytest.approx(expected, abs=1e-12)
 
     def test_rel1_empty_context_is_none(self, plane_model):
+        # Level 1 missing (one side has no core context): level 0 carries full weight.
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("north",))
-        assert rel1_senses(plane_model, None, a, b) is None
+        assert rel_senses(plane_model, None, a, b, LEVEL1) == pytest.approx(0.5, abs=1e-12)
 
     def test_rel1_resolves_sense_refs_through_lexicon(self, toy_model, toy_lexicon):
         landmass = toy_lexicon.senses["island#landmass"]
         ground = toy_lexicon.senses["land#ground"]
         # OC(landmass) = [land#ground], whose synonyms are (land, ground);
         # OC(ground) = ["place"] as a bare label.
-        expected = rel0_senses(
+        expected = rel_senses(
             toy_model,
+            None,
             _sense("x", ("land", "ground")),
             _sense("y", ("place",)),
         )
-        assert rel1_senses(toy_model, toy_lexicon, landmass, ground) == pytest.approx(
+        assert rel_senses(toy_model, toy_lexicon, landmass, ground, LEVEL1) == pytest.approx(
             expected, abs=1e-15
         )
 
     def test_combined_is_weighted_sum(self, plane_model):
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("island",), (ContextRef("sea"),))
-        r0 = rel0_senses(plane_model, a, b)
-        r1 = rel1_senses(plane_model, None, a, b)
+        r0 = rel_senses(plane_model, None, a, b, LEVEL0)
+        r1 = rel_senses(plane_model, None, a, b, LEVEL1)
         expected = 0.25 * r0 + 0.75 * r1
         got = rel_senses(plane_model, None, a, b, RelWeights(0.25, 0.75))
         assert got == pytest.approx(expected, abs=1e-15)
@@ -218,7 +234,7 @@ class TestSenseLevels:
     def test_nothing_measurable_raises(self, plane_model):
         a = _sense("a", ("qzx",))
         b = _sense("b", ("wvu",))
-        with pytest.raises(ValueError, match="not representable"):
+        with pytest.raises(UnmeasurableError, match="senses not representable in model: 'a', 'b'"):
             rel_senses(plane_model, None, a, b)
 
     def test_self_relatedness_single_member_sense(self, toy_model, toy_lexicon):
@@ -237,17 +253,18 @@ class TestSenseWord:
     def test_rel0_mean_over_synonyms(self, plane_model):
         t = _sense("t", ("sea", "island"))
         expected = (1.0 + rel_words(plane_model, "island", "sea")) / 2
-        assert rel0_sense_word(plane_model, t, "sea") == pytest.approx(expected, abs=1e-15)
+        assert rel_sense_word(plane_model, None, t, "sea") == pytest.approx(expected, abs=1e-15)
 
     def test_rel1_mean_over_context(self, plane_model):
         t = _sense("t", ("north",), (ContextRef("sea"), ContextRef("island")))
         expected = (1.0 + rel_words(plane_model, "island", "sea")) / 2
-        assert rel1_sense_word(plane_model, None, t, "sea") == pytest.approx(expected, abs=1e-15)
+        got = rel_sense_word(plane_model, None, t, "sea", LEVEL1)
+        assert got == pytest.approx(expected, abs=1e-15)
 
     def test_combined_weighting(self, plane_model):
         t = _sense("t", ("island",), (ContextRef("sea"),))
-        r0 = rel0_sense_word(plane_model, t, "north")
-        r1 = rel1_sense_word(plane_model, None, t, "north")
+        r0 = rel_sense_word(plane_model, None, t, "north", LEVEL0)
+        r1 = rel_sense_word(plane_model, None, t, "north", LEVEL1)
         got = rel_sense_word(plane_model, None, t, "north")
         assert got == pytest.approx(0.5 * r0 + 0.5 * r1, abs=1e-15)
 
@@ -259,9 +276,74 @@ class TestSenseWord:
     def test_context_ref_without_lexicon_raises(self, plane_model):
         t = _sense("t", ("sea",), (ContextRef("north"), ContextRef("s2", is_ref=True)))
         with pytest.raises(ValueError, match="'s2' needs a lexicon"):
-            rel1_sense_word(plane_model, None, t, "sea")
+            rel_sense_word(plane_model, None, t, "sea")
         with pytest.raises(ValueError, match="'s2' needs a lexicon"):
-            rel1_senses(plane_model, None, t, t)
+            rel_senses(plane_model, None, t, t)
+
+
+@st.composite
+def _sense_pairs(draw):
+    """Two senses, a word and weights over a small float32 or float64 model.
+
+    Phrases may repeat, miss the model ("qzx") or have no direction ("w0 n0",
+    as n0 = -w0); core contexts mix labels and references to two more senses.
+    """
+    dim = draw(st.integers(2, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    component = st.floats(-2.0, 2.0, width=32)
+    vocab = {
+        f"w{i}": np.array(draw(st.lists(component, min_size=dim, max_size=dim)), dtype=dtype)
+        for i in range(draw(st.integers(2, 5)))
+    }
+    vocab["n0"] = -vocab["w0"]
+    phrase = st.lists(st.sampled_from([*vocab, "qzx"]), min_size=1, max_size=2).map(" ".join)
+    synonyms = st.lists(phrase, min_size=1, max_size=4).map(tuple)
+    member = st.one_of(
+        phrase.map(ContextRef),
+        st.sampled_from(["r0", "r1"]).map(lambda ref: ContextRef(ref, is_ref=True)),
+    )
+    refs = [_sense(f"r{i}", draw(synonyms)) for i in range(2)]
+    a, b = (
+        _sense(sid, draw(synonyms), tuple(draw(st.lists(member, max_size=3))))
+        for sid in ("a", "b")
+    )
+    weights = draw(st.sampled_from([RelWeights(0.5, 0.5), RelWeights(0.3, 0.7), LEVEL0, LEVEL1]))
+    lexicon = Lexicon.from_senses([a, b, *refs])
+    return EmbeddingModel(vocab=vocab, dim=dim), lexicon, a, b, draw(phrase), weights
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except UnmeasurableError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sense_pairs())
+def test_sense_relatedness_matches_oracle(case):
+    model, lexicon, a, b, word, w = case
+    want = [
+        oracle.rel_tt(model, lexicon, a, b, w.w0, w.w1),
+        oracle.rel_tt(model, lexicon, b, a, w.w0, w.w1),
+        oracle.rel_tw(model, lexicon, a, word, w.w0, w.w1),
+    ]
+    # Both sides of the step-1 crossover: the loop path, then the array path.
+    for loop_phrases in (compiled.STEP1_LOOP_PHRASES, -1):
+        with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", loop_phrases):
+            got = [
+                _or_none(rel_senses, model, lexicon, a, b, w),
+                _or_none(rel_senses, model, lexicon, b, a, w),
+                _or_none(rel_sense_word, model, lexicon, a, word, w),
+            ]
+        for g, r in zip(got, want):
+            assert (g is None) == (r is None)
+            if g is not None:
+                assert abs(g - r) <= 1e-10
+
+
+def test_every_public_name_resolves():
+    assert [name for name in kwsense.__all__ if not hasattr(kwsense, name)] == []
 
 
 class TestWordFrequencies:
