@@ -2,11 +2,11 @@
 
 This module is the one definition of sense relatedness. Level 0 is the mean
 word relatedness over synonym pairs, level 1 the mean of level 0 over pairs
-of core-context members (sense references resolved through the lexicon,
-bare labels as one-synonym pseudo-senses). Means skip missing pairs with the
-denominator reduced, and a level without a measured pair drops out while the
-other carries full weight (:func:`combine_levels`). Step 1 reads it through
-:meth:`SenseIndex.relatedness` and :meth:`SenseIndex.base_scores`;
+of core-context members (a sense reference stands for the referenced
+sense's synonyms, a bare label for itself alone). Means skip missing pairs
+with the denominator reduced, and a level without a measured pair drops out
+while the other carries full weight (:func:`combine_levels`). Step 1 reads
+it through :meth:`SenseIndex.relatedness` and :meth:`SenseIndex.base_scores`;
 :func:`rel_sense_word` is that method's 1 x 1 case and :func:`rel_senses`
 measures one index's phrases against another's.
 
@@ -17,14 +17,16 @@ and averaging them costs far more than measuring them, so the first call for
 a keyword compiles its senses into
 
 * a :class:`PhraseTable`: per distinct phrase with a token in the model,
-  references to its found tokens' rows in token order. These are the model's
-  own rows, never copies, so a compiled keyword holds no float64 rows;
+  the row ids of its found tokens in token order, and the model's own
+  matrix. A compiled keyword holds int row ids, never row objects or float64
+  copies;
 * index lists or matrices: per sense (and per core-context member) the
   table rows of its phrases, duplicates included, with -1 marking phrases
   that have no token in the model and the padding of a matrix column.
 
-Per call the referenced rows are stacked ``_BLOCK_ROWS`` phrases at a time,
-the phrase centroids are formed by adding tokens position after position
+Per call the rows are gathered from the matrix with ``np.take``
+``_BLOCK_ROWS`` phrases at a time and widened exactly to float64, the phrase
+centroids are formed by adding tokens position after position
 (``centroid``'s order), and each block is measured against the context by
 one :func:`relatedness_rows` call. Means skip missing values and add the
 others one after another, in input order, so every path gives the same
@@ -41,7 +43,6 @@ build their indexes without the cache.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -65,38 +66,45 @@ STEP1_LOOP_PHRASES = 48
 
 @dataclass(frozen=True, slots=True)
 class PhraseTable:
-    """Distinct phrases as references to the model rows of their found tokens.
+    """Distinct phrases as the row ids of their found tokens in a model's matrix.
 
     Phrases are ordered by descending token count, so the phrases that reach
-    a token position are a prefix of the table. ``rows`` holds the first
-    token of each of the ``size`` phrases, then the tokens at each later
-    position; ``later`` gives the number of phrases that reach each later
-    position.
+    a token position are a prefix of the table. ``rows`` holds the row id of
+    the first token of each of the ``size`` phrases, then those of the tokens
+    at each later position; ``later`` gives the number of phrases that reach
+    each later position. ``matrix`` is the model's own matrix, not a copy.
     """
 
-    rows: tuple[Vector, ...]
+    matrix: np.ndarray
+    rows: np.ndarray
     later: tuple[int, ...]
     size: int
-    dim: int
 
     def centroids(self, ids: Sequence[int]) -> np.ndarray:
         """Float64 centroids of the phrases ``ids`` (ascending), then a zero row (index -1).
 
-        Tokens are added position after position, the order of :func:`centroid`.
+        Tokens are gathered with ``np.take``, widened exactly, and added
+        position after position, the order of :func:`centroid`.
         """
-        out = np.zeros((len(ids) + 1, self.dim))
-        if len(ids):
-            np.concatenate([self.rows[i] for i in ids], out=out[:-1].reshape(-1))
+        matrix = self.matrix
+        out = np.zeros((len(ids) + 1, matrix.shape[1]))
+        if not len(ids):
+            return out
+        ids = np.arange(ids.start, ids.stop) if isinstance(ids, range) else np.asarray(ids)
+        if matrix.dtype == out.dtype:
+            # Straight into out: the default mode="raise" would buffer a copy.
+            matrix.take(self.rows[ids], axis=0, out=out[:-1], mode="clip")
+        else:
+            out[:-1] = matrix.take(self.rows[ids], axis=0)  # float32 widens exactly
         if self.later:
             # The ids that reach a token position are a prefix of ``ids``.
-            counts = np.ones((bisect_left(ids, self.later[0]), 1))
+            counts = np.ones((int(np.searchsorted(ids, self.later[0])), 1))
             offset = self.size
             for reach in self.later:
-                n = bisect_left(ids, reach)
+                n = int(np.searchsorted(ids, reach))
                 if not n:
                     break
-                tokens = [self.rows[offset + i] for i in ids[:n]]
-                out[:n] += np.concatenate(tokens).reshape(n, self.dim)
+                out[:n] += matrix.take(self.rows[offset + ids[:n]], axis=0)
                 counts[:n] += 1.0
                 offset += reach
             out[: len(counts)] /= counts
@@ -118,10 +126,10 @@ def _phrase_table(
     model: EmbeddingModel, phrases: Iterable[str]
 ) -> tuple[PhraseTable, dict[str, int]]:
     """The table of the distinct ``phrases`` with a token in ``model``, and each one's row."""
-    lookup = model.lookup
+    row_id = model.row_id
     tokens = {}
     for phrase in dict.fromkeys(phrases):
-        found = [v for t in phrase.split() if (v := lookup(t)) is not None]
+        found = [i for t in phrase.split() if (i := row_id(t)) is not None]
         if found:
             tokens[phrase] = found
     order = sorted(tokens, key=lambda p: len(tokens[p]), reverse=True)  # stable
@@ -136,7 +144,8 @@ def _phrase_table(
             reach.append(f[pos])
         later.append(len(reach))
         rows += reach
-    table = PhraseTable(rows=tuple(rows), later=tuple(later), size=len(order), dim=model.dim)
+    table = PhraseTable(matrix=model.matrix, rows=np.array(rows, dtype=np.intp),
+                        later=tuple(later), size=len(order))
     return table, {p: i for i, p in enumerate(order)}
 
 
@@ -173,23 +182,22 @@ def combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights
     return weights.w0 * r0 + weights.w1 * r1
 
 
-# Resolves core-context labels into pseudo-senses when no lexicon is given.
-_LABELS_ONLY = Lexicon(senses={})
-
-
-def core_context_senses(lexicon: Optional[Lexicon], sense: Sense) -> list[Sense]:
-    """Core-context members as senses, resolved through ``Lexicon.resolve_context``.
+def _member_synonyms(lexicon: Optional[Lexicon], sense: Sense) -> list[tuple[str, ...]]:
+    """The synonyms of each core-context member: a referenced sense's, or the bare label.
 
     Without a lexicon only bare labels can be resolved; a reference raises.
     """
-    if lexicon is None:
-        for ref in sense.core_context:
-            if ref.is_ref:
-                raise ValueError(
-                    f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
-                )
-        lexicon = _LABELS_ONLY
-    return [lexicon.resolve_context(ref) for ref in sense.core_context]
+    out = []
+    for ref in sense.core_context:
+        if not ref.is_ref:
+            out.append((ref.value,))
+        elif lexicon is None:
+            raise ValueError(
+                f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
+            )
+        else:
+            out.append(lexicon.resolve(ref.value).synonyms)
+    return out
 
 
 def _means(values: np.ndarray) -> np.ndarray:
@@ -322,7 +330,7 @@ class DescriptionIndex:
             vectors = table.centroids(distinct)
             chosen = np.where(chosen >= 0, np.searchsorted(distinct, chosen), -1)
         # Rank order, at most _BLOCK_ROWS gathered vectors at a time.
-        total = np.empty((len(terms), table.dim))
+        total = np.empty((len(terms), table.matrix.shape[1]))
         step = max(1, _relatedness._BLOCK_ROWS // max(1, chosen.shape[1]))
         for start in range(0, len(terms), step):
             total[start : start + step] = np.add.reduce(
@@ -367,12 +375,12 @@ def _compiled(
 def _build_sense_index(
     model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
 ) -> SenseIndex:
-    context = [core_context_senses(lexicon, sense) for sense in senses]
+    context = [_member_synonyms(lexicon, sense) for sense in senses]
     table, ids = _phrase_table(model, chain(
-        *(s.synonyms for s in senses), *(m.synonyms for ms in context for m in ms)
+        *(s.synonyms for s in senses), *(m for ms in context for m in ms)
     ))
     synonyms = [[ids.get(p, -1) for p in s.synonyms] for s in senses]
-    members = [[[ids.get(p, -1) for p in m.synonyms] for m in ms] for ms in context]
+    members = [[[ids.get(p, -1) for p in m] for m in ms] for ms in context]
     padded = None
     if table.size > STEP1_LOOP_PHRASES:
         starts = [0, *accumulate(map(len, members))]
@@ -406,15 +414,6 @@ def description_index(
     return _compiled(_build_description_index, model, lexicon, senses)
 
 
-def word_rows(model: EmbeddingModel, words: Sequence[str]) -> np.ndarray:
-    """Phrase vectors of ``words`` as float64 rows; a zero row for one not in the model."""
-    zero = np.zeros(model.dim)
-    vectors = [model.phrase_vector(w) for w in words]
-    return np.array([zero if v is None else v for v in vectors], dtype=np.float64).reshape(
-        len(words), model.dim
-    )
-
-
 def rel_sense_word(
     model: EmbeddingModel,
     lexicon: Optional[Lexicon],
@@ -428,7 +427,7 @@ def rel_sense_word(
     this call alone (not cached).
     """
     index = _build_sense_index(model, lexicon, [t])
-    r = index.relatedness(word_rows(model, [w]), weights)[0][0]
+    r = index.relatedness(model.phrase_matrix([w]), weights)[0][0]
     if r is None or r != r:
         raise UnmeasurableError(f"not representable in model: sense {t.id!r} vs word {w!r}")
     return float(r)

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .compiled import description_index, sense_index, word_rows
-from .embeddings import EmbeddingModel, Vector, centroid
+from .compiled import description_index, sense_index
+from .embeddings import EmbeddingModel, Vector
 from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
 from .lexicon import Lexicon, Sense
 from .relatedness import (
@@ -35,8 +35,7 @@ from .relatedness import (
     RelWeights,
     SifConfig,
     rank_top,
-    relatedness_matrix,
-    relatedness_rows,
+    relatedness_to,
     sif_embeddings,
 )
 from .stopwords import default_stopwords
@@ -94,11 +93,14 @@ class ActiveContext:
 
     Members are (word, relatedness-to-target) pairs sorted by descending
     relatedness; ties keep their original input order. The target itself is
-    never a member.
+    never a member. ``rows`` holds the members' phrase vectors as float64
+    rows, in member order, when the context was selected from a model (steps
+    1 and 2 reuse them); it is not part of the value or of the JSON form.
     """
 
     target: str
     members: tuple[tuple[str, float], ...] = ()
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -213,13 +215,20 @@ def select_active_context(
         if norm in cfg.stopwords or norm == kd_norm:
             continue
         candidates.append(word)
-    vectors = [model.phrase_vector(word) for word in candidates]
-    kd_vec = model.phrase_vector(keyword)
-    rel = relatedness_matrix(vectors, [kd_vec])[:, 0].tolist()
+    vectors = model.phrase_matrix(candidates)
+    kd_vec = model.phrase_matrix([keyword])[0]
+    rel = relatedness_to(vectors, kd_vec)
     # NaN (an unrepresentable pair) fails the threshold comparison.
     kept = [i for i, r in enumerate(rel) if r >= cfg.threshold]
     top = rank_top(kept, rel, cfg.max_context, vectors, kd_vec)
-    return ActiveContext(target=keyword, members=tuple((candidates[i], rel[i]) for i in top))
+    return ActiveContext(
+        target=keyword, members=tuple((candidates[i], rel[i]) for i in top), rows=vectors[top]
+    )
+
+
+def _context_rows(model: EmbeddingModel, ca: ActiveContext) -> np.ndarray:
+    """The members' phrase vectors as float64 rows: the context's own, else looked up."""
+    return model.phrase_matrix(ca.words) if ca.rows is None else ca.rows
 
 
 def step1_base_scores(
@@ -237,7 +246,7 @@ def step1_base_scores(
     if not ca.members:
         return [SenseScore(sense_id=sense.id, score=0.0, step1=0.0) for sense in senses]
     index = sense_index(model, lexicon, senses)
-    bases = index.base_scores(word_rows(model, ca.words), weights)
+    bases = index.base_scores(_context_rows(model, ca), weights)
     return [
         SenseScore(sense_id=sense.id, score=base, step1=base)
         for sense, base in zip(senses, bases)
@@ -273,22 +282,6 @@ def overlap(
     return len(desc_words & ca_words) / min(len(desc_words), len(ca_words))
 
 
-def _context_vectors(model: EmbeddingModel, ca: ActiveContext) -> list[Vector]:
-    out = []
-    for word, _ in ca.members:
-        v = model.phrase_vector(word)
-        if v is not None and v.any():
-            out.append(v)
-    return out
-
-
-def _nonzero_centroid(vectors: Sequence[Vector]) -> Optional[Vector]:
-    if not vectors:
-        return None
-    c = centroid(vectors)
-    return c if c.any() else None
-
-
 def _strategy_strengths(
     model: EmbeddingModel,
     lexicon: Lexicon,
@@ -304,24 +297,32 @@ def _strategy_strengths(
     if params.strategy is Strategy.AVERAGE:
         if not ca.words:
             return [None] * len(senses)
-        return description_index(model, lexicon, senses).average(word_rows(model, ca.words))
-    ca_vectors = _context_vectors(model, ca)
-    ca_centroid = _nonzero_centroid(ca_vectors)
-    if ca_centroid is None:
+        return description_index(model, lexicon, senses).average(_context_rows(model, ca))
+    # The centroid (centroid()'s arithmetic) of the members that have a
+    # direction, which are all members a selection keeps; a zero centroid has
+    # no direction either.
+    rows = _context_rows(model, ca)
+    rows = rows[rows.any(axis=1)]
+    ca_centroid = np.add.reduce(rows, axis=0) / max(1, len(rows))
+    if not ca_centroid.any():
         return [None] * len(senses)
     if params.strategy is Strategy.TOP_K:
         # Each sense's k description terms nearest to the centroid of context + keyword.
-        kd_vec = model.phrase_vector(ca.target)
-        if kd_vec is not None and kd_vec.any():
-            ca_vectors.append(kd_vec)
-        reference = _nonzero_centroid(ca_vectors)
-        if reference is None:
+        kd_vec = model.phrase_matrix([ca.target])
+        if kd_vec.any():
+            rows = np.vstack((rows, kd_vec))
+        reference = np.add.reduce(rows, axis=0) / len(rows)
+        if not reference.any():
             return [None] * len(senses)
         index = description_index(model, lexicon, senses)
-        rows = index.topk_centroids(reference, params.k)
-        rel = relatedness_rows(rows, ca_centroid[None, :])[:, 0].tolist()
+        rel = relatedness_to(index.topk_centroids(reference, params.k), ca_centroid)
     else:
-        rel = relatedness_matrix([store.get(s.id) for s in senses], [ca_centroid])[:, 0].tolist()
+        store_rows = np.zeros((len(senses), model.dim))
+        for j, sense in enumerate(senses):
+            v = store.get(sense.id)
+            if v is not None:
+                store_rows[j] = v
+        rel = relatedness_to(store_rows, ca_centroid)
     # NaN: no term representable, id absent from the store, or a zero vector.
     return [r if r == r else None for r in rel]
 

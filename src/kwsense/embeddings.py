@@ -1,20 +1,22 @@
 """Word embedding models: loading, lookup, and vector aggregation.
 
-Vectors are 1-D numpy arrays with finite components. Models map raw tokens
-to vectors; all entries of one model share a single dimension. Text models
-hold float64 rows, views of one matrix per block of lines; binary models
-hold float32 rows, views of one matrix, as the file stores them. Everything
-that does arithmetic on model vectors widens them to float64 first, which is
-exact, so a binary model gives the same results as a float64 model of the
-same values.
+Vectors are 1-D numpy arrays with finite components. A model is one
+read-only ``(rows, dim)`` matrix and a ``dict`` from token to row id; a
+lookup returns a read-only view of its row, made on demand, so a model holds
+no per-row objects. Text models store float64 rows; binary models store
+float32 rows, as the file does. Everything that does arithmetic on model
+vectors widens them to float64 first, which is exact, so a binary model
+gives the same results as a float64 model of the same values. Callers that
+handle many rows (compiled keywords, description embeddings) keep row ids
+and gather the rows they need from :attr:`EmbeddingModel.matrix`.
 """
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+import sys
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,51 +45,125 @@ def centroid(vectors: Iterable[Vector]) -> Vector:
     return np.add.reduce(np.array(vs, dtype=np.float64), axis=0) / len(vs)
 
 
-@dataclass
-class EmbeddingModel:
-    """An in-memory token -> vector table.
+class _Vocab(Mapping[str, Vector]):
+    """Read-only token -> row mapping over a model's index and matrix."""
 
-    Treated as immutable after loading. ``duplicates`` counts input entries
-    that were dropped because an earlier entry already claimed the token.
-    """
+    __slots__ = ("_index", "_matrix")
 
-    vocab: dict[str, Vector]
-    dim: int
-    name: str = ""
-    duplicates: int = 0
+    def __init__(self, index: dict[str, int], matrix: np.ndarray):
+        self._index, self._matrix = index, matrix
+
+    def __getitem__(self, token: str) -> Vector:
+        return self._matrix[self._index[token]]
+
+    def __contains__(self, token: object) -> bool:
+        return token in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self.vocab)
+        return len(self._index)
+
+
+def _first_rows(tokens: Sequence[str]) -> dict[str, int]:
+    """Token -> row id of its first occurrence, in order of first occurrence."""
+    index = dict(zip(tokens, range(len(tokens))))
+    if len(index) < len(tokens):
+        # A repeated token kept its first position but took its last row.
+        for i in range(len(tokens) - 1, -1, -1):
+            index[tokens[i]] = i
+    return index
+
+
+class EmbeddingModel:
+    """An in-memory token -> vector table: one row matrix and a token -> row index.
+
+    ``matrix`` is read-only and holds a row per input entry, in input order,
+    including the rows of entries dropped as duplicates; ``index`` maps each
+    token to the row of its first occurrence, in order of first occurrence,
+    and ``duplicates`` counts the dropped entries. ``vocab`` is a read-only
+    mapping view of the same table. ``EmbeddingModel(vocab, dim)`` stacks the
+    vectors of a ``dict`` (float32 if they all are, else float64); loaders
+    build models with :meth:`from_rows`. Treated as immutable.
+    """
+
+    __slots__ = ("matrix", "index", "dim", "name", "duplicates", "__weakref__")
+
+    def __init__(
+        self, vocab: Mapping[str, Vector], dim: int, name: str = "", duplicates: int = 0
+    ):
+        matrix = np.array(list(vocab.values()))
+        if matrix.dtype != np.float32:
+            matrix = matrix.astype(np.float64, copy=False)
+        self._set(matrix.reshape(len(vocab), dim), dict(zip(vocab, range(len(vocab)))),
+                  name, duplicates)
+
+    @classmethod
+    def from_rows(
+        cls, matrix: np.ndarray, index: dict[str, int], name: str = "", duplicates: int = 0
+    ) -> "EmbeddingModel":
+        """A model over ``matrix`` (made read-only, not copied) and its token -> row ``index``."""
+        model = cls.__new__(cls)
+        model._set(matrix, index, name, duplicates)
+        return model
+
+    def _set(self, matrix: np.ndarray, index: dict[str, int], name: str, duplicates: int) -> None:
+        matrix.flags.writeable = False
+        self.matrix, self.index, self.dim = matrix, index, matrix.shape[1]
+        self.name, self.duplicates = name, duplicates
+
+    @property
+    def vocab(self) -> Mapping[str, Vector]:
+        """Token -> vector, read-only, in order of first occurrence."""
+        return _Vocab(self.index, self.matrix)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
     def __contains__(self, token: str) -> bool:
-        return self.lookup(token) is not None
+        return self.row_id(token) is not None
 
-    def lookup(self, token: str) -> Optional[Vector]:
-        """Vector for ``token``, trying the lowercased form first, then the raw form.
+    def row_id(self, token: str) -> Optional[int]:
+        """Row of ``token``, trying the lowercased form first, then the raw form.
 
         Returns None when the token is absent; the empty string is never present.
         """
         if not token:
             return None
-        hit = self.vocab.get(token.lower())
-        if hit is None:
-            hit = self.vocab.get(token)
-        return hit
+        i = self.index.get(token.lower())
+        if i is None:
+            i = self.index.get(token)
+        return i
+
+    def lookup(self, token: str) -> Optional[Vector]:
+        """Vector for ``token`` (a read-only row of ``matrix``), found as :meth:`row_id` finds it."""
+        i = self.row_id(token)
+        return None if i is None else self.matrix[i]
 
     def phrase_vector(self, phrase: str) -> Optional[Vector]:
         """Centroid of the vectors of the whitespace-split tokens found in the model.
 
-        Tokens without a vector are ignored; returns None when no token is found.
+        Tokens without a vector are ignored; returns None when no token is
+        found. A one-token phrase gives its row as :meth:`lookup` does, a longer
+        one a float64 vector (:func:`centroid`'s arithmetic).
         """
         tokens = phrase.split()
-        if not tokens:
-            return None
         if len(tokens) == 1:
             return self.lookup(tokens[0])
-        found = [v for t in tokens if (v := self.lookup(t)) is not None]
-        if not found:
+        ids = [i for t in tokens if (i := self.row_id(t)) is not None]
+        if not ids:
             return None
-        return centroid(found)
+        return np.add.reduce(self.matrix[ids].astype(np.float64, copy=False), axis=0) / len(ids)
+
+    def phrase_matrix(self, phrases: Sequence[str]) -> np.ndarray:
+        """Phrase vectors of ``phrases`` as float64 rows; a zero row where there is none."""
+        out = np.zeros((len(phrases), self.dim))
+        for j, phrase in enumerate(phrases):
+            v = self.phrase_vector(phrase)
+            if v is not None:
+                out[j] = v
+        return out
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -95,10 +171,15 @@ def _looks_like_header(parts: list[str]) -> bool:
     return len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal()
 
 
+class _Header(NamedTuple):
+    count: int
+    dim: int
+
+
 def _parse_line(
     raw: bytes, path: Path, lineno: int, dim: int | None
-) -> int | tuple[str, Vector] | None:
-    """One line of a text model: None if blank, the dimension if it is the header, else its entry.
+) -> _Header | tuple[str, Vector] | None:
+    """One line of a text model: None if blank, a :class:`_Header` if it is the header, else its entry.
 
     ``dim`` is None until the first non-blank line, the only one that can be
     the header; otherwise that line sets it. This is the definition of a valid
@@ -111,8 +192,11 @@ def _parse_line(
     if not parts:
         return None
     if dim is None and _looks_like_header(parts):
+        # The count only sizes the row matrix, which the file size bounds: a
+        # count too long for int() is as good as the largest one.
+        count = int(parts[0]) if len(parts[0]) < 19 else sys.maxsize
         try:
-            return int(parts[1])
+            return _Header(count, int(parts[1]))
         except ValueError:  # more digits than int() converts
             raise ParseError(f"{path}: line {lineno}: header dimension too large") from None
     token, values = parts[0], parts[1:]
@@ -157,6 +241,16 @@ def _parse_block(block: list[bytes], dim: int) -> tuple[list[str], np.ndarray] |
     return list(tokens), matrix
 
 
+def _lines_left(fh: BinaryIO) -> int:
+    """Newlines from the position of ``fh`` to the end of its file, plus one; keeps the position."""
+    pos = fh.tell()
+    lines = 1
+    while chunk := fh.read(_BLOCK_BYTES):
+        lines += chunk.count(b"\n")
+    fh.seek(pos)
+    return lines
+
+
 def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel:
     """Load a whitespace-separated text embedding file.
 
@@ -169,43 +263,60 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
 
     Once the dimension is known the file is read in blocks of whole lines of
     about ``_TEXT_BLOCK_BYTES``, each decoded once and its components parsed
-    by one ``np.loadtxt`` call; every vector is a float64 row view of its
-    block's matrix (dropped duplicates keep their rows). A block that fails
-    any check of that fast parse is parsed line by line, which decides
-    whether it is valid and which error to raise.
+    by one ``np.loadtxt`` call into the model's float64 row matrix (dropped
+    duplicates keep their rows). A block that fails any check of that fast
+    parse is parsed line by line, which decides whether it is valid and which
+    error to raise. The matrix is allocated once: for the header's count of
+    rows, bounded by the number of ``2 * dim + 1``-byte lines the file can
+    hold, or, without a header, for one more row than the file has newlines
+    left. Only a header that undercounts costs a second allocation and copy,
+    sized by counting the newlines left.
     """
     path = Path(path)
-    vocab: dict[str, Vector] = {}
+    tokens: list[str] = []
+    matrix = np.empty((0, 0))
+    count: int | None = None  # the header's, until the matrix is first sized
     dim: int | None = None
-    duplicates = 0
     lineno = 0
     with path.open("rb") as fh:
         # One line at a time until the header or first vector line sets dim.
         while block := fh.readlines(1 if dim is None else _TEXT_BLOCK_BYTES):
             parsed = None if dim is None else _parse_block(block, dim)
-            if parsed is not None:
-                entries = zip(*parsed)
-            else:
-                entries = []
+            if parsed is None:
+                parsed = ([], [])
                 for i, raw in enumerate(block, start=lineno + 1):
                     entry = _parse_line(raw, path, i, dim)
-                    if isinstance(entry, int):
-                        dim = entry
+                    if isinstance(entry, _Header):
+                        count, dim = entry
                     elif entry is not None:
                         if dim is None:
                             dim = len(entry[1])
-                        entries.append(entry)
+                        parsed[0].append(entry[0])
+                        parsed[1].append(entry[1])
             lineno += len(block)
-            for token, vec in entries:
-                if token in vocab:
-                    duplicates += 1
-                else:
-                    vocab[token] = vec
-    if dim is None or not vocab:
+            block_tokens, rows = parsed
+            n, end = len(tokens), len(tokens) + len(block_tokens)
+            if end > len(matrix):
+                size = len(matrix)
+                if count is not None:
+                    size = min(count, os.fstat(fh.fileno()).st_size // (2 * dim + 1) + 1)
+                    count = None
+                if end > size:
+                    size = end + _lines_left(fh)
+                grown = np.empty((size, dim))
+                if n:
+                    grown[:n] = matrix[:n]
+                matrix = grown
+            if block_tokens:
+                matrix[n:end] = rows
+                tokens += block_tokens
+    if dim is None or not tokens:
         raise ParseError(f"{path}: no vector lines found")
+    index = _first_rows(tokens)
+    duplicates = len(tokens) - len(index)
     if duplicates:
         logger.warning("%s: %d duplicate tokens dropped (first occurrence kept)", path, duplicates)
-    return EmbeddingModel(vocab=vocab, dim=dim, name=name or path.name, duplicates=duplicates)
+    return EmbeddingModel.from_rows(matrix[: len(tokens)], index, name or path.name, duplicates)
 
 
 def _read_binary_entries(
@@ -268,10 +379,9 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
     The file is read in 1 MiB blocks (``_BLOCK_BYTES``) into one reused
     buffer (grown only for an entry longer than a block); each vector's bytes
     are copied into its row and each block's rows are checked by numpy at
-    once. Every vector is a row view of one ``(rows, dim)`` float32 matrix,
-    including the rows of dropped duplicates: half the memory of float64
-    rows, and nothing lost, since kwsense widens rows exactly before any
-    arithmetic. Allocation is bounded by the file size, not by the header:
+    once. That ``(rows, dim)`` float32 matrix, including the rows of dropped
+    duplicates, is the model's matrix: half the memory of float64 rows, and
+    nothing lost, since kwsense widens rows exactly before any arithmetic. Allocation is bounded by the file size, not by the header:
     ``rows`` is at most the number of ``4 * dim + 1``-byte entries the file
     can hold, and the buffer at most the bytes it holds.
     """
@@ -289,13 +399,11 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
         if count == 0 or dim == 0:
             raise ParseError(f"{path}: header declares an empty model")
         tokens, matrix = _read_binary_entries(fh, path, count, dim)
-    vocab: dict[str, Vector] = {}
-    for token, row in zip(tokens, matrix):
-        vocab.setdefault(token, row)
-    duplicates = count - len(vocab)
+    index = _first_rows(tokens)
+    duplicates = count - len(index)
     if duplicates:
         logger.warning("%s: %d duplicate tokens dropped (first occurrence kept)", path, duplicates)
-    return EmbeddingModel(vocab=vocab, dim=dim, name=name or path.name, duplicates=duplicates)
+    return EmbeddingModel.from_rows(matrix, index, name or path.name, duplicates)
 
 
 def save_text_model(model: EmbeddingModel, path: str | Path, header: bool = True) -> None:
@@ -303,7 +411,7 @@ def save_text_model(model: EmbeddingModel, path: str | Path, header: bool = True
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         if header:
-            fh.write(f"{len(model.vocab)} {model.dim}\n")
-        for token, vec in model.vocab.items():
-            comps = " ".join(repr(float(x)) for x in vec)
+            fh.write(f"{len(model)} {model.dim}\n")
+        for token, i in model.index.items():
+            comps = " ".join(repr(float(x)) for x in model.matrix[i])
             fh.write(f"{token} {comps}\n")

@@ -11,8 +11,9 @@ is defined once, in :mod:`kwsense.compiled`.
 Pairs are measured by one kernel, :func:`relatedness_rows`: it takes two
 float64 matrices (a zero row marks a missing vector) and returns the
 relatedness of every pair of rows, NaN where either side is missing.
-:func:`relatedness_matrix` is the same for lists of vectors (``None`` also
-marks a missing one), and :func:`rel_words` its 1 x 1 case; the compiled
+:func:`relatedness_to` measures the rows of one matrix against one vector
+block by block (context words against the keyword, sense vectors against
+the context centroid), and :func:`rel_words` is its 1 x 1 case; the compiled
 keywords of :mod:`kwsense.compiled` call the kernel on blocks of phrase
 centroids. The scalar :func:`cosine` shares the kernel's cosine routine, so
 the exact-endpoint rule lives in one place. arccos is ill-conditioned at
@@ -168,25 +169,16 @@ def relatedness_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def relatedness_matrix(
-    rows: Sequence[Optional[Vector]], cols: Sequence[Optional[Vector]]
-) -> np.ndarray:
-    """Angular relatedness of every (row, col) vector pair; NaN where either is missing.
+def relatedness_to(rows: np.ndarray, vector: Vector) -> list[float]:
+    """Angular relatedness of every row of a float64 matrix to one vector; NaN where missing.
 
-    ``None`` and zero vectors (squared norm 0, which includes vectors so small
-    that it underflows) are missing. Rows are stacked in blocks of at most
-    ``_BLOCK_ROWS``, so put the longer list first.
+    The rows are measured ``_BLOCK_ROWS`` at a time by :func:`relatedness_rows`;
+    a zero row or vector (squared norm 0) is missing.
     """
-    out = np.full((len(rows), len(cols)), np.nan)
-    row_ids = [i for i, v in enumerate(rows) if v is not None]
-    col_ids = [j for j, v in enumerate(cols) if v is not None]
-    if not row_ids or not col_ids:
-        return out
-    col_mat = np.array([cols[j] for j in col_ids], dtype=np.float64)
-    for start in range(0, len(row_ids), _BLOCK_ROWS):
-        block = row_ids[start : start + _BLOCK_ROWS]
-        row_mat = np.array([rows[i] for i in block], dtype=np.float64)
-        out[np.ix_(block, col_ids)] = relatedness_rows(row_mat, col_mat)
+    col = np.asarray(vector, dtype=np.float64)[None, :]
+    out: list[float] = []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        out += relatedness_rows(rows[start : start + _BLOCK_ROWS], col)[:, 0].tolist()
     return out
 
 
@@ -230,8 +222,8 @@ def rel_words(model: EmbeddingModel, x: str, y: str) -> Optional[float]:
     Phrases are averaged tokenwise via the model; a phrase whose found tokens
     average to the zero vector carries no direction and also counts as missing.
     """
-    r = relatedness_matrix([model.phrase_vector(x)], [model.phrase_vector(y)])[0, 0]
-    return None if math.isnan(r) else float(r)
+    (r,) = relatedness_to(model.phrase_matrix([x]), model.phrase_matrix([y])[0])
+    return None if math.isnan(r) else r
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +317,23 @@ def sif_embeddings(
     out: dict[str, Vector] = {}
     omitted: list[str] = []
     for sense_id, tokens in descriptions.items():
-        rows: list[Vector] = []
+        rows: list[int] = []
         weights: list[float] = []
         weight_sum = 0.0
         for token in tokens:
-            v = model.lookup(token)
-            if v is None:
+            i = model.row_id(token)
+            if i is None:
                 continue
             p = freqs.get(token.lower(), freqs.get(token, 0.0))
-            rows.append(v)
+            rows.append(i)
             weights.append(cfg.smoothing / (cfg.smoothing + p))
             weight_sum += weights[-1]
         if weight_sum == 0.0:
             omitted.append(sense_id)
             continue
-        # Rows widen to float64 in one stack; the reduction adds the weighted
-        # rows to 0 one after another, in token order.
-        weighted = np.array(rows, dtype=np.float64) * np.array(weights)[:, None]
+        # Rows are gathered and widened to float64 in one step; the reduction
+        # adds the weighted rows to 0 one after another, in token order.
+        weighted = model.matrix[rows].astype(np.float64, copy=False) * np.array(weights)[:, None]
         out[sense_id] = np.add.reduce(weighted, axis=0, initial=0.0) / weight_sum
     if omitted:
         logger.warning(

@@ -196,7 +196,34 @@ def test_rows_are_views_of_one_float32_matrix(tmp_path):
     assert_same_as_reference(path, embeddings._BLOCK_BYTES)
     model = load_binary_model(path)
     assert model.duplicates == 100 and len(model) == 1100
-    bases = {id(v.base) for v in model.vocab.values()}
-    assert len(bases) == 1
+    # The file's rows, duplicates' rows included, in one read-only matrix;
+    # lookups are views of it and the model keeps no row objects.
+    assert model.matrix.shape == (1200, 300) and model.matrix.dtype == np.float32
+    assert not model.matrix.flags.writeable
+    np.testing.assert_array_equal(model.matrix, vectors)
+    assert model.index["t5"] == 5 and model.index["t1099"] == 1099
+    assert all(np.shares_memory(v, model.matrix) for v in model.vocab.values())
     assert all(v.dtype == np.float32 and v.shape == (300,) for v in model.vocab.values())
     np.testing.assert_array_equal(model.vocab["t5"], vectors[5])
+
+
+def test_load_memory_per_row(tmp_path):
+    """A 20k-row load stays under 160 traced bytes per row at dim 4.
+
+    The float32 values take 16 bytes a row and the read buffer (the file
+    size) 23; token strings and the token -> row dict take most of the rest.
+    A per-row array view alone costs 112 bytes, which breaks the bound.
+    """
+    rows, dim = 20_000, 4
+    vectors = np.random.default_rng(9).standard_normal((rows, dim)).astype(np.float32)
+    path = tmp_path / "m.bin"
+    path.write_bytes(f"{rows} {dim}\n".encode() + b"".join(
+        f"w{i}".encode() + b" " + v.tobytes() + b"\n" for i, v in enumerate(vectors)))
+    tracemalloc.start()
+    try:
+        model = load_binary_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model) == rows
+    assert peak < rows * 160

@@ -1,9 +1,9 @@
 """Compiled keywords: phrase tables, the step-1 crossover, the per-pair cache.
 
-Compiled keywords hold references to the model's own rows and index arrays,
-never float64 copies; their centroids and means must equal the scalar
-definitions bit for bit, and the cache must give every (model, lexicon) pair
-its own results.
+Compiled keywords hold the model's own matrix and row ids into it, never
+row objects or float64 copies; their centroids and means must equal the
+scalar definitions bit for bit, and the cache must give every (model,
+lexicon) pair its own results.
 """
 from __future__ import annotations
 
@@ -58,8 +58,10 @@ class TestPhraseTable:
     def test_rows_are_the_models_own_rows(self):
         model = _random_model(1, dtype=np.float32)
         table, ids = compiled._phrase_table(model, self.PHRASES)
-        own = {id(v) for v in model.vocab.values()}
-        assert all(id(row) in own and row.dtype == np.float32 for row in table.rows)
+        assert table.matrix is model.matrix and table.matrix.dtype == np.float32
+        # Row ids, not row objects: the table holds no per-row array.
+        assert table.rows.dtype == np.intp and table.rows.ndim == 1
+        assert set(table.rows.tolist()) <= set(model.index.values())
         assert len(table.rows) == 1 + 2 + 3 + 3 + 1 + 4
         assert "qzx" not in ids and table.size == len(ids) == 6
 
@@ -78,13 +80,10 @@ class TestPhraseTable:
     def test_relatedness_in_blocks(self, block_rows):
         model = _random_model(3)
         table, ids = compiled._phrase_table(model, self.PHRASES)
-        words = compiled.word_rows(model, ["w11", "qzx", "w12"])
+        words = model.phrase_matrix(["w11", "qzx", "w12"])
         with mock.patch.object(relatedness, "_BLOCK_ROWS", block_rows):
             got = table.relatedness(words)
-        want = relatedness.relatedness_matrix(
-            [model.phrase_vector(p) for p in ids],
-            [model.phrase_vector(w) for w in ["w11", "qzx", "w12"]],
-        )
+        want = relatedness.relatedness_rows(model.phrase_matrix(list(ids)), words)
         np.testing.assert_array_equal(got[:-1], want)
         assert np.isnan(got[-1]).all() and np.isnan(got[:, 1]).all()
 
@@ -105,8 +104,9 @@ def test_means_add_in_index_order(count, columns):
 
 
 def _keyword_with(n_senses: int) -> tuple[EmbeddingModel, Lexicon, list[Sense]]:
-    model = _random_model(4, dim=5, size=80)
-    model.vocab["kw"] = model.vocab.pop("w79")
+    vectors = dict(_random_model(4, dim=5, size=80).vocab)
+    vectors["kw"] = vectors.pop("w79")
+    model = EmbeddingModel(vocab=vectors, dim=5)
     senses = [
         Sense(
             id=f"kw#{i}", lemmas=("kw",),
@@ -319,7 +319,7 @@ def test_topk_decides_a_tie_behind_a_repeated_term_at_the_cut():
     sense = Sense(id="kw#0", lemmas=("kw",), synonyms=("kw",),
                   description_terms=("w5", "w5", "w0"))
     index = compiled.description_index(model, Lexicon.from_senses([sense]), [sense])
-    rel = relatedness.relatedness_matrix([vocab["w5"], vocab["w0"]], [reference])[:, 0]
+    rel = relatedness.relatedness_to(np.array([vocab["w5"], vocab["w0"]]), reference)
     assert rel[0] == rel[1]
     assert (relatedness.ordered_relatedness(vocab["w0"], reference)
             > relatedness.ordered_relatedness(vocab["w5"], reference))

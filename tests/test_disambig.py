@@ -33,6 +33,8 @@ from kwsense import (
 from kwsense.lexicon import ContextRef
 from kwsense.relatedness import angular_relatedness, rel_words
 
+from conftest import TOY_DIM
+
 STOP = frozenset({"the", "is", "an", "of", "a"})
 
 
@@ -108,6 +110,29 @@ class TestActiveContext:
     def test_empty_keyword_rejected(self, toy_model):
         with pytest.raises(ValueError, match="keyword"):
             select_active_context(toy_model, ["island"], "", _cfg())
+
+    def test_members_carry_their_rows(self, toy_model, toy_lexicon):
+        words = ["Island", "sea", "qzx", "drink", "programming language", "the"]
+        ca = select_active_context(toy_model, words, "java", _cfg(threshold=0.0, max_context=3))
+        assert ca.rows.dtype == np.float64
+        assert ca.rows.tobytes() == toy_model.phrase_matrix(ca.words).tobytes()
+        # The rows are not part of the value or of the JSON form.
+        bare = ActiveContext(target=ca.target, members=ca.members)
+        assert bare == ca and hash(bare) == hash(ca)
+        assert json.dumps(bare.to_json()) == json.dumps(ca.to_json())
+        senses = toy_lexicon.senses_of("java")
+        sif = build_sif_store(toy_model, toy_lexicon)
+        for strategy in Strategy:
+            params = AlgoParams(strategy=strategy)
+            got = [step2_rescore(toy_model, toy_lexicon,
+                                 step1_base_scores(toy_model, toy_lexicon, senses, c),
+                                 c, params, sif_store=sif, docvec_store=DocVecStore(sif, TOY_DIM))
+                   for c in (ca, bare)]
+            assert got[0] == got[1], strategy
+        # Steps 1 and 2 read the carried rows instead of looking the words up.
+        moved = ActiveContext(target=ca.target, members=ca.members, rows=ca.rows[::-1].copy())
+        assert (step1_base_scores(toy_model, toy_lexicon, senses, moved)
+                != step1_base_scores(toy_model, toy_lexicon, senses, ca))
 
 
 class TestOverlap:

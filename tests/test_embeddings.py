@@ -170,6 +170,85 @@ class TestLookup:
         assert toy_model.lookup("") is None
 
 
+# Case variants and repeated tokens ("Cat", "x"); values exact in float32 and in repr.
+ENTRIES = [("Cat", [1.0, 0.5, -2.0]), ("cat", [0.25, 3.0, 1.0]), ("DOG", [-1.0, 0.0, 4.0]),
+           ("caf\u00e9", [2.0, 2.0, 0.125]), ("Cat", [9.0, 9.0, 9.0]), ("x", [0.0, 0.0, 0.0]),
+           ("dog", [5.0, -0.5, 1.5]), ("x", [7.0, 7.0, 7.0])]
+QUERIES = ["Cat", "cat", "CAT", "dog", "Dog", "DOG", "caf\u00e9", "CAF\u00c9", "x", "X", "qzx", ""]
+PHRASES = ["Cat dog", "CAT qzx", "x x", "DOG caf\u00e9 Cat", "qzx", "", "  ", "cat"]
+
+
+def _three_models(tmp_path) -> dict[str, tuple[EmbeddingModel, EmbeddingModel]]:
+    """Per dtype, (a dict-built model, the model loaded from a file of ENTRIES)."""
+    first: dict[str, list[float]] = {}
+    for token, vec in ENTRIES:
+        first.setdefault(token, vec)
+    dups = len(ENTRIES) - len(first)
+    text = tmp_path / "m.txt"
+    text.write_text(f"{len(ENTRIES)} 3\n" + "".join(
+        f"{t} {' '.join(map(repr, v))}\n" for t, v in ENTRIES), encoding="utf-8")
+    binary = tmp_path / "m.bin"
+    binary.write_bytes(f"{len(ENTRIES)} 3\n".encode() + b"".join(
+        t.encode() + b" " + np.array(v, dtype="<f4").tobytes() + b"\n" for t, v in ENTRIES))
+    wide = {t: np.array(v) for t, v in first.items()}
+    narrow = {t: np.array(v, dtype=np.float32) for t, v in first.items()}
+    return {
+        "float64": (EmbeddingModel(vocab=wide, dim=3, duplicates=dups), load_text_model(text)),
+        "float32": (EmbeddingModel(vocab=narrow, dim=3, duplicates=dups),
+                    load_binary_model(binary)),
+    }
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOneMatrix:
+    def test_dict_text_and_binary_models_agree(self, tmp_path):
+        models = _three_models(tmp_path)
+        for dtype, (built, loaded) in models.items():
+            assert built.matrix.dtype == loaded.matrix.dtype == np.dtype(dtype)
+            assert list(built.vocab) == list(loaded.vocab) == ["Cat", "cat", "DOG", "caf\u00e9",
+                                                               "x", "dog"]
+            assert len(built) == len(loaded) == 6
+            assert built.duplicates == loaded.duplicates == 2
+            for q in QUERIES:
+                assert (q in built) == (q in loaded)
+                assert (q in built.vocab) == (q in loaded.vocab)
+                assert _same(built.lookup(q), loaded.lookup(q)), (dtype, q)
+            for p in PHRASES:
+                assert _same(built.phrase_vector(p), loaded.phrase_vector(p)), (dtype, p)
+                assert _same(built.phrase_matrix([p]), loaded.phrase_matrix([p])), (dtype, p)
+            # The first occurrence of a repeated token keeps it.
+            np.testing.assert_array_equal(loaded.lookup("Cat"), [0.25, 3.0, 1.0])
+            np.testing.assert_array_equal(loaded.vocab["Cat"], [1.0, 0.5, -2.0])
+            np.testing.assert_array_equal(loaded.vocab["x"], [0.0, 0.0, 0.0])
+        wide, narrow = models["float64"][1], models["float32"][1]
+        for p in PHRASES:
+            assert _same(wide.phrase_matrix([p]), narrow.phrase_matrix([p]))
+
+    def test_rows_are_read_only(self, tmp_path):
+        for built, loaded in _three_models(tmp_path).values():
+            for model in (built, loaded):
+                row = model.lookup("cat")
+                with pytest.raises(ValueError, match="read-only"):
+                    row += 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    model.vocab["x"][0] = 1.0
+                with pytest.raises(TypeError):
+                    model.vocab["new"] = row
+                np.testing.assert_array_equal(model.lookup("cat"), [0.25, 3.0, 1.0])
+
+    def test_dict_vectors_are_copied(self):
+        vec = np.array([1.0, 2.0])
+        model = EmbeddingModel(vocab={"a": vec}, dim=2)
+        vec[0] = 5.0
+        np.testing.assert_array_equal(model.lookup("a"), [1.0, 2.0])
+        assert len(EmbeddingModel(vocab={}, dim=2).matrix) == 0
+
+
 class TestCentroid:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no vectors"):

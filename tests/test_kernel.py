@@ -1,9 +1,10 @@
 """The batched relatedness kernel and the disambiguation steps built on it.
 
 The steps gather their phrase vectors once per call and measure them with
-``relatedness_matrix``; these tests hold them to the scalar measure and to
-the brute-force oracle at 1e-10, including exact endpoints, missing
-vectors, and inputs spanning several kernel blocks.
+``relatedness_rows`` (through ``relatedness_to`` for one column); these
+tests hold them to the scalar measure and to the brute-force oracle at
+1e-10, including exact endpoints, missing vectors, and inputs spanning
+several kernel blocks.
 """
 from __future__ import annotations
 
@@ -30,11 +31,17 @@ from kwsense import (
 )
 from kwsense import relatedness
 from kwsense.lexicon import ContextRef
-from kwsense.relatedness import relatedness_matrix
+from kwsense.relatedness import relatedness_rows, relatedness_to
 
 TOL = 1e-10
 STOP = frozenset({"the", "of"})
 OOV = ("qzx", "wvu")
+
+
+def _stack(vectors, dim):
+    """Float64 rows of ``vectors``; a zero row (missing) for None."""
+    return np.array([np.zeros(dim) if v is None else v for v in vectors],
+                    dtype=np.float64).reshape(len(vectors), dim)
 
 
 class TestRelatednessMatrix:
@@ -42,55 +49,62 @@ class TestRelatednessMatrix:
         rng = np.random.default_rng(5)
         rows = [rng.normal(size=6) for _ in range(7)]
         cols = [rng.normal(size=6) for _ in range(3)]
-        got = relatedness_matrix(rows, cols)
+        got = relatedness_rows(_stack(rows, 6), _stack(cols, 6))
         assert got.shape == (7, 3)
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
                 assert got[i, j] == pytest.approx(angular_relatedness(r, c), abs=1e-15)
+        for j, c in enumerate(cols):
+            assert relatedness_to(_stack(rows, 6), c) == got[:, j].tolist()
 
     def test_exact_endpoints(self):
         v = np.array([0.1, 0.2, 0.3])
-        got = relatedness_matrix([v, -v, 3.0 * v, 4.0 * v], [v.copy()])
-        assert got[0, 0] == 1.0
-        assert got[1, 0] == 0.0
+        got = relatedness_to(_stack([v, -v, 3.0 * v, 4.0 * v], 3), v.copy())
+        assert got[0] == 1.0
+        assert got[1] == 0.0
         # A scaled copy is parallel but not equal: no endpoint snap, yet in range.
-        assert 0.0 <= got[2, 0] <= 1.0
-        assert got[2, 0] == pytest.approx(1.0, abs=1e-7)
-        assert got[3, 0] == pytest.approx(1.0, abs=1e-7)
+        assert 0.0 <= got[2] <= 1.0
+        assert got[2] == pytest.approx(1.0, abs=1e-7)
+        assert got[3] == pytest.approx(1.0, abs=1e-7)
 
     def test_missing_vectors_are_nan(self):
         v = np.array([1.0, 0.0])
         tiny = np.full(2, 1e-200)  # nonzero, but its squared norm underflows to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = relatedness_matrix([None, np.zeros(2), tiny, v], [v, None])
+            got = relatedness_rows(_stack([None, np.zeros(2), tiny, v], 2), _stack([v, None], 2))
+            assert np.isnan(relatedness_to(_stack([v, tiny], 2), np.zeros(2))).all()
         assert np.isnan(got[:3]).all()
         assert np.isnan(got[:, 1]).all()
         assert got[3, 0] == 1.0
 
     def test_empty_inputs(self):
-        assert relatedness_matrix([], [np.ones(2)]).shape == (0, 1)
-        assert relatedness_matrix([np.ones(2)], []).shape == (1, 0)
+        assert relatedness_rows(np.zeros((0, 2)), np.ones((1, 2))).shape == (0, 1)
+        assert relatedness_rows(np.ones((1, 2)), np.zeros((0, 2))).shape == (1, 0)
+        assert relatedness_to(np.zeros((0, 2)), np.ones(2)) == []
 
     def test_blocks_do_not_change_values(self):
         rng = np.random.default_rng(6)
-        rows = [rng.normal(size=4) if i % 5 else None for i in range(23)]
+        rows = _stack([rng.normal(size=4) if i % 5 else None for i in range(23)], 4)
         cols = [rng.normal(size=4), np.zeros(4), rng.normal(size=4)]
-        whole = relatedness_matrix(rows, cols)
+        whole = [relatedness_to(rows, c) for c in cols]
         with mock.patch.object(relatedness, "_BLOCK_ROWS", 3):
-            blocked = relatedness_matrix(rows, cols)
+            blocked = [relatedness_to(rows, c) for c in cols]
         np.testing.assert_array_equal(whole, blocked)
+        np.testing.assert_array_equal(np.array(whole).T, relatedness_rows(rows, _stack(cols, 4)))
 
     def test_identical_rows_score_identically(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=300)
-        rows = [v, rng.normal(size=300), v.copy()] * 100
-        got = relatedness_matrix(rows, [rng.normal(size=300)])
-        assert len(set(got[0::3, 0].tolist() + got[2::3, 0].tolist())) == 1
+        rows = _stack([v, rng.normal(size=300), v.copy()] * 100, 300)
+        got = np.array(relatedness_to(rows, rng.normal(size=300)))
+        assert len(set(got[0::3].tolist() + got[2::3].tolist())) == 1
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            relatedness_matrix([np.ones(2), np.ones(3)], [np.ones(2)])
+            relatedness_rows(np.ones((2, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            relatedness_to(np.ones((2, 2)), np.ones(3))
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ GOOD = st.one_of(
 AWKWARD = st.sampled_from(["1_0", "\u0661", "\u00b2", "nan", "-inf", "1e400", "#", "x",
                            "0x1", '"1"', "1,5", "\u0661.5", "\uff11", "Infinity"])
 HEADERS = st.sampled_from(["5 {dim}", "2 {dim}", "\u0663 {dim}", "3 \u00b2", "\u0665 \u0662",
-                           "x {dim}"])
+                           "x {dim}", "0 {dim}", "9" * 25 + " {dim}"])
 TOKENS = st.sampled_from(["a", "b", "B", "caf\u00e9", "#", "1", "3", "\u00b2", "\u0661", "nan"])
 LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r\r\n", " \n", "\x85\n"])
 
@@ -147,19 +147,49 @@ def _dense_lines(rng: np.random.Generator, rows: int, dim: int) -> tuple[list[st
     return [t + "".join(f" {x!r}" for x in v.tolist()) for t, v in zip(tokens, vectors)], vectors
 
 
-def test_rows_are_views_of_block_matrices(tmp_path):
+def test_rows_are_one_float64_matrix(tmp_path):
     rng = np.random.default_rng(5)
     # 600 x 300 is ~3.5 MB of text: many blocks at the real block size.
     lines, vectors = _dense_lines(rng, 600, 300)
     path = tmp_path / "m.txt"
     path.write_text("600 300\n" + "\n".join(lines) + "\n")
     assert_same_as_reference(path, embeddings._TEXT_BLOCK_BYTES)
-    model = load_text_model(path)
+    with mock.patch.object(embeddings, "_lines_left", wraps=embeddings._lines_left) as counted:
+        model = load_text_model(path)
     assert model.duplicates == 50 and len(model) == 550 and model.dim == 300
-    bases = {id(v.base) for v in model.vocab.values()}
-    assert all(v.base is not None for v in model.vocab.values())
-    assert 1 < len(bases) < 550
+    # One read-only matrix of every row, duplicates' rows included, allocated
+    # once for the header's count: no newline count, no growth copy.
+    assert counted.call_count == 0
+    assert model.matrix.base is None or model.matrix.base.shape == (600, 300)
+    assert model.matrix.dtype == np.float64 and not model.matrix.flags.writeable
+    np.testing.assert_array_equal(model.matrix, vectors)
+    assert model.index["t7"] == 7 and model.index["t549"] == 549
+    assert all(np.shares_memory(v, model.matrix) for v in model.vocab.values())
     np.testing.assert_array_equal(model.vocab["t7"], vectors[7])
+
+
+@pytest.mark.parametrize("header, counts", [
+    ("", 1),  # no header: one newline count sizes the matrix
+    ("40 3\n", 0),  # exact
+    ("90 3\n", 0),  # overcount: allocated within the file's bound, never filled
+    ("10 3\n", 1),  # undercount: one newline count, one growth copy
+    ("0 3\n", 1),
+    ("9" * 30 + " 3\n", 0),  # past int64: bounded by the file size
+])
+def test_matrix_sized_from_header_or_newlines(tmp_path, header, counts):
+    lines, vectors = _dense_lines(np.random.default_rng(8), 90, 3)
+    path = tmp_path / "m.txt"
+    path.write_text(header + "\n".join(lines[:40]) + "\n\n")
+    for block_bytes in (1, 64, 1 << 17):
+        assert_same_as_reference(path, block_bytes)
+        with mock.patch.object(embeddings, "_TEXT_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(embeddings, "_lines_left",
+                                  wraps=embeddings._lines_left) as counted:
+            model = load_text_model(path)
+        assert counted.call_count == counts
+        allocated = model.matrix if model.matrix.base is None else model.matrix.base
+        assert len(allocated) <= path.stat().st_size // (2 * 3 + 1) + 1
+        np.testing.assert_array_equal(model.matrix, vectors[:40])
 
 
 @pytest.mark.parametrize("line, message", [
