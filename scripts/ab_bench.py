@@ -5,20 +5,25 @@ Usage (from the root of a kwsense checkout)::
 
     python3 scripts/ab_bench.py --parent HEAD --workload cold-start --pairs 10
 
-REV is checked out into a temporary ``git worktree``. Each pair then runs
-``perfbench/run.py --trace 0`` once in the worktree and once in the working
-tree, with the run length ``BENCHMARK.json`` sets, on one fresh seed per
-pair; the side that runs first alternates from pair to pair. Both sides read
-the same generated inputs: the worktree's ``perfbench/.cache`` is a link to
-the working tree's, so an input set is generated once. Nothing under
+REV's files are exported into a temporary directory (``git archive``). Each
+pair then runs ``perfbench/run.py --trace 0`` once in that copy and once in
+the working tree, with the run length ``BENCHMARK.json`` sets, on one fresh
+seed per pair; the side that runs first alternates from pair to pair. Both
+sides read the same generated inputs: the copy's ``perfbench/.cache`` is a
+link to the working tree's, so an input set is generated once. Nothing under
 ``perfbench/`` is edited.
 
 For every end-to-end metric the report gives each side's median and
 quartiles over its correct runs, the pairs the working tree won (ties count
-for neither side), and whether the benchmark's claim rule holds for a gain:
-the working tree wins at least nine pairs in ten and its median is better
-than the parent's by more than the parent's interquartile range. Runs that
-failed a check are counted per side. The worktree is removed on exit.
+for neither side), whether the benchmark's claim rule holds for a gain (the
+working tree wins at least nine pairs in ten and its median is better than
+the parent's by more than the parent's interquartile range), and a
+no-regression verdict against the metric's ``BENCHMARK.json`` bound:
+``unresolved`` when the parent's interquartile range exceeds the bound
+times its median (the runs spread too widely to tell), else ``worse`` when
+the working tree's median is worse than the parent's by more than the bound
+times the parent's median, else ``ok``. Runs that failed a check are
+counted per side. The copy is removed on exit.
 """
 from __future__ import annotations
 
@@ -61,12 +66,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: tuple[float, float, float], change: float, bound: float, lower: bool) -> str:
+    """``ok``, ``worse`` or ``unresolved``: the working tree's median against the parent's."""
+    q1, median, q3 = parent
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    worse_by = (change - median) if lower else (median - change)
+    return "worse" if worse_by > bound * abs(median) else "ok"
+
+
 def report(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> None:
-    """Per metric: each side's quartiles, the working tree's wins and the claim rule."""
+    """Per metric: each side's quartiles, the wins, the claim rule and the bound's verdict."""
     failed = [sum(p[i] is None for p in pairs) for i in (0, 1)]
     print(f"pairs {len(pairs)}; failed runs: parent {failed[0]}, working tree {failed[1]}")
     print(f"{'metric':16s} {'parent q1/median/q3':>32s} {'working tree q1/median/q3':>32s}"
-          f" {'wins':>6s}  claim")
+          f" {'wins':>6s}  claim  bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         both = [(a[name], b[name]) for a, b in pairs if a and b and name in a and name in b]
@@ -79,7 +93,7 @@ def report(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) ->
         holds = wins * 10 >= 9 * len(pairs) and gap > parent[2] - parent[0]
         cells = ["/".join(f"{v:.4g}" for v in q) for q in (parent, change)]
         print(f"{name:16s} {cells[0]:>32s} {cells[1]:>32s} {wins:>3d}/{len(pairs):<2d}"
-              f"  {'holds' if holds else 'no'}")
+              f"  {'holds' if holds else 'no':5s}  {verdict(parent, change[1], m['bound'], lower)}")
 
 
 def main() -> int:
@@ -91,17 +105,18 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
+    # SIGTERM unwinds like Ctrl-C, so the copy is removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     tree = tmp / "parent"
-    link = tree / "perfbench" / ".cache"
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         cache = ROOT / "perfbench" / ".cache"
         cache.mkdir(exist_ok=True)
-        link.symlink_to(cache, target_is_directory=True)
+        (tree / "perfbench" / ".cache").symlink_to(cache, target_is_directory=True)
         seeds = random.sample(range(10_000, 1_000_000), args.pairs)
         pairs = []
         for i, seed in enumerate(seeds):
@@ -119,12 +134,7 @@ def main() -> int:
                   flush=True)
         report(pairs, bench["end_to_end"])
     finally:
-        if link.is_symlink():
-            link.unlink()  # the shared inputs stay
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
-                       cwd=ROOT, capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)  # the link goes, the shared inputs stay
     return 0
 
 

@@ -13,8 +13,12 @@ measures one index's phrases against another's.
 Step 1 and the ``average`` and ``topk`` strategies relate every synonym,
 core-context member synonym and description term of every candidate sense
 to a few context vectors. Tokenizing those phrases, looking their tokens up
-and averaging them costs far more than measuring them, so the first call for
-a keyword compiles its senses into
+and averaging them costs far more than measuring them. The lexicon tokenizes
+every phrase once when it is built (:class:`~kwsense.lexicon.InternedSenses`),
+each (model, lexicon) pair keeps one token -> row array that is filled as
+keywords need its tokens (:meth:`EmbeddingModel.row_id`), and the first
+call for a keyword compiles its senses with array gathers, one stable sort
+and scatters over phrase ids, with no Python work per phrase, into
 
 * a :class:`PhraseTable`: per distinct phrase with a token in the model,
   the row ids of its found tokens in token order, and the model's own
@@ -37,14 +41,18 @@ Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 cached per (model, lexicon) pair: on the lexicon, per model, until the model
 is garbage-collected. Both are treated as immutable after loading. The key
 is the tuple of sense ids, and an entry is used only for the very sense
-objects it was compiled from. :func:`rel_senses` and :func:`rel_sense_word`
-build their indexes without the cache.
+objects it was compiled from. Senses the lexicon did not intern (replaced
+or added after it was built, or referencing a replaced sense) and calls
+without a lexicon are interned for the one compile, by the same
+constructor. :func:`rel_senses` and :func:`rel_sense_word` build their
+indexes without the cache.
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -52,7 +60,7 @@ import numpy as np
 from . import relatedness as _relatedness
 from .embeddings import EmbeddingModel, Vector
 from .errors import UnmeasurableError
-from .lexicon import Lexicon, Sense
+from .lexicon import InternedSenses, Lexicon, Sense, gather, segment_positions
 from .relatedness import _TIE_WINDOW, DEFAULT_WEIGHTS, RelWeights, rank_top, relatedness_rows
 
 # Step 1 aggregates with a Python loop up to this many compiled phrases, and
@@ -122,38 +130,91 @@ class PhraseTable:
         return out
 
 
+# Token rows not looked up yet, in a token -> row array.
+_UNSEEN = -2
+
+
+def _token_rows(
+    model: EmbeddingModel, lexicon: Optional[Lexicon], interned: InternedSenses
+) -> np.ndarray:
+    """Per token of ``interned``, its row in ``model``: -1 if absent, ``_UNSEEN`` if not looked up.
+
+    The lexicon's own tokens share one array per (model, lexicon) pair, which
+    :func:`_phrase_table` fills as keywords need them; threads that fill it
+    together write the same rows. Tokens interned for one call get a fresh array.
+    """
+    if lexicon is None or interned is not lexicon.interned:
+        return np.full(len(interned.tokens), _UNSEEN)
+    cache = _model_cache(model, lexicon)
+    rows = cache.get(_token_rows)
+    if rows is None:
+        rows = cache.setdefault(_token_rows, np.full(len(interned.tokens), _UNSEEN))
+    return rows
+
+
 def _phrase_table(
-    model: EmbeddingModel, phrases: Iterable[str]
-) -> tuple[PhraseTable, dict[str, int]]:
-    """The table of the distinct ``phrases`` with a token in ``model``, and each one's row."""
-    row_id = model.row_id
-    tokens = {}
-    for phrase in dict.fromkeys(phrases):
-        found = [i for t in phrase.split() if (i := row_id(t)) is not None]
-        if found:
-            tokens[phrase] = found
-    order = sorted(tokens, key=lambda p: len(tokens[p]), reverse=True)  # stable
-    found = [tokens[p] for p in order]
-    rows = [f[0] for f in found]
-    later = []
-    for pos in range(1, len(found[0]) if found else 0):
-        reach = []
-        for f in found:
-            if len(f) <= pos:
-                break
-            reach.append(f[pos])
-        later.append(len(reach))
-        rows += reach
-    table = PhraseTable(matrix=model.matrix, rows=np.array(rows, dtype=np.intp),
-                        later=tuple(later), size=len(order))
-    return table, {p: i for i, p in enumerate(order)}
+    model: EmbeddingModel, interned: InternedSenses, token_rows: np.ndarray, phrases: np.ndarray
+) -> tuple[PhraseTable, np.ndarray]:
+    """The table of the distinct ``phrases`` (ids) with a token in ``model``, and each one's row.
+
+    Distinct phrases keep the order of their first occurrence, then sort
+    stably by descending found-token count. The second array gives each
+    entry of ``phrases`` its row in the table, -1 for a phrase without one.
+    """
+    n = len(phrases)
+    order = phrases.argsort(kind="stable")
+    ordered = phrases[order]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    tokens, lengths = gather(interned.phrase_tokens, distinct)
+    rows = token_rows[tokens]
+    if rows.min(initial=0) == _UNSEEN:
+        unseen = list(dict.fromkeys(tokens[rows == _UNSEEN].tolist()))
+        row_id, names = model.row_id, interned.tokens
+        token_rows[unseen] = [-1 if (i := row_id(names[t])) is None else i for t in unseen]
+        rows = token_rows[tokens]
+    found = rows >= 0
+    # Found tokens before each token: per phrase, its first found token and count.
+    before = np.zeros(len(found) + 1, dtype=np.intp)
+    found.cumsum(out=before[1:])
+    ends = lengths.cumsum()
+    firsts = before[ends - lengths]
+    counts = before[ends] - firsts
+    # Descending count, then first occurrence; phrases without a found token last.
+    ranked = (order[new] - counts * n).argsort()
+    size = int(np.count_nonzero(counts))
+    ranked = ranked[:size]
+    table_ids = np.full(len(distinct), -1, dtype=np.intp)
+    table_ids[ranked] = np.arange(size)
+    # The phrases that reach a later token position are a prefix of the table.
+    found_rows, firsts, counts = rows[found], firsts[ranked], counts[ranked]
+    parts, later = [found_rows[firsts]], []
+    for position in range(1, int(counts[0]) if size else 0):
+        reach = int(np.count_nonzero(counts > position))
+        parts.append(found_rows[firsts[:reach] + position])
+        later.append(reach)
+    occurrences = np.empty(n, dtype=np.intp)
+    occurrences[order] = table_ids[new.cumsum() - 1]
+    table = PhraseTable(matrix=model.matrix, rows=np.concatenate(parts),
+                        later=tuple(later), size=size)
+    return table, occurrences
 
 
-def _padded(segments: Sequence[Sequence[int]]) -> np.ndarray:
-    """``(longest, len(segments))`` matrix whose column j is segments[j], padded with -1."""
-    longest = max(map(len, segments), default=0)
-    rows = [[*seg, *[-1] * (longest - len(seg))] for seg in segments]
-    return np.array(rows, dtype=np.int32).reshape(len(segments), longest).T
+def _split(items: list, counts: Iterable[int]) -> list[list]:
+    """``items`` cut into consecutive lists of ``counts`` items."""
+    bounds = [0, *accumulate(counts)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _padded(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``(longest, len(lengths))`` matrix whose column j is segment j of ``values``, padded with -1."""
+    out = np.full((len(lengths), int(lengths.max(initial=0))), -1, dtype=np.int32)
+    starts = lengths.cumsum() - lengths
+    out[np.arange(len(lengths)).repeat(lengths),
+        np.arange(len(values)) - starts.repeat(lengths)] = values
+    return out.T
 
 
 def mean_skip_missing(values: Iterable[Optional[float]]) -> Optional[float]:
@@ -180,24 +241,6 @@ def combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights
     if r0 is None:
         return r1
     return weights.w0 * r0 + weights.w1 * r1
-
-
-def _member_synonyms(lexicon: Optional[Lexicon], sense: Sense) -> list[tuple[str, ...]]:
-    """The synonyms of each core-context member: a referenced sense's, or the bare label.
-
-    Without a lexicon only bare labels can be resolved; a reference raises.
-    """
-    out = []
-    for ref in sense.core_context:
-        if not ref.is_ref:
-            out.append((ref.value,))
-        elif lexicon is None:
-            raise ValueError(
-                f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
-            )
-        else:
-            out.append(lexicon.resolve(ref.value).synonyms)
-    return out
 
 
 def _means(values: np.ndarray) -> np.ndarray:
@@ -372,32 +415,107 @@ def _compiled(
     return hit[1]
 
 
+def _lexicon_ordinals(
+    lexicon: Optional[Lexicon], senses: Sequence[Sense]
+) -> Optional[range | np.ndarray]:
+    """The ordinals of ``senses`` in the lexicon's interning, a range if consecutive.
+
+    None unless each sense is the very object interned.
+    """
+    interned = None if lexicon is None else lexicon.interned
+    if interned is None:
+        return None
+    ordinals = list(map(interned.ordinals.get, map(attrgetter("id"), senses)))
+    if None in ordinals or not all(map(is_, map(interned.senses.__getitem__, ordinals), senses)):
+        return None
+    first = ordinals[0] if ordinals else 0
+    consecutive = range(first, first + len(ordinals))
+    return consecutive if ordinals == list(consecutive) else np.array(ordinals, dtype=np.intp)
+
+
+def _member_positions(
+    interned: InternedSenses, ordinals: range | np.ndarray
+) -> tuple[range | np.ndarray, np.ndarray]:
+    """The core-context members of senses ``ordinals``, and each sense's member count."""
+    if isinstance(ordinals, range):
+        bounds = interned.members[ordinals.start : ordinals.stop + 1]
+        return range(int(bounds[0]), int(bounds[-1])), bounds[1:] - bounds[:-1]
+    starts = interned.members[ordinals]
+    counts = interned.members[ordinals + 1] - starts
+    return segment_positions(starts, counts), counts
+
+
+def _references_current(
+    lexicon: Lexicon, ordinals: range | np.ndarray, members: range | np.ndarray
+) -> bool:
+    """Whether each member of senses ``ordinals`` references the very sense interned for it."""
+    interned = lexicon.interned
+    if interned.dangling and not interned.dangling.isdisjoint(np.asarray(ordinals).tolist()):
+        return False
+    if isinstance(members, range):
+        members = slice(members.start, members.stop)
+    refs = interned.member_refs[members]
+    current = lexicon.senses.get
+    return all(current((s := interned.senses[r]).id) is s for r in set(refs[refs >= 0].tolist()))
+
+
 def _build_sense_index(
     model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
 ) -> SenseIndex:
-    context = [_member_synonyms(lexicon, sense) for sense in senses]
-    table, ids = _phrase_table(model, chain(
-        *(s.synonyms for s in senses), *(m for ms in context for m in ms)
-    ))
-    synonyms = [[ids.get(p, -1) for p in s.synonyms] for s in senses]
-    members = [[[ids.get(p, -1) for p in m] for m in ms] for ms in context]
+    # The lexicon's interning serves when every sense, and every sense a member
+    # references, is the very object interned. Otherwise the senses are
+    # interned for this call, references resolved through the lexicon.
+    ordinals = _lexicon_ordinals(lexicon, senses)
+    if ordinals is not None:
+        interned = lexicon.interned
+        members, member_counts = _member_positions(interned, ordinals)
+    if ordinals is None or not _references_current(lexicon, ordinals, members):
+        referenced = {}
+        for sense in senses:
+            for ref in sense.core_context:
+                if not ref.is_ref:
+                    continue
+                if lexicon is None:
+                    raise ValueError(
+                        f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
+                    )
+                referenced[ref.value] = lexicon.resolve(ref.value)
+        interned = InternedSenses.build(senses, list(referenced.values()))
+        ordinals = range(len(senses))
+        members, member_counts = _member_positions(interned, ordinals)
+    synonyms, synonym_counts = gather(interned.synonyms, ordinals)
+    member_phrases, member_lengths = gather(interned.member_phrases, members)
+    table, rows = _phrase_table(model, interned, _token_rows(model, lexicon, interned),
+                                np.concatenate((synonyms, member_phrases)))
     padded = None
     if table.size > STEP1_LOOP_PHRASES:
-        starts = [0, *accumulate(map(len, members))]
         padded = (
-            _padded(synonyms),
-            _padded([m for ms in members for m in ms]),
-            _padded([range(a, b) for a, b in zip(starts, starts[1:])]),
+            _padded(rows[: len(synonyms)], synonym_counts),
+            _padded(rows[len(synonyms) :], member_lengths),
+            _padded(np.arange(len(member_lengths)), member_counts),
         )
-    return SenseIndex(phrases=table, synonyms=synonyms, members=members, padded=padded)
+    ids = rows.tolist()
+    return SenseIndex(
+        phrases=table,
+        synonyms=_split(ids, synonym_counts.tolist()),
+        members=_split(_split(ids[len(synonyms) :], member_lengths.tolist()),
+                       member_counts.tolist()),
+        padded=padded,
+    )
 
 
 def _build_description_index(
     model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
 ) -> DescriptionIndex:
-    table, ids = _phrase_table(model, chain(*(s.description_terms for s in senses)))
-    terms = [[ids.get(t, -1) for t in s.description_terms] for s in senses]
-    return DescriptionIndex(phrases=table, terms=_padded(terms))
+    ordinals = _lexicon_ordinals(lexicon, senses)
+    if ordinals is None:
+        # Descriptions need no references: every one is left unresolved.
+        interned, ordinals = InternedSenses.build(senses, ()), range(len(senses))
+    else:
+        interned = lexicon.interned
+    terms, counts = gather(interned.descriptions, ordinals)
+    table, rows = _phrase_table(model, interned, _token_rows(model, lexicon, interned), terms)
+    return DescriptionIndex(phrases=table, terms=_padded(rows, counts))
 
 
 def sense_index(

@@ -290,7 +290,8 @@ def _score_target(
     docvec_store: Optional[DocVecStore],
 ) -> WsdRecord:
     unresolved = tuple(g for g in target.gold if g not in lexicon.senses)
-    if not lexicon.senses_of(target.keyword):
+    senses = lexicon.senses_of(target.keyword)
+    if not senses:
         return WsdRecord(
             item_id=item.item_id,
             keyword=target.keyword,
@@ -300,23 +301,28 @@ def _score_target(
             correct=False,
             unresolved_gold=unresolved,
         )
-    context = list(item.tokens[: target.position]) + list(item.tokens[target.position + 1 :])
-    try:
-        result = disambiguate(
-            model, lexicon, target.keyword, context, cfg, params, sif_store, docvec_store
-        )
-    except UnmeasurableError as exc:
-        return WsdRecord(
-            item_id=item.item_id,
-            keyword=target.keyword,
-            predicted=None,
-            gold=target.gold,
-            attempted=False,
-            correct=False,
-            unresolved_gold=unresolved,
-            error=str(exc),
-        )
-    predicted = result.top.sense_id
+    if len(senses) == 1:
+        # disambiguate() ranks a keyword's only sense first and raises
+        # nothing for a known keyword, so it is not called.
+        predicted = senses[0].id
+    else:
+        context = list(item.tokens[: target.position]) + list(item.tokens[target.position + 1 :])
+        try:
+            result = disambiguate(
+                model, lexicon, target.keyword, context, cfg, params, sif_store, docvec_store
+            )
+        except UnmeasurableError as exc:
+            return WsdRecord(
+                item_id=item.item_id,
+                keyword=target.keyword,
+                predicted=None,
+                gold=target.gold,
+                attempted=False,
+                correct=False,
+                unresolved_gold=unresolved,
+                error=str(exc),
+            )
+        predicted = result.top.sense_id
     return WsdRecord(
         item_id=item.item_id,
         keyword=target.keyword,
@@ -341,7 +347,8 @@ def eval_wsd(
     """Run the disambiguator over a corpus and score it.
 
     Every target counts toward the total; targets whose keyword has no sense
-    are not attempted. precision = correct/attempted, recall = correct/total,
+    are not attempted, and a keyword's only sense is predicted without
+    scoring it. precision = correct/attempted, recall = correct/total,
     F1 their harmonic mean. The record order (and hence the report) does not
     depend on ``jobs``. A missing or mismatched strategy store raises
     ConfigError before any target is scored; any error other than

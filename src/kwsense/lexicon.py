@@ -6,6 +6,13 @@ by the two-level relatedness measure; ``description_terms`` is the broader
 bag (glosses, labels, related terms) used by the rescoring strategies.
 Core-context members either reference another sense by id or carry a plain
 label that stands in for an unlisted term.
+
+A lexicon interns its phrases when it is built (:class:`InternedSenses`):
+every distinct synonym, core-context label and description term gets one
+id and its whitespace tokens as ids into one token list, and every sense
+its phrase ids, so that :mod:`kwsense.compiled` compiles keywords with array
+gathers instead of splitting and looking up phrases one at a time. The
+loader also stores each distinct string once (``sys.intern``).
 """
 from __future__ import annotations
 
@@ -13,8 +20,12 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import ParseError, json_lines
 
@@ -50,9 +61,9 @@ class Sense:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("sense id must be nonempty")
-        if not self.lemmas or any(not l for l in self.lemmas):
+        if not self.lemmas or not all(self.lemmas):
             raise ValueError(f"sense {self.id!r}: lemmas must be nonempty strings")
-        if not self.synonyms or any(not s for s in self.synonyms):
+        if not self.synonyms or not all(self.synonyms):
             raise ValueError(f"sense {self.id!r}: synonyms must be nonempty strings")
         if self.frequency < 0:
             raise ValueError(f"sense {self.id!r}: frequency must be >= 0")
@@ -73,6 +84,143 @@ def _pseudo_sense(label: str) -> Sense:
     return Sense(id=label, lemmas=(label,), synonyms=(label,))
 
 
+def segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``start, ..., start + length - 1`` of every segment, one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+# Segments of a flat array: offsets (one more than segments) and the values.
+Segments = tuple[np.ndarray, np.ndarray]
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Segment offsets for segments of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _lengths(lists: Sequence[Sequence]) -> np.ndarray:
+    return np.fromiter(map(len, lists), np.intp, len(lists))
+
+
+def _intern(items: Iterable[str], n: int) -> tuple[list[str], np.ndarray]:
+    """The distinct ``items`` (``n`` of them in all) in order of first occurrence, and each item's id.
+
+    One pass: an item's first occurrence is its place in the dict, then the
+    places are renumbered densely.
+    """
+    first: dict[str, int] = {}
+    ids = np.fromiter(map(first.setdefault, items, count()), np.intp, n)
+    dense = np.empty(n, dtype=np.intp)
+    dense[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+    return list(first), dense[ids]
+
+
+def gather(segments: Segments, ids: range | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of segments ``ids``, one segment after another, and each one's length.
+
+    Consecutive segments (a ``range``) are one slice of the values.
+    """
+    offsets, flat = segments
+    if isinstance(ids, range):
+        bounds = offsets[ids.start : ids.stop + 1]
+        return flat[bounds[0] : bounds[-1]], bounds[1:] - bounds[:-1]
+    starts = offsets[ids]
+    lengths = offsets[ids + 1] - starts
+    return flat[segment_positions(starts, lengths)], lengths
+
+
+@dataclass(frozen=True, eq=False)
+class InternedSenses:
+    """The phrases of a sequence of senses, interned once.
+
+    Senses are known by their ordinal in ``senses``. Phrases (synonyms,
+    core-context labels and description terms) are known by id: phrase p's
+    whitespace tokens are ``tokens[i]`` for the ids i of segment p of
+    ``phrase_tokens``. Per sense, ``synonyms`` and ``descriptions`` hold its
+    phrase ids in order, duplicates included, and ``members`` is the range of
+    its core-context members: member m's phrases (``member_phrases``) are a
+    label's own phrase or the referenced sense's synonyms, and
+    ``member_refs[m]`` is the referenced ordinal (-1 for a label). The
+    senses in ``dangling`` reference an id that was not found; their
+    members are not interned. Nothing here depends on a model: it is shared
+    by every model's compiled keywords and pickled with its lexicon.
+    """
+
+    senses: tuple[Sense, ...]
+    ordinals: dict[str, int]
+    tokens: list[str]
+    phrase_tokens: Segments
+    synonyms: Segments
+    descriptions: Segments
+    members: np.ndarray
+    member_phrases: Segments
+    member_refs: np.ndarray
+    dangling: frozenset[int]
+
+    @classmethod
+    def build(
+        cls, senses: Sequence[Sense], refs: Optional[Sequence[Sense]] = None
+    ) -> "InternedSenses":
+        """Intern ``senses``; references resolve by id among ``refs`` (default: ``senses``).
+
+        ``refs`` are interned after ``senses``. No Python loop runs per
+        phrase: only ``map``, ``str.join``, ``str.split`` and numpy passes.
+        """
+        first = 0 if refs is None else len(senses)
+        every = [*senses] if refs is None else [*senses, *refs]
+        ordinals = dict(zip(map(attrgetter("id"), every[first:]), range(first, len(every))))
+        contexts = list(map(attrgetter("core_context"), every))
+        entries = list(chain.from_iterable(contexts))
+        is_ref = np.fromiter(map(attrgetter("is_ref"), entries), bool, len(entries))
+        values = list(map(attrgetter("value"), entries))
+        synonyms = list(map(attrgetter("synonyms"), every))
+        descriptions = list(map(attrgetter("description_terms"), every))
+        synonym_offsets = _offsets(_lengths(synonyms))
+        description_offsets = _offsets(_lengths(descriptions))
+        n_synonyms, n_labels = int(synonym_offsets[-1]), len(entries) - int(is_ref.sum())
+        phrases, ids = _intern(chain(
+            chain.from_iterable(synonyms),
+            compress(values, ~is_ref),
+            chain.from_iterable(descriptions),
+        ), n_synonyms + n_labels + int(description_offsets[-1]))
+        text = " ".join(phrases)
+        words = text.split()
+        # Single spaces only: a phrase has one token more than spaces.
+        lengths = np.fromiter(map(str.count, phrases, repeat(" ")), np.intp, len(phrases)) + 1
+        if " ".join(words) != text or len(words) != lengths.sum():
+            lengths = np.fromiter(map(len, map(str.split, phrases)), np.intp, len(phrases))
+        tokens, token_ids = _intern(words, len(words))
+
+        # Member m: a label's phrase, or the synonyms of the sense it references.
+        target = np.fromiter(map(ordinals.get, values, repeat(-1)), np.intp, len(entries))
+        target[~is_ref] = -1
+        found = target >= 0
+        label = np.zeros(len(entries), dtype=np.intp)
+        label[~is_ref] = ids[n_synonyms : n_synonyms + n_labels]
+        lengths_of = np.where(is_ref, synonym_offsets[target + 1] - synonym_offsets[target], 1)
+        member_lengths = lengths_of * (found | ~is_ref)
+        positions = segment_positions(np.where(found, synonym_offsets[target], 0), member_lengths)
+        member_phrases = np.where(np.repeat(is_ref, member_lengths), ids[positions],
+                                  np.repeat(label, member_lengths))
+        members = _offsets(_lengths(contexts))
+        owner = np.repeat(np.arange(len(every)), np.diff(members))
+        return cls(
+            senses=tuple(every),
+            ordinals=ordinals,
+            tokens=tokens,
+            phrase_tokens=(_offsets(lengths), token_ids),
+            synonyms=(synonym_offsets, ids[:n_synonyms]),
+            descriptions=(description_offsets, ids[n_synonyms + n_labels :]),
+            members=members,
+            member_phrases=(_offsets(member_lengths), member_phrases),
+            member_refs=target,
+            dangling=frozenset(owner[is_ref & ~found].tolist()),
+        )
+
+
 @dataclass
 class Lexicon:
     """A sense inventory with a lemma index.
@@ -83,6 +231,10 @@ class Lexicon:
 
     senses: dict[str, Sense]
     index: dict[str, list[str]] = field(default_factory=dict)
+    # The senses' phrases, interned by from_senses; not part of the value.
+    interned: Optional[InternedSenses] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     # Compiled keywords per model, kept by kwsense.compiled; not part of the value.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -110,6 +262,7 @@ class Lexicon:
                 raise ValueError(f"dangling sense references: {listing}")
         lex = cls(senses=table)
         lex._rebuild_index()
+        lex.interned = InternedSenses.build(list(table.values()))
         return lex
 
     def _rebuild_index(self) -> None:
@@ -155,13 +308,14 @@ def _parse_context_entry(entry: object, where: str) -> ContextRef:
         raise ParseError(f"{where}: core_context entries must be {{'ref': id}} or {{'label': str}}")
     if not isinstance(value, str) or not value:
         raise ParseError(f"{where}: core_context member must be a nonempty string")
-    return ContextRef(value=value, is_ref=is_ref)
+    return ContextRef(value=sys.intern(value), is_ref=is_ref)
 
 
 def _string_tuple(obj: object, fieldname: str, where: str) -> tuple[str, ...]:
-    if not isinstance(obj, list) or any(not isinstance(x, str) or not x for x in obj):
+    # One C-level pass each: JSON strings are exactly str, and only "" is falsy.
+    if not isinstance(obj, list) or not set(map(type, obj)) <= {str} or not all(obj):
         raise ParseError(f"{where}: {fieldname} must be a list of nonempty strings")
-    return tuple(obj)
+    return tuple(map(sys.intern, obj))
 
 
 def _sense_from_obj(obj: dict, where: str) -> Sense:

@@ -17,7 +17,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import compile_reference
 import oracle
 from conftest import make_toy_model, make_toy_senses
 from kwsense import (
@@ -40,6 +42,7 @@ from kwsense import (
 )
 from kwsense.compiled import mean_skip_missing
 from kwsense.embeddings import centroid
+from kwsense.evaluation import WsdCorpus, WsdItem, WsdTarget
 from test_kernel import scenarios
 
 TOL = 1e-10
@@ -52,12 +55,20 @@ def _random_model(seed: int, dim: int = 6, size: int = 60, dtype=np.float64) -> 
     return EmbeddingModel(vocab={f"w{i}": matrix[i] for i in range(size)}, dim=dim)
 
 
+def _table(model: EmbeddingModel, phrases: list[str]) -> tuple[compiled.PhraseTable, dict]:
+    """The compiled table of ``phrases`` (one sense's description), and its phrases' rows in order."""
+    sense = Sense(id="kw#0", lemmas=("kw",), synonyms=("kw",), description_terms=tuple(phrases))
+    index = compiled.description_index(model, Lexicon.from_senses([sense]), [sense])
+    rows = {p: i for p, i in zip(phrases, index.terms[:, 0].tolist()) if i >= 0}
+    return index.phrases, dict(sorted(rows.items(), key=lambda item: item[1]))
+
+
 class TestPhraseTable:
     PHRASES = ["w1", "w2 w3", "w4 qzx w5 w6", "qzx", "w7 w8 w9", "W10", "w1", "w2 w3 w2 w3"]
 
     def test_rows_are_the_models_own_rows(self):
         model = _random_model(1, dtype=np.float32)
-        table, ids = compiled._phrase_table(model, self.PHRASES)
+        table, ids = _table(model, self.PHRASES)
         assert table.matrix is model.matrix and table.matrix.dtype == np.float32
         # Row ids, not row objects: the table holds no per-row array.
         assert table.rows.dtype == np.intp and table.rows.ndim == 1
@@ -67,7 +78,7 @@ class TestPhraseTable:
 
     def test_centroids_equal_phrase_vectors_exactly(self):
         model = _random_model(2, dtype=np.float32)
-        table, ids = compiled._phrase_table(model, self.PHRASES)
+        table, ids = _table(model, self.PHRASES)
         got = table.centroids(range(table.size))
         assert not got[-1].any()
         for phrase, i in ids.items():
@@ -79,13 +90,98 @@ class TestPhraseTable:
     @pytest.mark.parametrize("block_rows", [1, 2, 256])
     def test_relatedness_in_blocks(self, block_rows):
         model = _random_model(3)
-        table, ids = compiled._phrase_table(model, self.PHRASES)
+        table, ids = _table(model, self.PHRASES)
         words = model.phrase_matrix(["w11", "qzx", "w12"])
         with mock.patch.object(relatedness, "_BLOCK_ROWS", block_rows):
             got = table.relatedness(words)
         want = relatedness.relatedness_rows(model.phrase_matrix(list(ids)), words)
         np.testing.assert_array_equal(got[:-1], want)
         assert np.isnan(got[-1]).all() and np.isnan(got[:, 1]).all()
+
+
+# "W3" and "w3" are both in the model, so "W3" is found through "w3"; only
+# the raw form of "Q7" is there; "q7", "zz" and "yy" are out of vocabulary.
+_MODEL_TOKENS = ("w0", "w1", "w2", "w3", "w4", "w5", "W3", "Q7")
+_TOKENS = (*_MODEL_TOKENS, "W1", "q7", "zz", "yy")
+_SEPARATORS = (" ", " ", "  ", "\t", " \n ", "\u00a0")
+
+
+@st.composite
+def _phrases(draw) -> str:
+    tokens = draw(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4))
+    separators = [draw(st.sampled_from(_SEPARATORS)) for _ in tokens[1:]]
+    inner = "".join(t + sep for t, sep in zip(tokens, [*separators, ""]))
+    return draw(st.sampled_from(["", "", " ", "\t"])) + inner + draw(st.sampled_from(["", "", " "]))
+
+
+@st.composite
+def _lexicons(draw) -> tuple[Lexicon, list[str]]:
+    """Keywords whose senses share phrases, with references across keywords."""
+    pool = draw(st.lists(st.one_of(_phrases(), st.just(" ")), min_size=1, max_size=10))
+    phrase = st.sampled_from(pool)
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    ids = [f"k{k}#{j}" for k, n in enumerate(counts) for j in range(n)]
+    member = st.one_of(phrase.filter(str.strip).map(ContextRef),
+                       st.sampled_from(ids).map(lambda ref: ContextRef(ref, is_ref=True)))
+    senses = [
+        Sense(id=sid, lemmas=(sid.split("#")[0],),
+              synonyms=tuple(draw(st.lists(phrase, min_size=1, max_size=4))),
+              core_context=tuple(draw(st.lists(member, max_size=4))),
+              description_terms=tuple(draw(st.lists(phrase, max_size=10))))
+        for sid in ids
+    ]
+    return Lexicon.from_senses(senses), [f"k{k}" for k in range(len(counts))]
+
+
+def _assert_same_index(got, want) -> None:
+    a, b = got.phrases, want.phrases
+    assert a.matrix is b.matrix and type(a.size) is int and a.size == b.size
+    assert a.later == b.later and all(type(n) is int for n in a.later)
+    assert a.rows.dtype == b.rows.dtype and a.rows.tolist() == b.rows.tolist()
+    pairs = [(got.terms, want.terms)] if isinstance(want, compiled.DescriptionIndex) else []
+    if isinstance(want, compiled.SenseIndex):
+        assert got.synonyms == want.synonyms and got.members == want.members
+        assert (got.padded is None) == (want.padded is None)
+        pairs = list(zip(got.padded or (), want.padded or ()))
+    for x, y in pairs:
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tolist() == y.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lexicons(), st.data())
+def test_interned_builders_match_the_per_phrase_reference(built, data):
+    lexicon, keywords = built
+    model = EmbeddingModel(
+        vocab={t: np.arange(4.0) + i for i, t in enumerate(_MODEL_TOKENS)}, dim=4)
+
+    def check(lex, senses):
+        for crossover in (-1, 10**6):  # the padded matrices, then none
+            with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover):
+                _assert_same_index(compiled._build_sense_index(model, lex, senses),
+                                   compile_reference.build_sense_index(model, lex, senses))
+        _assert_same_index(compiled._build_description_index(model, lex, senses),
+                           compile_reference.build_description_index(model, lex, senses))
+
+    for keyword in keywords:
+        check(lexicon, lexicon.senses_of(keyword))
+    # Several keywords' senses at once: ordinals that are not consecutive.
+    check(lexicon, [s for k in keywords[::-1] for s in lexicon.senses_of(k)])
+    # A sense replaced after the lexicon was built: its keyword, and every
+    # keyword whose members reference it, compile through the call's interning.
+    old = data.draw(st.sampled_from(list(lexicon.senses.values())))
+    lexicon.senses[old.id] = Sense(
+        id=old.id, lemmas=old.lemmas, synonyms=(*old.synonyms[1:], "w5 Q7"),
+        core_context=old.core_context[::-1], description_terms=(*old.description_terms, "w4"))
+    for keyword in keywords:
+        check(lexicon, lexicon.senses_of(keyword))
+    check(lexicon, [old])
+    # Without a lexicon, references cannot be resolved.
+    for sense in lexicon.senses.values():
+        if any(ref.is_ref for ref in sense.core_context):
+            with pytest.raises(ValueError, match="needs a lexicon"):
+                compiled._build_sense_index(model, None, [sense])
+        else:
+            check(None, [sense])
 
 
 @pytest.mark.parametrize("count", [0, 1, 9, 40])
@@ -180,7 +276,8 @@ def test_topk_centroids_follow_rank_order(k):
     index = compiled.description_index(model, lexicon, senses)
     reference = rng.normal(size=5)
     got = index.topk_centroids(reference, k)
-    table, ids = compiled._phrase_table(model, [t for s in senses for t in s.description_terms])
+    table, ids = compile_reference.phrase_table(
+        model, [t for s in senses for t in s.description_terms])
     vectors = table.centroids(range(table.size))
     rel = relatedness.relatedness_rows(vectors, reference[None, :])[:, 0].tolist()
     for sense, row in zip(senses, got):
@@ -246,6 +343,31 @@ def test_pair_cache_is_dropped_with_the_model(toy_lexicon):
     assert key not in toy_lexicon.compiled
 
 
+def _shared_token_lexicon(n_keywords: int = 24) -> tuple[EmbeddingModel, Lexicon, object]:
+    """Keywords of three senses whose phrases share a few tokens, and a corpus over them."""
+    rng = np.random.default_rng(5)
+    tokens = [*(f"w{i}" for i in range(40)), *(f"k{k}" for k in range(n_keywords))]
+    model = EmbeddingModel(vocab=dict(zip(tokens, rng.normal(size=(len(tokens), 6)))), dim=6)
+
+    def phrases(n):
+        return tuple(" ".join(f"w{i}" for i in rng.integers(0, 48, rng.integers(1, 3)))
+                     for _ in range(n))
+
+    senses = [
+        Sense(id=f"k{k}#{j}", lemmas=(f"k{k}",), synonyms=(f"k{k}", *phrases(2)),
+              core_context=(ContextRef(phrases(1)[0]),
+                            ContextRef(f"k{(k + 1) % n_keywords}#0", is_ref=True)),
+              description_terms=phrases(12))
+        for k in range(n_keywords) for j in range(3)
+    ]
+    items = tuple(
+        WsdItem(item_id=f"i{i}", tokens=(f"k{i % n_keywords}", *phrases(6)),
+                targets=(WsdTarget(0, f"k{i % n_keywords}", (f"k{i % n_keywords}#{i % 3}",)),))
+        for i in range(4 * n_keywords)
+    )
+    return model, Lexicon.from_senses(senses), WsdCorpus(name="shared", items=items)
+
+
 def test_used_lexicon_pickles_and_copies_without_its_cache(toy_model):
     lexicon = Lexicon.from_senses(make_toy_senses())
     before = disambiguate(toy_model, lexicon, "java", ["island", "sea"])
@@ -253,6 +375,23 @@ def test_used_lexicon_pickles_and_copies_without_its_cache(toy_model):
     for other in (pickle.loads(pickle.dumps(lexicon)), copy.deepcopy(lexicon)):
         assert other == lexicon and other.compiled == {}
         assert disambiguate(toy_model, other, "java", ["island", "sea"]) == before
+
+
+def test_used_lexicon_pickles_and_copies_with_its_interning():
+    # The copy keeps its interned phrases, still tied to its own senses, and
+    # fills its own token rows; every record stays the same.
+    model, lexicon, corpus = _shared_token_lexicon(8)
+    cfg, params = ContextConfig(threshold=0.0), AlgoParams(strategy=Strategy.TOP_K, k=3)
+    before = eval_wsd(model, lexicon, corpus, cfg, params)
+    builds = []
+    real = compiled.InternedSenses.build
+    for other in (pickle.loads(pickle.dumps(lexicon)), copy.deepcopy(lexicon)):
+        assert other.compiled == {} and other.interned is not lexicon.interned
+        assert all(s is other.senses[s.id] for s in other.interned.senses)
+        with mock.patch.object(compiled.InternedSenses, "build",
+                               lambda *a: builds.append(a) or real(*a)):
+            assert eval_wsd(model, other, corpus, cfg, params) == before
+        assert builds == []
 
 
 def test_replaced_senses_are_compiled_again(toy_model):
@@ -289,22 +428,25 @@ def test_second_eval_wsd_reuses_compiled_keywords(toy_corpus_file):
     assert first == second
 
 
-def test_threads_share_one_cache(toy_corpus_file):
-    # eval_wsd's worker threads compile into the same cache; a lost or torn
-    # entry would change a record. More workers than cores, frequent switches.
-    model, lexicon = make_toy_model(), Lexicon.from_senses(make_toy_senses())
-    corpus = load_wsd_corpus(toy_corpus_file)
-    corpus = type(corpus)(name=corpus.name, items=corpus.items * 20)
-    want = eval_wsd(make_toy_model(), Lexicon.from_senses(make_toy_senses()), corpus)
+def test_threads_share_one_cache():
+    # eval_wsd's worker threads compile into the same cache and fill the same
+    # token -> row array (many keywords share tokens); a lost or torn entry
+    # would change a record. More workers than cores, frequent switches.
+    model, lexicon, corpus = _shared_token_lexicon()
+    cfg, params = ContextConfig(threshold=0.0), AlgoParams(strategy=Strategy.AVERAGE)
+    want = eval_wsd(model, _shared_token_lexicon()[1], corpus, cfg, params)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         started = time.monotonic()
-        got = eval_wsd(model, lexicon, corpus, jobs=8)
+        got = eval_wsd(model, lexicon, corpus, cfg, params, jobs=8)
     finally:
         sys.setswitchinterval(interval)
     assert time.monotonic() - started < 60
     assert got == want
+    rows = lexicon.compiled[id(model)][1][compiled._token_rows]
+    assert rows.tolist() == [-1 if (i := model.row_id(t)) is None else i
+                             for t in lexicon.interned.tokens]
 
 
 def test_topk_decides_a_tie_behind_a_repeated_term_at_the_cut():

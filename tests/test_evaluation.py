@@ -15,6 +15,7 @@ from kwsense import (
     AlgoParams,
     ConfigError,
     ContextConfig,
+    ContextRef,
     DocVecStore,
     ParseError,
     Strategy,
@@ -322,6 +323,55 @@ class TestEvalWsd:
         assert report.total == 6
         assert report.attempted == 0
         assert report.records[0].error == "nothing to measure for 'java'"
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_monosemous_targets_report_as_full_scoring(self, toy_model, strategy, monkeypatch):
+        # "island", "land" and "zz" have one sense each, "java" three. A
+        # one-sense keyword is predicted without scoring; every record must
+        # equal the one disambiguate() gives, with an all-OOV sense, an empty
+        # context and store entries missing for one-sense keywords.
+        from conftest import TOY_DOCVECS, make_toy_senses
+        from kwsense import Lexicon, Sense, build_sif_store, disambiguate
+        from kwsense.evaluation import WsdCorpus, WsdItem, WsdRecord, WsdTarget
+
+        lexicon = Lexicon.from_senses([*make_toy_senses(), Sense(
+            id="zz#oov", lemmas=("zz",), synonyms=("qqq", "rrr sss"),
+            core_context=(ContextRef("ttt"),), description_terms=("uuu", "vvv www"))])
+        sif = {k: v for k, v in build_sif_store(toy_model, lexicon).items()
+               if k not in ("land#ground", "zz#oov")}
+        docvec = DocVecStore(vectors={k: np.array(v) for k, v in TOY_DOCVECS.items()
+                                      if k != "island#landmass"}, dim=5)
+        sentences = [["island", "the", "sea", "land"], ["island"], ["zz", "sea", "code"],
+                     ["land", "ground", "qqq"], ["zz"], ["java", "island", "bali"]]
+        items = tuple(
+            WsdItem(item_id=f"m{i}", tokens=tuple(tokens),
+                    targets=(WsdTarget(position=0, keyword=tokens[0],
+                                       gold=(lexicon.senses_of(tokens[0])[0].id,)),))
+            for i, tokens in enumerate(sentences)
+        )
+        cfg, params = ContextConfig(stopwords=STOP, threshold=0.0), AlgoParams(strategy=strategy)
+        want = []
+        for item in items:
+            target = item.targets[0]
+            try:
+                result = disambiguate(toy_model, lexicon, target.keyword, item.tokens[1:],
+                                      cfg, params, sif, docvec)
+            except UnmeasurableError as exc:  # pragma: no cover - no such target here
+                want.append(str(exc))
+                continue
+            predicted = result.top.sense_id
+            want.append(WsdRecord(item_id=item.item_id, keyword=target.keyword,
+                                  predicted=predicted, gold=target.gold, attempted=True,
+                                  correct=predicted in target.gold))
+        scored = []
+        real = kwsense.evaluation.disambiguate
+        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+                            lambda *args: scored.append(args[2]) or real(*args))
+        got = eval_wsd(toy_model, lexicon, WsdCorpus(name="mono", items=items), cfg, params,
+                       sif, docvec)
+        assert list(got.records) == want
+        assert got == WsdReport.from_records(want)
+        assert scored == ["java"]
 
     def test_report_dict_round_trips_to_json(self, toy_model, toy_lexicon, toy_corpus_file):
         corpus = load_wsd_corpus(toy_corpus_file)
