@@ -16,9 +16,9 @@ to a few context vectors. Tokenizing those phrases, looking their tokens up
 and averaging them costs far more than measuring them. The lexicon tokenizes
 every phrase once when it is built (:class:`~kwsense.lexicon.InternedSenses`),
 each (model, lexicon) pair keeps one token -> row array that is filled as
-keywords need its tokens (:meth:`EmbeddingModel.row_id`), and the first
-call for a keyword compiles its senses with array gathers, one stable sort
-and scatters over phrase ids, with no Python work per phrase, into
+keywords and the SIF store need its tokens (:meth:`EmbeddingModel.row_id`),
+and the first call for a keyword compiles its senses with array gathers, one
+stable sort and scatters over phrase ids, with no Python work per phrase, into
 
 * a :class:`PhraseTable`: per distinct phrase with a token in the model,
   the row ids of its found tokens in token order, and the model's own
@@ -37,7 +37,9 @@ others one after another, in input order, so every path gives the same
 scores bit for bit.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
-``sif`` or ``docvec`` never compiles its descriptions. Compiled parts are
+``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
+sense's description word set instead, as word ids, per stopword set
+(:func:`description_words`). Compiled parts are
 cached per (model, lexicon) pair: on the lexicon, per model, until the model
 is garbage-collected. Both are treated as immutable after loading. The key
 is the tuple of sense ids, and an entry is used only for the very sense
@@ -53,14 +55,14 @@ import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, is_
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from . import relatedness as _relatedness
 from .embeddings import EmbeddingModel, Vector
 from .errors import UnmeasurableError
-from .lexicon import InternedSenses, Lexicon, Sense, gather, segment_positions
+from .lexicon import InternedSenses, Lexicon, Sense, _offsets, gather, segment_positions
 from .relatedness import _TIE_WINDOW, DEFAULT_WEIGHTS, RelWeights, rank_top, relatedness_rows
 
 # Step 1 aggregates with a Python loop up to this many compiled phrases, and
@@ -130,30 +132,54 @@ class PhraseTable:
         return out
 
 
-# Token rows not looked up yet, in a token -> row array.
+# Token values not computed yet, in a token -> value array.
 _UNSEEN = -2
 
 
-def _token_rows(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], interned: InternedSenses
+def _token_values(
+    model: EmbeddingModel,
+    lexicon: Optional[Lexicon],
+    interned: InternedSenses,
+    tokens: np.ndarray,
+    key: Hashable,
+    compute: Callable[[list[int]], Sequence[int]],
 ) -> np.ndarray:
-    """Per token of ``interned``, its row in ``model``: -1 if absent, ``_UNSEEN`` if not looked up.
+    """A value (an int >= -1) for each of ``tokens``, ids into ``interned.tokens``.
 
-    The lexicon's own tokens share one array per (model, lexicon) pair, which
-    :func:`_phrase_table` fills as keywords need them; threads that fill it
-    together write the same rows. Tokens interned for one call get a fresh array.
+    ``compute`` gives the values of a list of distinct token ids; each
+    token's value is computed once. The lexicon's own tokens share one token
+    -> value array per (model, lexicon) pair and ``key``, filled as compiled
+    keywords and the SIF store need its tokens; threads that fill it together
+    write the same values. Tokens interned for one call get a fresh array.
     """
     if lexicon is None or interned is not lexicon.interned:
-        return np.full(len(interned.tokens), _UNSEEN)
-    cache = _model_cache(model, lexicon)
-    rows = cache.get(_token_rows)
-    if rows is None:
-        rows = cache.setdefault(_token_rows, np.full(len(interned.tokens), _UNSEEN))
-    return rows
+        values = np.full(len(interned.tokens), _UNSEEN)
+    else:
+        values = _shared(model, lexicon, key, lambda: np.full(len(interned.tokens), _UNSEEN))
+    out = values[tokens]
+    if out.min(initial=0) == _UNSEEN:
+        unseen = np.zeros(len(values), dtype=bool)
+        unseen[tokens[out == _UNSEEN]] = True
+        unseen = np.flatnonzero(unseen).tolist()
+        values[unseen] = compute(unseen)
+        out = values[tokens]
+    return out
+
+
+def _token_rows(
+    model: EmbeddingModel, lexicon: Optional[Lexicon], interned: InternedSenses, tokens: np.ndarray
+) -> np.ndarray:
+    """The row in ``model`` of each of ``tokens`` (by :meth:`EmbeddingModel.row_id`), or -1."""
+    row_id, names = model.row_id, interned.tokens
+    return _token_values(model, lexicon, interned, tokens, _token_rows,
+                         lambda ids: [-1 if (i := row_id(names[t])) is None else i for t in ids])
 
 
 def _phrase_table(
-    model: EmbeddingModel, interned: InternedSenses, token_rows: np.ndarray, phrases: np.ndarray
+    model: EmbeddingModel,
+    lexicon: Optional[Lexicon],
+    interned: InternedSenses,
+    phrases: np.ndarray,
 ) -> tuple[PhraseTable, np.ndarray]:
     """The table of the distinct ``phrases`` (ids) with a token in ``model``, and each one's row.
 
@@ -169,12 +195,7 @@ def _phrase_table(
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     distinct = ordered[new]
     tokens, lengths = gather(interned.phrase_tokens, distinct)
-    rows = token_rows[tokens]
-    if rows.min(initial=0) == _UNSEEN:
-        unseen = list(dict.fromkeys(tokens[rows == _UNSEEN].tolist()))
-        row_id, names = model.row_id, interned.tokens
-        token_rows[unseen] = [-1 if (i := row_id(names[t])) is None else i for t in unseen]
-        rows = token_rows[tokens]
+    rows = _token_rows(model, lexicon, interned, tokens)
     found = rows >= 0
     # Found tokens before each token: per phrase, its first found token and count.
     before = np.zeros(len(found) + 1, dtype=np.intp)
@@ -382,7 +403,37 @@ class DescriptionIndex:
         return total / np.maximum(np.minimum(found, k), 1)[:, None]
 
 
-_Index = TypeVar("_Index", SenseIndex, DescriptionIndex)
+@dataclass(frozen=True, slots=True)
+class DescriptionWords:
+    """Description word sets of a keyword's senses, as word ids.
+
+    A sense's set holds the lowercased whitespace tokens of its description
+    terms that are not stopwords. ``words`` lists each sense's distinct word
+    ids, one sense after another, cut by ``offsets``; ``vocabulary`` maps
+    lowercased words to their ids (it may hold other keywords' words too).
+    """
+
+    vocabulary: dict[str, int]
+    offsets: np.ndarray
+    words: np.ndarray
+
+    def overlap(self, context: set[str]) -> list[float]:
+        """Per sense, |set & context| / min(|set|, |context|), or 0 when either is empty."""
+        hit = np.zeros(len(self.words), dtype=bool)
+        for word in context:
+            i = self.vocabulary.get(word)
+            if i is not None:
+                hit |= self.words == i
+        before = np.zeros(len(hit) + 1, dtype=np.intp)
+        hit.cumsum(out=before[1:])
+        shared = before[self.offsets[1:]] - before[self.offsets[:-1]]
+        smaller = np.minimum(self.offsets[1:] - self.offsets[:-1], len(context))
+        # Counts divide as Python ints do: both are exact in float64.
+        return np.where(smaller > 0, shared / np.maximum(smaller, 1), 0.0).tolist()
+
+
+_Compiled = TypeVar("_Compiled", SenseIndex, DescriptionIndex, DescriptionWords)
+_T = TypeVar("_T")
 
 
 def _model_cache(model: EmbeddingModel, lexicon: Lexicon) -> dict:
@@ -399,19 +450,27 @@ def _model_cache(model: EmbeddingModel, lexicon: Lexicon) -> dict:
     return entry[1]
 
 
+def _shared(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callable[[], _T]) -> _T:
+    """The (model, lexicon) pair's value for ``key``, made on first use; threads share it."""
+    cache = _model_cache(model, lexicon)
+    value = cache.get(key)
+    return cache.setdefault(key, make()) if value is None else value
+
+
 def _compiled(
-    build: Callable[[EmbeddingModel, Optional[Lexicon], Sequence[Sense]], _Index],
+    build: Callable[..., _Compiled],
     model: EmbeddingModel,
     lexicon: Optional[Lexicon],
     senses: Sequence[Sense],
-) -> _Index:
+    *args: Hashable,
+) -> _Compiled:
     if lexicon is None:
-        return build(model, lexicon, senses)
+        return build(model, lexicon, senses, *args)
     cache = _model_cache(model, lexicon)
-    key = (build, tuple(s.id for s in senses))
+    key = (build, tuple(s.id for s in senses), *args)
     hit = cache.get(key)
     if hit is None or any(a is not b for a, b in zip(hit[0], senses)):
-        hit = cache[key] = (tuple(senses), build(model, lexicon, senses))
+        hit = cache[key] = (tuple(senses), build(model, lexicon, senses, *args))
     return hit[1]
 
 
@@ -485,7 +544,7 @@ def _build_sense_index(
         members, member_counts = _member_positions(interned, ordinals)
     synonyms, synonym_counts = gather(interned.synonyms, ordinals)
     member_phrases, member_lengths = gather(interned.member_phrases, members)
-    table, rows = _phrase_table(model, interned, _token_rows(model, lexicon, interned),
+    table, rows = _phrase_table(model, lexicon, interned,
                                 np.concatenate((synonyms, member_phrases)))
     padded = None
     if table.size > STEP1_LOOP_PHRASES:
@@ -514,8 +573,63 @@ def _build_description_index(
     else:
         interned = lexicon.interned
     terms, counts = gather(interned.descriptions, ordinals)
-    table, rows = _phrase_table(model, interned, _token_rows(model, lexicon, interned), terms)
+    table, rows = _phrase_table(model, lexicon, interned, terms)
     return DescriptionIndex(phrases=table, terms=_padded(rows, counts))
+
+
+def description_tokens(
+    lexicon: Optional[Lexicon], senses: Sequence[Sense]
+) -> tuple[InternedSenses, np.ndarray, np.ndarray]:
+    """The description tokens of ``senses``: their interning, token ids and per-sense bounds.
+
+    Token ids run one sense after another; sense j's are those between its
+    bounds j and j + 1. The lexicon's interning serves when every sense is
+    the very object interned; otherwise the senses are interned for this call.
+    """
+    ordinals = _lexicon_ordinals(lexicon, senses)
+    if ordinals is None:
+        interned, ordinals = InternedSenses.build(senses, ()), range(len(senses))
+    else:
+        interned = lexicon.interned
+    phrases, counts = gather(interned.descriptions, ordinals)
+    tokens, lengths = gather(interned.phrase_tokens, phrases)
+    return interned, tokens, _offsets(lengths)[_offsets(counts)]
+
+
+def _build_description_words(
+    model: EmbeddingModel,
+    lexicon: Optional[Lexicon],
+    senses: Sequence[Sense],
+    stopwords: frozenset[str],
+) -> DescriptionWords:
+    interned, tokens, bounds = description_tokens(lexicon, senses)
+    names = interned.tokens
+    if lexicon is None or interned is not lexicon.interned:
+        vocabulary: dict[str, int] = {}
+    else:
+        # One vocabulary per (model, lexicon) pair, grown as keywords compile.
+        vocabulary = _shared(model, lexicon, DescriptionWords, dict)
+
+    def word_ids(ids: list[int]) -> np.ndarray:
+        # A word's id is the first token id that spelled it; -1 for a stopword.
+        lowered = list(map(str.lower, map(names.__getitem__, ids)))
+        stop = np.fromiter(map(stopwords.__contains__, lowered), bool, len(ids))
+        return np.where(stop, -1, np.fromiter(map(vocabulary.setdefault, lowered, ids), np.intp,
+                                              len(ids)))
+
+    words = _token_values(model, lexicon, interned, tokens,
+                          (description_words, stopwords), word_ids)
+    owners = np.repeat(np.arange(len(senses)), bounds[1:] - bounds[:-1])
+    kept = words >= 0
+    # Each sense's distinct words: sort (sense, word) pairs and drop repeats.
+    base = max(1, len(names))
+    pairs = np.sort(owners[kept] * base + words[kept])
+    new = np.empty(len(pairs), dtype=bool)
+    new[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    pairs = pairs[new]
+    offsets = np.searchsorted(pairs // base, np.arange(len(senses) + 1))
+    return DescriptionWords(vocabulary=vocabulary, offsets=offsets, words=pairs % base)
 
 
 def sense_index(
@@ -530,6 +644,17 @@ def description_index(
 ) -> DescriptionIndex:
     """The compiled description terms of ``senses``, cached per (model, lexicon) pair."""
     return _compiled(_build_description_index, model, lexicon, senses)
+
+
+def description_words(
+    model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense], stopwords: frozenset[str]
+) -> DescriptionWords:
+    """The description word sets of ``senses``, cached per (model, lexicon) pair and stopwords.
+
+    The sets depend on no model; they are kept beside the compiled
+    descriptions, so they live as long as those do.
+    """
+    return _compiled(_build_description_words, model, lexicon, senses, stopwords)
 
 
 def rel_sense_word(

@@ -26,7 +26,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .compiled import description_index, sense_index
+from .compiled import (
+    _token_rows,
+    description_index,
+    description_tokens,
+    description_words,
+    sense_index,
+)
 from .embeddings import EmbeddingModel, Vector
 from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
 from .lexicon import Lexicon, Sense
@@ -36,7 +42,7 @@ from .relatedness import (
     SifConfig,
     rank_top,
     relatedness_to,
-    sif_embeddings,
+    sif_vectors,
 )
 from .stopwords import default_stopwords
 
@@ -180,13 +186,15 @@ def build_sif_store(
 ) -> dict[str, Vector]:
     """Description embeddings for every sense, keyed by sense id.
 
-    Description terms are whitespace-tokenized into one bag per sense.
+    Description terms are whitespace-tokenized into one bag per sense, as
+    the lexicon interned them (:func:`~kwsense.compiled.description_tokens`;
+    senses replaced or added since the lexicon was built are interned for
+    this call). Token rows come from the (model, lexicon) pair's token -> row
+    array, so compiled keywords reuse them.
     """
-    descriptions = {
-        sense.id: [tok for term in sense.description_terms for tok in term.split()]
-        for sense in lexicon.senses.values()
-    }
-    return sif_embeddings(model, descriptions, cfg)
+    interned, tokens, offsets = description_tokens(lexicon, list(lexicon.senses.values()))
+    rows = _token_rows(model, lexicon, interned, tokens)
+    return sif_vectors(model, list(lexicon.senses), offsets, tokens, rows, interned.tokens, cfg)
 
 
 def select_active_context(
@@ -293,7 +301,8 @@ def _strategy_strengths(
 ) -> list[Optional[float]]:
     """Strategy strength in [0, 1] per sense, or None where the inputs are unavailable."""
     if params.strategy is Strategy.OVERLAP:
-        return [overlap(ca, sense.description_terms, stopwords) for sense in senses]
+        words = description_words(model, lexicon, senses, stopwords)
+        return words.overlap({w.lower() for w in ca.words})
     if params.strategy is Strategy.AVERAGE:
         if not ca.words:
             return [None] * len(senses)

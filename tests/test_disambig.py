@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from kwsense import (
@@ -21,6 +23,7 @@ from kwsense import (
     Strategy,
     UnmeasurableError,
     build_sif_store,
+    compiled,
     disambiguate,
     load_docvec_store,
     norm_freq,
@@ -36,6 +39,13 @@ from kwsense.relatedness import angular_relatedness, rel_words
 from conftest import TOY_DIM
 
 STOP = frozenset({"the", "is", "an", "of", "a"})
+
+# Words in several cases, with characters whose lowercase form depends on
+# context (final sigma) or has two code points (dotted capital I).
+_WORDS = ("sea", "Sea", "SEA", "the", "The", "ΟΔΟΣ", "οδος", "σ", "Σ", "İstanbul",
+          "big sea")
+_TERMS = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).flatmap(
+    lambda words: st.sampled_from([" ", "\t", "  "]).map(lambda sep: sep.join(words)))
 
 
 def _cfg(**kwargs) -> ContextConfig:
@@ -155,6 +165,43 @@ class TestOverlap:
     def test_case_insensitive(self):
         ca = ActiveContext(target="kw", members=(("Sea", 0.9),))
         assert overlap(ca, ["SEA"], frozenset()) == 1.0
+
+    def test_word_sets_compiled_once_per_senses_and_stopwords(self, toy_model, toy_lexicon):
+        lexicon, senses = toy_lexicon, toy_lexicon.senses_of("java")
+        first = compiled.description_words(toy_model, lexicon, senses, STOP)
+        assert compiled.description_words(toy_model, lexicon, senses, STOP) is first
+        assert compiled.description_words(toy_model, lexicon, senses, frozenset()) is not first
+        other = [Sense(id=s.id, lemmas=s.lemmas, synonyms=s.synonyms, description_terms=("Sea",))
+                 for s in senses]
+        words = compiled.description_words(toy_model, lexicon, other, STOP)
+        assert words.overlap({"sea"}) == [1.0] * 3
+        # Step 2 scores with the compiled sets.
+        ca = ActiveContext(target="java", members=(("sea", 0.9),))
+        base = step1_base_scores(toy_model, lexicon, senses, ca)
+        rescored = step2_rescore(toy_model, lexicon, base, ca,
+                                 AlgoParams(strategy=Strategy.OVERLAP), stopwords=STOP)
+        assert [s.step2_delta for s in rescored] == [
+            (1 - max(b.score for b in base)) * overlap(ca, s.description_terms, STOP)
+            for s in senses
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_TERMS, max_size=6), min_size=1, max_size=5),
+           st.lists(st.sampled_from(_WORDS), max_size=4), st.booleans())
+    def test_compiled_word_sets_match_overlap(self, descriptions, context, replace):
+        senses = [Sense(id=f"k#{j}", lemmas=("k",), synonyms=("k",), description_terms=tuple(d))
+                  for j, d in enumerate(descriptions)]
+        lexicon = Lexicon.from_senses(senses)
+        if replace:  # compiled through the call's own interning
+            senses = [Sense(id=s.id, lemmas=s.lemmas, synonyms=s.synonyms,
+                            description_terms=s.description_terms[::-1]) for s in senses]
+        model = EmbeddingModel(vocab={"k": np.ones(2)}, dim=2)
+        ca = ActiveContext(target="k", members=tuple((w, 1.0) for w in context))
+        for stop in (frozenset({"the", "σ"}), frozenset()):  # one lexicon, two stopword sets
+            got = compiled.description_words(model, lexicon, senses, stop).overlap(
+                {w.lower() for w in ca.words})
+            want = [overlap(ca, s.description_terms, stop) for s in senses]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 class TestStep1:

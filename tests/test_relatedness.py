@@ -467,5 +467,7 @@ class TestSifEmbeddings:
         np.testing.assert_allclose(vectors["s"], expected, atol=1e-12)
 
     def test_invalid_smoothing_rejected(self):
-        with pytest.raises(ValueError, match="smoothing"):
-            SifConfig(smoothing=0.0)
+        # NaN would make every weight, and so every vector, NaN.
+        for smoothing in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="smoothing"):
+                SifConfig(smoothing=smoothing)
