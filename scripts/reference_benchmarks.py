@@ -70,7 +70,6 @@ def main() -> int:
     parser.add_argument("--strategy", default=Strategy.TOP_K.value,
                         choices=[s.value for s in Strategy])
     parser.add_argument("--k", type=int, default=15)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--tolerance", type=float, default=1.5,
                         help="allowed absolute deviation in points (default: 1.5)")
     args = parser.parse_args()
@@ -103,8 +102,7 @@ def main() -> int:
                 continue
             corpus = load_wsd_corpus(path)
             t0 = time.perf_counter()
-            report = eval_wsd(model, lexicon, corpus, cfg, params,
-                              docvec_store=docvec, jobs=args.jobs)
+            report = eval_wsd(model, lexicon, corpus, cfg, params, docvec_store=docvec)
             print(f"{name}: P={report.precision:.4f} R={report.recall:.4f} "
                   f"F1={report.f1:.4f} attempted={report.attempted}/{report.total} "
                   f"[{time.perf_counter() - t0:.1f}s]")

@@ -30,7 +30,6 @@ from .disambig import (
 from .embeddings import (
     EmbeddingModel,
     Vector,
-    centroid,
     load_binary_model,
     load_text_model,
     save_text_model,
@@ -106,7 +105,6 @@ __all__ = [
     "WsdTarget",
     "angular_relatedness",
     "build_sif_store",
-    "centroid",
     "cosine",
     "default_stopwords",
     "disambiguate",

@@ -66,7 +66,6 @@ class RunConfig:
     params: AlgoParams
     docvec_path: Optional[Path]
     sif_freqs_path: Optional[Path]
-    jobs: int
     output: str
     stopwords_source: str
 
@@ -78,8 +77,6 @@ class RunConfig:
         model_format = args.model_format
         if model_format is None:
             model_format = "binary" if model_path.suffix == ".bin" else "text"
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         env_stopwords = os.environ.get(STOPWORDS_ENV)
         if env_stopwords:
             try:
@@ -112,7 +109,6 @@ class RunConfig:
             params=params,
             docvec_path=Path(args.docvec) if args.docvec else None,
             sif_freqs_path=Path(args.sif_freqs) if args.sif_freqs else None,
-            jobs=args.jobs,
             output=args.output,
             stopwords_source=stopwords_source,
         )
@@ -134,7 +130,6 @@ class RunConfig:
             "freq_b": self.params.freq_b,
             "docvec": str(self.docvec_path) if self.docvec_path else None,
             "sif_freqs": str(self.sif_freqs_path) if self.sif_freqs_path else None,
-            "jobs": self.jobs,
             "stopwords": self.stopwords_source,
         }
 
@@ -298,7 +293,6 @@ def _cmd_eval_wsd(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg.params,
         sif_store,
         docvec_store,
-        jobs=cfg.jobs,
     )
     if cfg.output == "json":
         _print_json({"config": cfg.echo(), "corpus": corpus.name,
@@ -342,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="frequency damping numerator weight; b = 1-a (default: 0.5)")
     common.add_argument("--docvec", help="document-vector JSONL store (docvec strategy)")
     common.add_argument("--sif-freqs", help="token-frequency table for description embeddings")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for evaluation commands (default: 1)")
     common.add_argument("--output", choices=["table", "json"], default="table",
                         help="report format (default: table)")
 

@@ -31,23 +31,24 @@ stable sort and scatters over phrase ids, with no Python work per phrase, into
 Per call the rows are gathered from the matrix with ``np.take``
 ``_BLOCK_ROWS`` phrases at a time and widened exactly to float64, the phrase
 centroids are formed by adding tokens position after position
-(``centroid``'s order), and each block is measured against the context by
-one :func:`relatedness_rows` call. Means skip missing values and add the
-others one after another, in input order, so every path gives the same
-scores bit for bit.
+(:meth:`EmbeddingModel.phrase_vector`'s order), and each block is measured
+against the context by one :func:`relatedness_rows` call. Means skip missing
+values and add the others one after another, in input order, so every path
+gives the same scores bit for bit.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 ``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
 sense's description word set instead, as word ids, per stopword set
 (:func:`description_words`). Compiled parts are
 cached per (model, lexicon) pair: on the lexicon, per model, until the model
-is garbage-collected. Both are treated as immutable after loading. The key
-is the tuple of sense ids, and an entry is used only for the very sense
-objects it was compiled from. Senses the lexicon did not intern (replaced
-or added after it was built, or referencing a replaced sense) and calls
-without a lexicon are interned for the one compile, by the same
-constructor. :func:`rel_senses` and :func:`rel_sense_word` build their
-indexes without the cache.
+is garbage-collected. A lexicon cannot change after it is built, so its
+interning is the only one its senses get. The key is the tuple of sense
+ids, and an entry is used only for the very sense objects it was compiled
+from. Descriptions compile only for the lexicon's own senses; step 1 also
+takes senses the lexicon does not hold and calls without a lexicon, whose
+senses are interned for the one compile, references resolved through the
+lexicon. :func:`rel_senses` and :func:`rel_sense_word` build their indexes
+without the cache.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ class PhraseTable:
         """Float64 centroids of the phrases ``ids`` (ascending), then a zero row (index -1).
 
         Tokens are gathered with ``np.take``, widened exactly, and added
-        position after position, the order of :func:`centroid`.
+        position after position, the order of :meth:`EmbeddingModel.phrase_vector`.
         """
         matrix = self.matrix
         out = np.zeros((len(ids) + 1, matrix.shape[1]))
@@ -481,9 +482,9 @@ def _lexicon_ordinals(
 
     None unless each sense is the very object interned.
     """
-    interned = None if lexicon is None else lexicon.interned
-    if interned is None:
+    if lexicon is None:
         return None
+    interned = lexicon.interned
     ordinals = list(map(interned.ordinals.get, map(attrgetter("id"), senses)))
     if None in ordinals or not all(map(is_, map(interned.senses.__getitem__, ordinals), senses)):
         return None
@@ -504,31 +505,16 @@ def _member_positions(
     return segment_positions(starts, counts), counts
 
 
-def _references_current(
-    lexicon: Lexicon, ordinals: range | np.ndarray, members: range | np.ndarray
-) -> bool:
-    """Whether each member of senses ``ordinals`` references the very sense interned for it."""
-    interned = lexicon.interned
-    if interned.dangling and not interned.dangling.isdisjoint(np.asarray(ordinals).tolist()):
-        return False
-    if isinstance(members, range):
-        members = slice(members.start, members.stop)
-    refs = interned.member_refs[members]
-    current = lexicon.senses.get
-    return all(current((s := interned.senses[r]).id) is s for r in set(refs[refs >= 0].tolist()))
-
-
 def _build_sense_index(
     model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
 ) -> SenseIndex:
-    # The lexicon's interning serves when every sense, and every sense a member
-    # references, is the very object interned. Otherwise the senses are
-    # interned for this call, references resolved through the lexicon.
+    # The lexicon's interning serves when every sense is the very object
+    # interned. Otherwise the senses are interned for this call, references
+    # resolved through the lexicon.
     ordinals = _lexicon_ordinals(lexicon, senses)
     if ordinals is not None:
         interned = lexicon.interned
-        members, member_counts = _member_positions(interned, ordinals)
-    if ordinals is None or not _references_current(lexicon, ordinals, members):
+    else:
         referenced = {}
         for sense in senses:
             for ref in sense.core_context:
@@ -541,7 +527,7 @@ def _build_sense_index(
                 referenced[ref.value] = lexicon.resolve(ref.value)
         interned = InternedSenses.build(senses, list(referenced.values()))
         ordinals = range(len(senses))
-        members, member_counts = _member_positions(interned, ordinals)
+    members, member_counts = _member_positions(interned, ordinals)
     synonyms, synonym_counts = gather(interned.synonyms, ordinals)
     member_phrases, member_lengths = gather(interned.member_phrases, members)
     table, rows = _phrase_table(model, lexicon, interned,
@@ -563,52 +549,49 @@ def _build_sense_index(
     )
 
 
-def _build_description_index(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
-) -> DescriptionIndex:
-    ordinals = _lexicon_ordinals(lexicon, senses)
-    if ordinals is None:
-        # Descriptions need no references: every one is left unresolved.
-        interned, ordinals = InternedSenses.build(senses, ()), range(len(senses))
-    else:
-        interned = lexicon.interned
-    terms, counts = gather(interned.descriptions, ordinals)
-    table, rows = _phrase_table(model, lexicon, interned, terms)
-    return DescriptionIndex(phrases=table, terms=_padded(rows, counts))
+def _description_phrases(
+    lexicon: Lexicon, senses: Sequence[Sense]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The description phrase ids of ``senses``, one sense after another, and each one's count.
 
-
-def description_tokens(
-    lexicon: Optional[Lexicon], senses: Sequence[Sense]
-) -> tuple[InternedSenses, np.ndarray, np.ndarray]:
-    """The description tokens of ``senses``: their interning, token ids and per-sense bounds.
-
-    Token ids run one sense after another; sense j's are those between its
-    bounds j and j + 1. The lexicon's interning serves when every sense is
-    the very object interned; otherwise the senses are interned for this call.
+    Descriptions compile only for the lexicon's own senses: any other sense
+    raises ValueError.
     """
     ordinals = _lexicon_ordinals(lexicon, senses)
     if ordinals is None:
-        interned, ordinals = InternedSenses.build(senses, ()), range(len(senses))
-    else:
-        interned = lexicon.interned
-    phrases, counts = gather(interned.descriptions, ordinals)
-    tokens, lengths = gather(interned.phrase_tokens, phrases)
-    return interned, tokens, _offsets(lengths)[_offsets(counts)]
+        raise ValueError("descriptions compile only for senses the lexicon holds")
+    return gather(lexicon.interned.descriptions, ordinals)
+
+
+def _build_description_index(
+    model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]
+) -> DescriptionIndex:
+    terms, counts = _description_phrases(lexicon, senses)
+    table, rows = _phrase_table(model, lexicon, lexicon.interned, terms)
+    return DescriptionIndex(phrases=table, terms=_padded(rows, counts))
+
+
+def description_tokens(lexicon: Lexicon, senses: Sequence[Sense]) -> tuple[np.ndarray, np.ndarray]:
+    """The description tokens of the lexicon's ``senses`` (ids into its tokens) and bounds.
+
+    Token ids run one sense after another; sense j's are those between its
+    bounds j and j + 1. Any sense the lexicon does not hold raises ValueError.
+    """
+    phrases, counts = _description_phrases(lexicon, senses)
+    tokens, lengths = gather(lexicon.interned.phrase_tokens, phrases)
+    return tokens, _offsets(lengths)[_offsets(counts)]
 
 
 def _build_description_words(
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
+    lexicon: Lexicon,
     senses: Sequence[Sense],
     stopwords: frozenset[str],
 ) -> DescriptionWords:
-    interned, tokens, bounds = description_tokens(lexicon, senses)
-    names = interned.tokens
-    if lexicon is None or interned is not lexicon.interned:
-        vocabulary: dict[str, int] = {}
-    else:
-        # One vocabulary per (model, lexicon) pair, grown as keywords compile.
-        vocabulary = _shared(model, lexicon, DescriptionWords, dict)
+    tokens, bounds = description_tokens(lexicon, senses)
+    names = lexicon.interned.tokens
+    # One vocabulary per (model, lexicon) pair, grown as keywords compile.
+    vocabulary = _shared(model, lexicon, DescriptionWords, dict)
 
     def word_ids(ids: list[int]) -> np.ndarray:
         # A word's id is the first token id that spelled it; -1 for a stopword.
@@ -617,7 +600,7 @@ def _build_description_words(
         return np.where(stop, -1, np.fromiter(map(vocabulary.setdefault, lowered, ids), np.intp,
                                               len(ids)))
 
-    words = _token_values(model, lexicon, interned, tokens,
+    words = _token_values(model, lexicon, lexicon.interned, tokens,
                           (description_words, stopwords), word_ids)
     owners = np.repeat(np.arange(len(senses)), bounds[1:] - bounds[:-1])
     kept = words >= 0

@@ -187,12 +187,12 @@ def build_sif_store(
     """Description embeddings for every sense, keyed by sense id.
 
     Description terms are whitespace-tokenized into one bag per sense, as
-    the lexicon interned them (:func:`~kwsense.compiled.description_tokens`;
-    senses replaced or added since the lexicon was built are interned for
-    this call). Token rows come from the (model, lexicon) pair's token -> row
-    array, so compiled keywords reuse them.
+    the lexicon interned them (:func:`~kwsense.compiled.description_tokens`).
+    Token rows come from the (model, lexicon) pair's token -> row array, so
+    compiled keywords reuse them.
     """
-    interned, tokens, offsets = description_tokens(lexicon, list(lexicon.senses.values()))
+    interned = lexicon.interned
+    tokens, offsets = description_tokens(lexicon, interned.senses)
     rows = _token_rows(model, lexicon, interned, tokens)
     return sif_vectors(model, list(lexicon.senses), offsets, tokens, rows, interned.tokens, cfg)
 
@@ -307,9 +307,9 @@ def _strategy_strengths(
         if not ca.words:
             return [None] * len(senses)
         return description_index(model, lexicon, senses).average(_context_rows(model, ca))
-    # The centroid (centroid()'s arithmetic) of the members that have a
-    # direction, which are all members a selection keeps; a zero centroid has
-    # no direction either.
+    # The centroid (a float64 sum in row order, then one division) of the
+    # members that have a direction, which are all members a selection keeps;
+    # a zero centroid has no direction either.
     rows = _context_rows(model, ca)
     rows = rows[rows.any(axis=1)]
     ca_centroid = np.add.reduce(rows, axis=0) / max(1, len(rows))

@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,21 +28,6 @@ _BLOCK_BYTES = 1 << 20  # bytes per read of load_binary_model
 _TEXT_BLOCK_BYTES = 1 << 17  # bytes of whole lines per block of load_text_model
 
 Vector = np.ndarray
-
-
-def centroid(vectors: Iterable[Vector]) -> Vector:
-    """Componentwise float64 mean of a nonempty collection of same-dimension vectors."""
-    vs = list(vectors)
-    if not vs:
-        raise ValueError("no vectors to aggregate")
-    dim = vs[0].shape[0]
-    for v in vs[1:]:
-        if v.shape[0] != dim:
-            raise ValueError(f"mixed dimensions: {dim} vs {v.shape[0]}")
-    if len(vs) == 1:
-        return vs[0].astype(np.float64)
-    # np.mean's arithmetic, without its per-call overhead.
-    return np.add.reduce(np.array(vs, dtype=np.float64), axis=0) / len(vs)
 
 
 class _Vocab(Mapping[str, Vector]):
@@ -146,7 +131,7 @@ class EmbeddingModel:
 
         Tokens without a vector are ignored; returns None when no token is
         found. A one-token phrase gives its row as :meth:`lookup` does, a longer
-        one a float64 vector (:func:`centroid`'s arithmetic).
+        one the float64 mean of the found rows, added in token order.
         """
         tokens = phrase.split()
         if len(tokens) == 1:

@@ -291,46 +291,30 @@ def _score_target(
 ) -> WsdRecord:
     unresolved = tuple(g for g in target.gold if g not in lexicon.senses)
     senses = lexicon.senses_of(target.keyword)
-    if not senses:
-        return WsdRecord(
-            item_id=item.item_id,
-            keyword=target.keyword,
-            predicted=None,
-            gold=target.gold,
-            attempted=False,
-            correct=False,
-            unresolved_gold=unresolved,
-        )
+    predicted = error = None
     if len(senses) == 1:
         # disambiguate() ranks a keyword's only sense first and raises
         # nothing for a known keyword, so it is not called.
         predicted = senses[0].id
-    else:
+    elif senses:
         context = list(item.tokens[: target.position]) + list(item.tokens[target.position + 1 :])
         try:
             result = disambiguate(
                 model, lexicon, target.keyword, context, cfg, params, sif_store, docvec_store
             )
         except UnmeasurableError as exc:
-            return WsdRecord(
-                item_id=item.item_id,
-                keyword=target.keyword,
-                predicted=None,
-                gold=target.gold,
-                attempted=False,
-                correct=False,
-                unresolved_gold=unresolved,
-                error=str(exc),
-            )
-        predicted = result.top.sense_id
+            error = str(exc)
+        else:
+            predicted = result.top.sense_id
     return WsdRecord(
         item_id=item.item_id,
         keyword=target.keyword,
         predicted=predicted,
         gold=target.gold,
-        attempted=True,
+        attempted=predicted is not None,
         correct=predicted in target.gold,
         unresolved_gold=unresolved,
+        error=error,
     )
 
 

@@ -7,7 +7,8 @@ bag (glosses, labels, related terms) used by the rescoring strategies.
 Core-context members either reference another sense by id or carry a plain
 label that stands in for an unlisted term.
 
-A lexicon interns its phrases when it is built (:class:`InternedSenses`):
+A lexicon is read-only: a changed inventory is a new lexicon. It interns
+its phrases when it is built, however it is built (:class:`InternedSenses`):
 every distinct synonym, core-context label and description term gets one
 id and its whitespace tokens as ids into one token list, and every sense
 its phrase ids, so that :mod:`kwsense.compiled` compiles keywords with array
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -142,11 +144,9 @@ class InternedSenses:
     ``phrase_tokens``. Per sense, ``synonyms`` and ``descriptions`` hold its
     phrase ids in order, duplicates included, and ``members`` is the range of
     its core-context members: member m's phrases (``member_phrases``) are a
-    label's own phrase or the referenced sense's synonyms, and
-    ``member_refs[m]`` is the referenced ordinal (-1 for a label). The
-    senses in ``dangling`` reference an id that was not found; their
-    members are not interned. Nothing here depends on a model: it is shared
-    by every model's compiled keywords and pickled with its lexicon.
+    label's own phrase or the referenced sense's synonyms. Nothing here
+    depends on a model: it is shared by every model's compiled keywords and
+    pickled with its lexicon.
     """
 
     senses: tuple[Sense, ...]
@@ -157,8 +157,6 @@ class InternedSenses:
     descriptions: Segments
     members: np.ndarray
     member_phrases: Segments
-    member_refs: np.ndarray
-    dangling: frozenset[int]
 
     @classmethod
     def build(
@@ -166,8 +164,10 @@ class InternedSenses:
     ) -> "InternedSenses":
         """Intern ``senses``; references resolve by id among ``refs`` (default: ``senses``).
 
-        ``refs`` are interned after ``senses``. No Python loop runs per
-        phrase: only ``map``, ``str.join``, ``str.split`` and numpy passes.
+        ``refs`` are interned after ``senses``; a member referencing an id
+        not found among them (one of ``refs``' own members, which no caller
+        reads) has no phrases. No Python loop runs per phrase: only ``map``,
+        ``str.join``, ``str.split`` and numpy passes.
         """
         first = 0 if refs is None else len(senses)
         every = [*senses] if refs is None else [*senses, *refs]
@@ -205,8 +205,6 @@ class InternedSenses:
         positions = segment_positions(np.where(found, synonym_offsets[target], 0), member_lengths)
         member_phrases = np.where(np.repeat(is_ref, member_lengths), ids[positions],
                                   np.repeat(label, member_lengths))
-        members = _offsets(_lengths(contexts))
-        owner = np.repeat(np.arange(len(every)), np.diff(members))
         return cls(
             senses=tuple(every),
             ordinals=ordinals,
@@ -214,66 +212,68 @@ class InternedSenses:
             phrase_tokens=(_offsets(lengths), token_ids),
             synonyms=(synonym_offsets, ids[:n_synonyms]),
             descriptions=(description_offsets, ids[n_synonyms + n_labels :]),
-            members=members,
+            members=_offsets(_lengths(contexts)),
             member_phrases=(_offsets(member_lengths), member_phrases),
-            member_refs=target,
-            dangling=frozenset(owner[is_ref & ~found].tolist()),
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """A sense inventory with a lemma index.
+    """A read-only sense inventory with a lemma index and its interned phrases.
 
-    ``senses`` preserves file order; the index maps lowercased lemmas to the
-    ids of the senses listing them, again in file order.
+    ``senses`` maps each sense's id to it in file order and cannot be
+    changed: a changed inventory is a new lexicon. The index maps lowercased
+    lemmas to the ids of the senses listing them, again in file order. Every
+    core-context reference must name a sense of the lexicon.
     """
 
-    senses: dict[str, Sense]
-    index: dict[str, list[str]] = field(default_factory=dict)
-    # The senses' phrases, interned by from_senses; not part of the value.
-    interned: Optional[InternedSenses] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    senses: Mapping[str, Sense]
+    index: dict[str, list[str]] = field(init=False)
+    # The senses' phrases, interned once; not part of the value.
+    interned: InternedSenses = field(init=False, repr=False, compare=False)
     # Compiled keywords per model, kept by kwsense.compiled; not part of the value.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        senses = dict(self.senses)
+        misfiled = [key for key, sense in senses.items() if key != sense.id]
+        if misfiled:
+            raise ValueError(f"senses must be keyed by their ids: {misfiled!r}")
+        dangling = [
+            (sense.id, ref.value)
+            for sense in senses.values()
+            for ref in sense.core_context
+            if ref.is_ref and ref.value not in senses
+        ]
+        if dangling:
+            listing = ", ".join(f"{sid} -> {ref}" for sid, ref in dangling)
+            raise ValueError(f"dangling sense references: {listing}")
+        index: dict[str, list[str]] = {}
+        for sense in senses.values():
+            for lemma in sense.lemmas:
+                ids = index.setdefault(lemma.lower(), [])
+                if sense.id not in ids:
+                    ids.append(sense.id)
+        object.__setattr__(self, "senses", MappingProxyType(senses))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "interned", InternedSenses.build(list(senses.values())))
+
     def __getstate__(self) -> dict:
         # Pickles and copies start with no compiled keywords: those hold weak references.
-        return {**self.__dict__, "compiled": {}}
+        return {**self.__dict__, "senses": dict(self.senses), "compiled": {}}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, senses=MappingProxyType(state["senses"]))
 
     @classmethod
-    def from_senses(cls, senses: Iterable[Sense], strict: bool = True) -> "Lexicon":
-        """Build a lexicon, checking id uniqueness and (when strict) reference integrity."""
+    def from_senses(cls, senses: Iterable[Sense]) -> "Lexicon":
+        """Build a lexicon, checking id uniqueness and reference integrity."""
         table: dict[str, Sense] = {}
         for sense in senses:
             if sense.id in table:
                 raise ValueError(f"duplicate sense id: {sense.id!r}")
             table[sense.id] = sense
-        if strict:
-            dangling = [
-                (sense.id, ref.value)
-                for sense in table.values()
-                for ref in sense.core_context
-                if ref.is_ref and ref.value not in table
-            ]
-            if dangling:
-                listing = ", ".join(f"{sid} -> {ref}" for sid, ref in dangling)
-                raise ValueError(f"dangling sense references: {listing}")
-        lex = cls(senses=table)
-        lex._rebuild_index()
-        lex.interned = InternedSenses.build(list(table.values()))
-        return lex
-
-    def _rebuild_index(self) -> None:
-        index: dict[str, list[str]] = {}
-        for sense in self.senses.values():
-            for lemma in sense.lemmas:
-                key = lemma.lower()
-                ids = index.setdefault(key, [])
-                if sense.id not in ids:
-                    ids.append(sense.id)
-        self.index = index
+        return cls(senses=table)
 
     def __len__(self) -> int:
         return len(self.senses)
@@ -365,7 +365,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise ParseError(f"{where}: each line must be a JSON object")
         senses.append(_sense_from_obj(obj, where))
     try:
-        return Lexicon.from_senses(senses, strict=True)
+        return Lexicon.from_senses(senses)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -382,24 +382,17 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 class ValidationReport:
     """Structural findings over a lexicon; empty when nothing needs attention."""
 
-    dangling_refs: tuple[tuple[str, str], ...]
     empty_descriptions: tuple[str, ...]
     zero_frequency_ratio: float
     notes: tuple[str, ...]
 
     @property
     def is_empty(self) -> bool:
-        return not (self.dangling_refs or self.empty_descriptions or self.notes)
+        return not (self.empty_descriptions or self.notes)
 
 
 def validate(lexicon: Lexicon) -> ValidationReport:
-    """Report dangling references, empty description sets, and frequency coverage."""
-    dangling = tuple(
-        (sense.id, ref.value)
-        for sense in lexicon.senses.values()
-        for ref in sense.core_context
-        if ref.is_ref and ref.value not in lexicon.senses
-    )
+    """Report empty description sets and frequency coverage."""
     empty_desc = tuple(s.id for s in lexicon.senses.values() if not s.description_terms)
     total = len(lexicon.senses)
     zero = sum(1 for s in lexicon.senses.values() if s.frequency == 0)
@@ -408,7 +401,6 @@ def validate(lexicon: Lexicon) -> ValidationReport:
     if total and zero == total:
         notes = ("all frequencies are zero: frequency re-ranking will be skipped",)
     return ValidationReport(
-        dangling_refs=dangling,
         empty_descriptions=empty_desc,
         zero_frequency_ratio=ratio,
         notes=notes,

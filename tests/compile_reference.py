@@ -3,7 +3,9 @@
 These resolve every phrase in Python, one token lookup at a time, the way
 keywords were compiled before lexicons interned their phrases. The interned
 builders in :mod:`kwsense.compiled` must give exactly the same tables and
-indexes; ``test_compiled.py`` checks that.
+indexes; ``test_compiled.py`` checks that. :func:`centroid` is the scalar
+mean of a list of vectors that compiled centroids and phrase vectors are
+held to, bit for bit.
 """
 from __future__ import annotations
 
@@ -14,8 +16,23 @@ import numpy as np
 
 from kwsense import compiled
 from kwsense.compiled import DescriptionIndex, PhraseTable, SenseIndex
-from kwsense.embeddings import EmbeddingModel
+from kwsense.embeddings import EmbeddingModel, Vector
 from kwsense.lexicon import Lexicon, Sense
+
+
+def centroid(vectors: Iterable[Vector]) -> Vector:
+    """Componentwise float64 mean of a nonempty collection of same-dimension vectors."""
+    vs = list(vectors)
+    if not vs:
+        raise ValueError("no vectors to aggregate")
+    dim = vs[0].shape[0]
+    for v in vs[1:]:
+        if v.shape[0] != dim:
+            raise ValueError(f"mixed dimensions: {dim} vs {v.shape[0]}")
+    if len(vs) == 1:
+        return vs[0].astype(np.float64)
+    # np.mean's arithmetic, without its per-call overhead.
+    return np.add.reduce(np.array(vs, dtype=np.float64), axis=0) / len(vs)
 
 
 def phrase_table(

@@ -163,14 +163,12 @@ class TestEvalWsd:
         assert "attempted   5" in out
 
     def test_json_report(self, base_args, toy_corpus_file, capsys):
-        code = main(["eval-wsd", *base_args, "--output", "json", "--jobs", "2",
-                     str(toy_corpus_file)])
+        code = main(["eval-wsd", *base_args, "--output", "json", str(toy_corpus_file)])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 6
         assert payload["attempted"] == 5
         assert len(payload["records"]) == 6
-        assert payload["config"]["jobs"] == 2
 
     def test_missing_lexicon_exits_2(self, toy_model_file, toy_corpus_file, capsys):
         code = main(["eval-wsd", "--model", str(toy_model_file), str(toy_corpus_file)])
@@ -285,10 +283,6 @@ class TestConfigValidation:
             code = main(["rel", "--model", str(toy_model_file), flag, value, "a", "b"])
             assert code == EXIT_CONFIG, (flag, value)
             assert capsys.readouterr().err.startswith("configuration error: ")
-
-    def test_bad_jobs_exits_2(self, toy_model_file, capsys):
-        code = main(["rel", "--model", str(toy_model_file), "--jobs", "0", "a", "b"])
-        assert code == EXIT_CONFIG
 
 
 class TestStopwordsEnv:

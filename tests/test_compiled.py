@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import compile_reference
 import oracle
+from compile_reference import centroid
 from conftest import make_toy_model, make_toy_senses
 from kwsense import (
     ActiveContext,
@@ -36,12 +37,12 @@ from kwsense import (
     disambiguate,
     eval_wsd,
     load_wsd_corpus,
+    rel_senses,
     relatedness,
     select_active_context,
     step1_base_scores,
 )
 from kwsense.compiled import mean_skip_missing
-from kwsense.embeddings import centroid
 from kwsense.evaluation import WsdCorpus, WsdItem, WsdTarget
 from test_kernel import scenarios
 
@@ -154,11 +155,14 @@ def test_interned_builders_match_the_per_phrase_reference(built, data):
     model = EmbeddingModel(
         vocab={t: np.arange(4.0) + i for i, t in enumerate(_MODEL_TOKENS)}, dim=4)
 
-    def check(lex, senses):
+    def check_step1(lex, senses):
         for crossover in (-1, 10**6):  # the padded matrices, then none
             with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover):
                 _assert_same_index(compiled._build_sense_index(model, lex, senses),
                                    compile_reference.build_sense_index(model, lex, senses))
+
+    def check(lex, senses):
+        check_step1(lex, senses)
         _assert_same_index(compiled._build_description_index(model, lex, senses),
                            compile_reference.build_description_index(model, lex, senses))
 
@@ -166,22 +170,22 @@ def test_interned_builders_match_the_per_phrase_reference(built, data):
         check(lexicon, lexicon.senses_of(keyword))
     # Several keywords' senses at once: ordinals that are not consecutive.
     check(lexicon, [s for k in keywords[::-1] for s in lexicon.senses_of(k)])
-    # A sense replaced after the lexicon was built: its keyword, and every
-    # keyword whose members reference it, compile through the call's interning.
+    # A sense the lexicon never held, under one of its ids: step 1 interns the
+    # keyword's senses for the call, references resolved through the lexicon.
     old = data.draw(st.sampled_from(list(lexicon.senses.values())))
-    lexicon.senses[old.id] = Sense(
+    foreign = Sense(
         id=old.id, lemmas=old.lemmas, synonyms=(*old.synonyms[1:], "w5 Q7"),
         core_context=old.core_context[::-1], description_terms=(*old.description_terms, "w4"))
     for keyword in keywords:
-        check(lexicon, lexicon.senses_of(keyword))
-    check(lexicon, [old])
+        check_step1(lexicon, [foreign if s is old else s for s in lexicon.senses_of(keyword)])
+    check_step1(lexicon, [foreign])
     # Without a lexicon, references cannot be resolved.
     for sense in lexicon.senses.values():
         if any(ref.is_ref for ref in sense.core_context):
             with pytest.raises(ValueError, match="needs a lexicon"):
                 compiled._build_sense_index(model, None, [sense])
         else:
-            check(None, [sense])
+            check_step1(None, [sense])
 
 
 @pytest.mark.parametrize("count", [0, 1, 9, 40])
@@ -395,14 +399,61 @@ def test_used_lexicon_pickles_and_copies_with_its_interning():
 
 
 def test_replaced_senses_are_compiled_again(toy_model):
-    senses = make_toy_senses()
-    lexicon = Lexicon.from_senses(senses)
-    first = compiled.description_index(toy_model, lexicon, lexicon.senses_of("java"))
-    assert compiled.description_index(toy_model, lexicon, lexicon.senses_of("java")) is first
-    other = [Sense(id=s.id, lemmas=s.lemmas, synonyms=s.synonyms, description_terms=("sea",))
+    lexicon = Lexicon.from_senses(make_toy_senses())
+    first = compiled.sense_index(toy_model, lexicon, lexicon.senses_of("java"))
+    assert compiled.sense_index(toy_model, lexicon, lexicon.senses_of("java")) is first
+    # Senses under the same ids that the lexicon does not hold.
+    other = [Sense(id=s.id, lemmas=s.lemmas, synonyms=("sea",))
              for s in lexicon.senses_of("java")]
-    again = compiled.description_index(toy_model, lexicon, other)
+    again = compiled.sense_index(toy_model, lexicon, other)
     assert again is not first and again.phrases.size == 1
+
+
+def _step1_matches_the_oracle(model, lexicon, senses, ca) -> list[float]:
+    got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
+    for score, sense in zip(got, senses):
+        want = oracle.mean_skip([oracle.rel_tw(model, lexicon, sense, w) for w in ca.words])
+        assert abs(score - (0.0 if want is None else want)) <= TOL
+    return got
+
+
+def test_an_edited_inventory_is_a_new_lexicon(toy_model):
+    # k#1 references ref#1, and a step-1 call caches k's compiled senses.
+    # The lexicon cannot then be edited; the edited inventory is a new
+    # lexicon, which reads the new ref#1 instead of the cached one.
+    ref = Sense(id="ref#1", lemmas=("ref",), synonyms=("island",))
+    senses = [Sense(id="k#1", lemmas=("k",), synonyms=("java",),
+                    core_context=(ContextRef("ref#1", is_ref=True),)),
+              Sense(id="k#2", lemmas=("k",), synonyms=("coffee",)), ref]
+    lexicon = Lexicon.from_senses(senses)
+    ca = ActiveContext(target="k", members=(("sea", 1.0), ("cup", 1.0)))
+    before = _step1_matches_the_oracle(toy_model, lexicon, lexicon.senses_of("k"), ca)
+    edited = Sense(id="ref#1", lemmas=("ref",), synonyms=("coffee", "drink"))
+    with pytest.raises(TypeError):
+        lexicon.senses["ref#1"] = edited
+    assert _step1_matches_the_oracle(toy_model, lexicon, lexicon.senses_of("k"), ca) == before
+    other = Lexicon.from_senses([*senses[:2], edited])
+    after = _step1_matches_the_oracle(toy_model, other, other.senses_of("k"), ca)
+    assert after[0] != before[0] and after[1] == before[1]
+
+
+def test_senses_the_lexicon_never_held(toy_model, toy_lexicon):
+    # Step 1 and rel_senses take them, their references read from the
+    # lexicon; descriptions compile only for the lexicon's own senses.
+    foreign = Sense(id="java#foreign", lemmas=("java",), synonyms=("java", "sea"),
+                    core_context=(ContextRef("island#landmass", is_ref=True), ContextRef("cup")),
+                    description_terms=("sea",))
+    senses = [*toy_lexicon.senses_of("java"), foreign]
+    ca = ActiveContext(target="java", members=(("island", 1.0), ("drink", 1.0)))
+    _step1_matches_the_oracle(toy_model, toy_lexicon, senses, ca)
+    for other in toy_lexicon.senses.values():
+        for a, b in ((foreign, other), (other, foreign)):
+            want = oracle.rel_tt(toy_model, toy_lexicon, a, b)
+            assert abs(rel_senses(toy_model, toy_lexicon, a, b) - want) <= TOL
+    with pytest.raises(ValueError, match="the lexicon holds"):
+        compiled.description_index(toy_model, toy_lexicon, senses)
+    with pytest.raises(ValueError, match="the lexicon holds"):
+        compiled.description_words(toy_model, toy_lexicon, [foreign], STOP)
 
 
 def test_second_eval_wsd_reuses_compiled_keywords(toy_corpus_file):

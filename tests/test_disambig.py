@@ -1,6 +1,7 @@
 """Active-context selection, the three scoring steps, and the full pipeline."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -171,10 +172,12 @@ class TestOverlap:
         first = compiled.description_words(toy_model, lexicon, senses, STOP)
         assert compiled.description_words(toy_model, lexicon, senses, STOP) is first
         assert compiled.description_words(toy_model, lexicon, senses, frozenset()) is not first
-        other = [Sense(id=s.id, lemmas=s.lemmas, synonyms=s.synonyms, description_terms=("Sea",))
-                 for s in senses]
-        words = compiled.description_words(toy_model, lexicon, other, STOP)
+        # Other descriptions are another lexicon, with word sets of its own.
+        other = Lexicon.from_senses([dataclasses.replace(s, description_terms=("Sea",))
+                                     for s in lexicon.senses.values()])
+        words = compiled.description_words(toy_model, other, other.senses_of("java"), STOP)
         assert words.overlap({"sea"}) == [1.0] * 3
+        assert compiled.description_words(toy_model, lexicon, senses, STOP) is first
         # Step 2 scores with the compiled sets.
         ca = ActiveContext(target="java", members=(("sea", 0.9),))
         base = step1_base_scores(toy_model, lexicon, senses, ca)
@@ -191,17 +194,20 @@ class TestOverlap:
     def test_compiled_word_sets_match_overlap(self, descriptions, context, replace):
         senses = [Sense(id=f"k#{j}", lemmas=("k",), synonyms=("k",), description_terms=tuple(d))
                   for j, d in enumerate(descriptions)]
-        lexicon = Lexicon.from_senses(senses)
-        if replace:  # compiled through the call's own interning
-            senses = [Sense(id=s.id, lemmas=s.lemmas, synonyms=s.synonyms,
-                            description_terms=s.description_terms[::-1]) for s in senses]
+        lexicons = [Lexicon.from_senses(senses)]
+        if replace:  # a second lexicon, its terms reversed, compiled on the same model
+            lexicons.append(Lexicon.from_senses(
+                [dataclasses.replace(s, description_terms=s.description_terms[::-1])
+                 for s in senses]))
         model = EmbeddingModel(vocab={"k": np.ones(2)}, dim=2)
         ca = ActiveContext(target="k", members=tuple((w, 1.0) for w in context))
-        for stop in (frozenset({"the", "σ"}), frozenset()):  # one lexicon, two stopword sets
-            got = compiled.description_words(model, lexicon, senses, stop).overlap(
-                {w.lower() for w in ca.words})
-            want = [overlap(ca, s.description_terms, stop) for s in senses]
-            assert [g.hex() for g in got] == [w.hex() for w in want]
+        for lexicon in lexicons:
+            senses = list(lexicon.senses.values())
+            for stop in (frozenset({"the", "σ"}), frozenset()):  # two stopword sets
+                got = compiled.description_words(model, lexicon, senses, stop).overlap(
+                    {w.lower() for w in ca.words})
+                want = [overlap(ca, s.description_terms, stop) for s in senses]
+                assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 class TestStep1:

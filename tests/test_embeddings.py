@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from kwsense import (
     EmbeddingModel,
     ParseError,
-    centroid,
     load_binary_model,
     load_text_model,
     save_text_model,
 )
 
+from compile_reference import centroid
 from conftest import TOY_DIM, TOY_VECTORS
 
 
@@ -250,6 +250,8 @@ class TestOneMatrix:
 
 
 class TestCentroid:
+    """The scalar reference mean (``compile_reference.centroid``)."""
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no vectors"):
             centroid([])

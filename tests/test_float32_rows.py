@@ -27,7 +27,6 @@ from kwsense import (
     Strategy,
     angular_relatedness,
     build_sif_store,
-    centroid,
     cosine,
     disambiguate,
     load_binary_model,
@@ -35,6 +34,8 @@ from kwsense import (
     rel_words,
     save_text_model,
 )
+
+from compile_reference import centroid
 
 DIM = 16
 STOP = frozenset({"the"})

@@ -1,7 +1,9 @@
 """Sense inventory loading, indexing, validation, and round-tripping."""
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -58,6 +60,40 @@ class TestLexiconBuild:
         assert [s.id for s in lex.senses_of("JAVA")] == ["s1", "s2"]
         assert [s.id for s in lex.senses_of("coffee")] == ["s2"]
         assert lex.senses_of("tea") == []
+
+    def test_direct_construction_builds_the_index_and_interning(self):
+        senses = make_toy_senses()
+        direct = Lexicon(senses={s.id: s for s in senses})
+        built = Lexicon.from_senses(senses)
+        assert direct == built and direct.index == built.index
+        for keyword in ("java", "island", "land", "tea"):
+            assert direct.senses_of(keyword) == built.senses_of(keyword)
+        assert direct.interned.tokens == built.interned.tokens
+        for name in ("phrase_tokens", "synonyms", "descriptions", "member_phrases"):
+            for a, b in zip(getattr(direct.interned, name), getattr(built.interned, name)):
+                assert a.tolist() == b.tolist(), name
+        ghost = Sense(id="a", lemmas=("a",), synonyms=("a",),
+                      core_context=(ContextRef("ghost", is_ref=True),))
+        with pytest.raises(ValueError, match="dangling sense references: a -> ghost"):
+            Lexicon(senses={"a": ghost})
+        with pytest.raises(ValueError, match=r"keyed by their ids: \['x'\]"):
+            Lexicon(senses={"x": senses[0]})
+
+    def test_senses_cannot_be_changed(self):
+        lexicon = Lexicon.from_senses(make_toy_senses())
+        new = Sense(id="new", lemmas=("new",), synonyms=("new",))
+        for lex in (lexicon, pickle.loads(pickle.dumps(lexicon)), copy.deepcopy(lexicon)):
+            with pytest.raises(TypeError):
+                lex.senses["new"] = new
+            with pytest.raises(TypeError):
+                lex.senses["java#island"] = new
+            with pytest.raises(TypeError):
+                del lex.senses["java#island"]
+            with pytest.raises(AttributeError):
+                lex.senses.update({"new": new})
+            with pytest.raises(AttributeError):
+                lex.senses = {}
+            assert lex == lexicon and list(lex.senses) == [s.id for s in make_toy_senses()]
 
     def test_resolve_unknown_id(self, toy_lexicon):
         with pytest.raises(ValueError, match="unknown sense id"):
@@ -234,19 +270,17 @@ class TestRoundTrip:
 class TestValidate:
     def test_consistent_lexicon_is_clean(self, toy_lexicon):
         report = validate(toy_lexicon)
-        assert report.dangling_refs == ()
         assert report.empty_descriptions == ()
         assert report.notes == ()
         assert report.is_empty
         assert report.zero_frequency_ratio == 0.0
 
-    def test_dangling_and_empty_descriptions_reported(self):
-        a = Sense(id="a", lemmas=("a",), synonyms=("a",),
-                  core_context=(ContextRef("ghost", is_ref=True),))
-        lex = Lexicon.from_senses([a], strict=False)
-        report = validate(lex)
-        assert report.dangling_refs == (("a", "ghost"),)
+    def test_empty_descriptions_reported(self):
+        a = Sense(id="a", lemmas=("a",), synonyms=("a",), frequency=1.0)
+        b = Sense(id="b", lemmas=("b",), synonyms=("b",), description_terms=("x",))
+        report = validate(Lexicon.from_senses([a, b]))
         assert report.empty_descriptions == ("a",)
+        assert report.notes == ()
         assert not report.is_empty
 
     def test_all_zero_frequencies_noted(self):

@@ -8,6 +8,7 @@ building it allocates no matrix over the distinct tokens.
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
 import tempfile
 import tracemalloc
@@ -113,16 +114,19 @@ def test_store_matches_the_per_token_reference(scenario, data):
                          lambda: sif_reference.sif_embeddings(model, bags, cfg))
 
         check()
-        # A sense deleted, one added, then one replaced, after the lexicon was built.
-        del lexicon.senses[data.draw(st.sampled_from(list(lexicon.senses)))]
+        # A sense deleted, one added, then one replaced: each a new lexicon.
+        senses = list(lexicon.senses.values())
+        del senses[data.draw(st.integers(0, len(senses) - 1))]
+        lexicon = Lexicon.from_senses(senses)
         check()
-        lexicon.senses["k#new"] = Sense(id="k#new", lemmas=("k",), synonyms=("k",),
-                                        description_terms=("Q7 w2",))
+        senses.append(Sense(id="k#new", lemmas=("k",), synonyms=("k",),
+                            description_terms=("Q7 w2",)))
+        lexicon = Lexicon.from_senses(senses)
         check()
-        old = data.draw(st.sampled_from(list(lexicon.senses.values())))
-        lexicon.senses[old.id] = Sense(
-            id=old.id, lemmas=old.lemmas, synonyms=old.synonyms,
-            description_terms=(*old.description_terms[1:], "w4 zz", "W3"))
+        j = data.draw(st.integers(0, len(senses) - 1))
+        senses[j] = dataclasses.replace(
+            senses[j], description_terms=(*senses[j].description_terms[1:], "w4 zz", "W3"))
+        lexicon = Lexicon.from_senses(senses)
         check()
 
 
