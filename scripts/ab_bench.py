@@ -24,6 +24,10 @@ times its median (the runs spread too widely to tell), else ``worse`` when
 the working tree's median is worse than the parent's by more than the bound
 times the parent's median, else ``ok``. Runs that failed a check are
 counted per side. The copy is removed on exit.
+
+The exit status is 1 when a run failed a check on either side or a metric's
+verdict is ``worse``, else 0 (``unresolved`` is reported but passes), so the
+script can gate a change.
 """
 from __future__ import annotations
 
@@ -75,9 +79,13 @@ def verdict(parent: tuple[float, float, float], change: float, bound: float, low
     return "worse" if worse_by > bound * abs(median) else "ok"
 
 
-def report(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> None:
-    """Per metric: each side's quartiles, the wins, the claim rule and the bound's verdict."""
+def report(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> int:
+    """Per metric: each side's quartiles, the wins, the claim rule and the bound's verdict.
+
+    Returns the exit status: 1 if a run failed or a verdict is ``worse``, else 0.
+    """
     failed = [sum(p[i] is None for p in pairs) for i in (0, 1)]
+    status = int(any(failed))
     print(f"pairs {len(pairs)}; failed runs: parent {failed[0]}, working tree {failed[1]}")
     print(f"{'metric':16s} {'parent q1/median/q3':>32s} {'working tree q1/median/q3':>32s}"
           f" {'wins':>6s}  claim  bound")
@@ -92,8 +100,11 @@ def report(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) ->
         gap = (parent[1] - change[1]) if lower else (change[1] - parent[1])
         holds = wins * 10 >= 9 * len(pairs) and gap > parent[2] - parent[0]
         cells = ["/".join(f"{v:.4g}" for v in q) for q in (parent, change)]
+        bound = verdict(parent, change[1], m["bound"], lower)
+        status |= bound == "worse"
         print(f"{name:16s} {cells[0]:>32s} {cells[1]:>32s} {wins:>3d}/{len(pairs):<2d}"
-              f"  {'holds' if holds else 'no':5s}  {verdict(parent, change[1], m['bound'], lower)}")
+              f"  {'holds' if holds else 'no':5s}  {bound}")
+    return status
 
 
 def main() -> int:
@@ -132,10 +143,9 @@ def main() -> int:
                   + "; ".join(f"{k} {got[0][k]:.4g} -> {got[1][k]:.4g}"
                               for k in (got[0] or {}) if got[1] and k in got[1]),
                   flush=True)
-        report(pairs, bench["end_to_end"])
+        return report(pairs, bench["end_to_end"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)  # the link goes, the shared inputs stay
-    return 0
 
 
 if __name__ == "__main__":

@@ -42,13 +42,13 @@ sense's description word set instead, as word ids, per stopword set
 (:func:`description_words`). Compiled parts are
 cached per (model, lexicon) pair: on the lexicon, per model, until the model
 is garbage-collected. A lexicon cannot change after it is built, so its
-interning is the only one its senses get. The key is the tuple of sense
-ids, and an entry is used only for the very sense objects it was compiled
-from. Descriptions compile only for the lexicon's own senses; step 1 also
-takes senses the lexicon does not hold and calls without a lexicon, whose
-senses are interned for the one compile, references resolved through the
-lexicon. :func:`rel_senses` and :func:`rel_sense_word` build their indexes
-without the cache.
+interning is the only one its senses get. Only the lexicon's own sense
+objects are cached, keyed by the tuple of their ids. Descriptions compile
+only for the lexicon's own senses; step 1 also takes senses the lexicon does
+not hold and calls without a lexicon, whose senses are interned for the one
+compile and not cached, references resolved through the lexicon.
+:func:`rel_senses` and :func:`rel_sense_word` build their indexes without
+the cache.
 """
 from __future__ import annotations
 
@@ -465,14 +465,16 @@ def _compiled(
     senses: Sequence[Sense],
     *args: Hashable,
 ) -> _Compiled:
-    if lexicon is None:
+    ids = tuple(map(attrgetter("id"), senses))
+    if lexicon is None or not all(map(is_, map(lexicon.senses.get, ids), senses)):
+        # Not the lexicon's own senses: compiled for this call only.
         return build(model, lexicon, senses, *args)
     cache = _model_cache(model, lexicon)
-    key = (build, tuple(s.id for s in senses), *args)
+    key = (build, ids, *args)
     hit = cache.get(key)
-    if hit is None or any(a is not b for a, b in zip(hit[0], senses)):
-        hit = cache[key] = (tuple(senses), build(model, lexicon, senses, *args))
-    return hit[1]
+    if hit is None:
+        hit = cache[key] = build(model, lexicon, senses, *args)
+    return hit
 
 
 def _lexicon_ordinals(

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -25,6 +27,7 @@ from .errors import ParseError
 logger = logging.getLogger(__name__)
 
 _BLOCK_BYTES = 1 << 20  # bytes per read of load_binary_model
+_PASS_BYTES = 1 << 17  # bytes of a block scanned per pass of load_binary_model
 _TEXT_BLOCK_BYTES = 1 << 17  # bytes of whole lines per block of load_text_model
 
 Vector = np.ndarray
@@ -304,6 +307,26 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
     return EmbeddingModel.from_rows(matrix[: len(tokens)], index, name or path.name, duplicates)
 
 
+def _whole_entries(
+    entry: re.Pattern, buf: bytearray, pos: int, stop: int, vec_bytes: int
+) -> tuple[list[bytes], np.ndarray]:
+    """The raw tokens of the whole entries in ``buf[pos:stop]`` and where their vectors start.
+
+    ``entry`` matches an entry, its token the group, or else the rest of the
+    range: one ``findall`` ends at the first entry that does not fit and never
+    tries a position twice.
+    """
+    found = entry.findall(buf, pos, stop)
+    starts = np.fromiter(map(len, found), np.intp, len(found))
+    starts += vec_bytes + 1
+    starts.cumsum(out=starts)
+    starts += pos - vec_bytes
+    # An empty last group is the rest of the range unless an entry fits there.
+    if found and not found[-1] and (starts[-1] + vec_bytes > stop or buf[starts[-1] - 1] != 0x20):
+        found.pop()
+    return found, starts
+
+
 def _read_binary_entries(
     fh: BinaryIO, path: Path, count: int, dim: int
 ) -> tuple[list[str], np.ndarray]:
@@ -312,27 +335,38 @@ def _read_binary_entries(
     left = os.fstat(fh.fileno()).st_size - fh.tell()  # file bytes not yet read
     # The file's own layout: vector bytes are copied straight into their rows.
     matrix = np.empty((min(count, left // (vec_bytes + 1)), dim), dtype="<f4")
-    rows = memoryview(matrix.view(np.uint8).reshape(-1))
+    if not len(matrix):  # the file cannot hold one entry
+        raise ParseError(f"{path}: truncated after 0 of {count} entries")
+    entry = re.compile(rb"(?s)(?:([^ ]*) .{%d}|.+)" % vec_bytes)
+    vector = np.dtype((np.void, vec_bytes))
+    rows = matrix.view(vector).reshape(-1)
     tokens: list[str] = []
     buf = bytearray(min(_BLOCK_BYTES, left))
     view = memoryview(buf)
     pos = end = 0  # buf[pos:end] holds the bytes read but not yet parsed
     while True:
-        first = i = len(tokens)
+        i = len(tokens)
         while i < count:
-            space = buf.find(b" ", pos, end)
-            vec_end = space + 1 + vec_bytes
-            if space < 0 or vec_end > end:
+            stop = min(end, pos + _PASS_BYTES)
+            found, starts = _whole_entries(entry, buf, pos, stop, vec_bytes)
+            if not found and stop < end:
+                # The next entry is longer than a pass: scan up to its end.
+                space = buf.find(b" ", pos, end)
+                if 0 <= space < end - vec_bytes:
+                    found, starts = _whole_entries(entry, buf, pos, space + 1 + vec_bytes, vec_bytes)
+            if not found:
                 break
-            tokens.append(buf[pos:space].lstrip(b"\r\n").decode("utf-8", errors="replace"))
-            rows[i * vec_bytes:(i + 1) * vec_bytes] = view[space + 1:vec_end]
-            pos = vec_end
-            i += 1
-        if i > first:
-            finite = np.isfinite(matrix[first:i]).all(axis=1)
-            if not finite.all():
-                bad = first + int(np.argmin(finite))
+            del found[count - i :]
+            n = len(found)
+            # A view of every vec_bytes window of the buffer; the vectors are gathered from it.
+            rows[i : i + n] = np.ndarray((end - vec_bytes + 1,), vector, buf, strides=(1,))[starts[:n]]
+            if not np.isfinite(matrix[i : i + n]).all():
+                bad = i + int(np.argmin(np.isfinite(matrix[i : i + n]).all(axis=1)))
                 raise ParseError(f"{path}: entry {bad}: non-finite vector component")
+            raw = b" ".join(map(bytes.lstrip, found, repeat(b"\r\n")))
+            tokens += raw.decode("utf-8", errors="replace").split(" ")
+            pos = int(starts[n - 1]) + vec_bytes
+            i += n
         if i == count:
             break
         tail = end - pos
@@ -362,13 +396,20 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
     first occurrence and are counted on the returned model.
 
     The file is read in 1 MiB blocks (``_BLOCK_BYTES``) into one reused
-    buffer (grown only for an entry longer than a block); each vector's bytes
-    are copied into its row and each block's rows are checked by numpy at
-    once. That ``(rows, dim)`` float32 matrix, including the rows of dropped
-    duplicates, is the model's matrix: half the memory of float64 rows, and
-    nothing lost, since kwsense widens rows exactly before any arithmetic. Allocation is bounded by the file size, not by the header:
-    ``rows`` is at most the number of ``4 * dim + 1``-byte entries the file
-    can hold, and the buffer at most the bytes it holds.
+    buffer (grown only for an entry longer than a block), scanned in passes
+    of ``_PASS_BYTES`` (or of one longer entry) with no Python code per
+    entry: one ``re.findall`` matches each token and its ``4 * dim`` vector
+    bytes, or else the rest of the pass, so it stops at the first entry that
+    does not fit and tries no position twice. The token lengths give the
+    vectors' offsets, one gather from a strided view of the buffer copies
+    them into their rows, numpy checks them at once, and the tokens are
+    decoded with one join, decode and split. That ``(rows, dim)`` float32
+    matrix, including the rows of dropped duplicates, is the model's matrix:
+    half the memory of float64 rows, and nothing lost, since kwsense widens
+    rows exactly before any arithmetic. Allocation is bounded by the file
+    size, not by the header: ``rows`` is at most the number of
+    ``4 * dim + 1``-byte entries the file can hold, the buffer at most the
+    bytes it holds, and a pass's temporaries by the pass.
     """
     path = Path(path)
     with path.open("rb") as fh:

@@ -217,6 +217,10 @@ class InternedSenses:
         )
 
 
+class _OwnedSenses(dict):
+    """A sense table that :meth:`Lexicon.from_senses` built: the lexicon keeps it uncopied."""
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """A read-only sense inventory with a lemma index and its interned phrases.
@@ -235,7 +239,8 @@ class Lexicon:
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        senses = dict(self.senses)
+        # Any other mapping is copied, so that changing it cannot change the lexicon.
+        senses = self.senses if type(self.senses) is _OwnedSenses else dict(self.senses)
         misfiled = [key for key, sense in senses.items() if key != sense.id]
         if misfiled:
             raise ValueError(f"senses must be keyed by their ids: {misfiled!r}")
@@ -268,7 +273,7 @@ class Lexicon:
     @classmethod
     def from_senses(cls, senses: Iterable[Sense]) -> "Lexicon":
         """Build a lexicon, checking id uniqueness and reference integrity."""
-        table: dict[str, Sense] = {}
+        table = _OwnedSenses()
         for sense in senses:
             if sense.id in table:
                 raise ValueError(f"duplicate sense id: {sense.id!r}")

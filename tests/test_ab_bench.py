@@ -1,4 +1,4 @@
-"""The no-regression verdict of scripts/ab_bench.py against a metric's bound."""
+"""The no-regression verdict of scripts/ab_bench.py against a metric's bound, and its exit status."""
 from __future__ import annotations
 
 import sys
@@ -22,3 +22,36 @@ import ab_bench  # noqa: E402
 ])
 def test_verdict_against_the_bound(parent, change, lower, want):
     assert ab_bench.verdict(parent, change, 0.25, lower) == want
+
+
+METRICS = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+           {"name": "targets_per_s", "better": "higher", "bound": 0.25}]
+
+
+def _pairs(parent: list[tuple[float, float]], change: list[tuple[float, float]]):
+    return [({"setup_s": a[0], "targets_per_s": a[1]}, {"setup_s": b[0], "targets_per_s": b[1]})
+            for a, b in zip(parent, change)]
+
+
+@pytest.mark.parametrize("change, want", [
+    ([(0.8, 100.0), (0.9, 101.0), (1.0, 99.0)], 0),  # better or level: ok
+    ([(1.1, 100.0), (1.2, 100.0), (1.2, 100.0)], 0),  # slower within the bound
+    ([(1.4, 100.0), (1.5, 100.0), (1.3, 100.0)], 1),  # setup_s worse
+    ([(1.0, 60.0), (1.0, 70.0), (1.0, 50.0)], 1),  # targets_per_s worse
+])
+def test_exit_status_follows_the_verdicts(capsys, change, want):
+    parent = [(1.0, 100.0), (1.0, 100.0), (1.05, 100.0)]
+    assert ab_bench.report(_pairs(parent, change), METRICS) == want
+    assert ("worse" in capsys.readouterr().out) == bool(want)
+
+
+def test_unresolved_passes_and_a_failed_run_fails(capsys):
+    # The parent's setup_s spreads too widely to tell: reported, but no failure.
+    spread = _pairs([(0.5, 100.0), (1.0, 100.0), (2.0, 100.0)],
+                    [(3.0, 100.0), (3.0, 100.0), (3.0, 100.0)])
+    assert ab_bench.report(spread, METRICS) == 0
+    assert "unresolved" in capsys.readouterr().out
+    level = _pairs([(1.0, 100.0)] * 3, [(1.0, 100.0)] * 3)
+    assert ab_bench.report(level, METRICS) == 0
+    for failed in ((None, level[0][1]), (level[0][0], None)):
+        assert ab_bench.report(level + [failed], METRICS) == 1

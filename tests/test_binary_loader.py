@@ -4,11 +4,14 @@
 reads token bytes one at a time and widens each vector on its own. The block
 loader keeps rows as float32; it must give the same tokens in the same order,
 the same duplicate count and float32 rows that widen to bit-identical float64
-vectors, or raise a ``ParseError`` with the same text. Shrinking ``embeddings._BLOCK_BYTES`` makes entries straddle block
-boundaries and forces the buffer to grow.
+vectors, or raise a ``ParseError`` with the same text. Shrinking
+``embeddings._BLOCK_BYTES`` makes entries straddle block boundaries and forces
+the buffer to grow; shrinking ``embeddings._PASS_BYTES`` makes entries
+straddle the ranges one ``findall`` scans, or outgrow them.
 """
 from __future__ import annotations
 
+import signal
 import struct
 import tracemalloc
 from pathlib import Path
@@ -73,10 +76,13 @@ def _outcome(load, path: Path):
     )
 
 
-def assert_same_as_reference(path: Path, block_bytes: int) -> None:
+def assert_same_as_reference(
+    path: Path, block_bytes: int, pass_bytes: int = embeddings._PASS_BYTES
+) -> None:
     with np.errstate(invalid="ignore"):  # widening a signaling NaN warns
         expected = _outcome(reference_load_binary, path)
-    with mock.patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(embeddings, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(embeddings, "_PASS_BYTES", pass_bytes):
         assert _outcome(load_binary_model, path) == expected
 
 
@@ -84,15 +90,24 @@ def _entry(token: bytes, values: list[float], sep: bytes = b"\n") -> bytes:
     return token + b" " + struct.pack(f"<{len(values)}f", *values) + sep
 
 
+# Most are smaller than one entry.
 BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 20])
+PASS_SIZES = st.sampled_from([1, 2, 7, 16, 64, 1 << 17])
 # Bytes that matter to the parser, mixed with arbitrary ones.
-SPECIAL = st.sampled_from([0x20, 0x0A, 0x0D, 0x00, 0x7F, 0x80, 0xC3, 0xFF])
-TOKENS = st.one_of(
-    st.sampled_from([b"a", b"B", b"caf\xc3\xa9", b"\xff\xfe", b"\n\ra", b"\r\n", b"", b"a\nb"]),
+SPECIAL = st.sampled_from([0x20, 0x0A, 0x0D, 0x00, 0x7F, 0x80, 0xC3, 0xE2, 0xF0, 0xFF])
+NEWLINES = st.lists(st.sampled_from([b"\r", b"\n"]), max_size=4).map(b"".join)
+BODIES = st.one_of(
+    st.sampled_from([
+        b"a", b"B", b"caf\xc3\xa9", b"", b"a\nb", b"a\rb", b"a\r\n\nb",
+        # Invalid UTF-8, and UTF-8 cut off at the token's end.
+        b"\xff\xfe", b"\x80a", b"caf\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80",
+    ]),
     st.lists(st.one_of(SPECIAL, st.integers(0, 255)), max_size=6).map(
         lambda bs: bytes(bs).replace(b" ", b"")
     ),
 )
+# Leading \r/\n runs are skipped; empty tokens are kept.
+TOKENS = st.builds(bytes.__add__, NEWLINES, BODIES)
 SEPARATORS = st.sampled_from([b"", b"\n", b"\r\n", b"\n\n\r"])
 
 
@@ -108,6 +123,8 @@ def binary_blobs(draw):
             # Make this vector finite: clear the top exponent bit of each float.
             vec = bytes(b & 0xBF if k % 4 == 3 else b for k, b in enumerate(vec))
         entries.append(draw(TOKENS) + b" " + vec + draw(SEPARATORS))
+    # Bytes after entry ``count``: the header may undercount.
+    count -= draw(st.integers(0, count - 1))
     blob = f"{count} {dim}\n".encode() + b"".join(entries) + draw(st.binary(max_size=4))
     if draw(st.booleans()):
         blob = blob[: draw(st.integers(0, len(blob)))]
@@ -116,11 +133,20 @@ def binary_blobs(draw):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(blob=binary_blobs(), block_bytes=BLOCK_SIZES)
-def test_block_loader_matches_reference(tmp_path, blob, block_bytes):
+@given(blob=binary_blobs(), block_bytes=BLOCK_SIZES, pass_bytes=PASS_SIZES)
+def test_block_loader_matches_reference(tmp_path, blob, block_bytes, pass_bytes):
     path = tmp_path / "m.bin"
     path.write_bytes(blob)
-    assert_same_as_reference(path, block_bytes)
+    assert_same_as_reference(path, block_bytes, pass_bytes)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(BODIES, st.binary(max_size=8).map(lambda b: b.replace(b" ", b""))),
+                min_size=1, max_size=8))
+def test_joined_tokens_decode_as_each_token(tokens):
+    # The loader decodes a pass's tokens joined by spaces, then splits them.
+    joined = b" ".join(tokens).decode("utf-8", errors="replace").split(" ")
+    assert joined == [t.decode("utf-8", errors="replace") for t in tokens]
 
 
 @pytest.mark.parametrize("block_bytes", [1, 4, 7, 1 << 20])
@@ -183,6 +209,39 @@ def test_lying_header_allocates_by_file_size(tmp_path, header):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert str(info.value) == _outcome(reference_load_binary, path)
+
+
+@pytest.mark.parametrize("header", [b"3 600000000\n", b"3 1073741824\n"])
+def test_dim_too_large_to_scan_reports_truncation(tmp_path, header):
+    # 4 * dim bytes is too many for a np.void item (both) and a regex repeat (the second).
+    path = tmp_path / "m.bin"
+    path.write_bytes(header + _entry(b"a", [1.0, 2.0]))
+    with pytest.raises(ParseError, match="truncated after 0 of 3 entries") as info:
+        load_binary_model(path)
+    assert str(info.value) == _outcome(reference_load_binary, path)
+
+
+@pytest.mark.parametrize("body", [
+    b"x" * (2 << 20) + b" " + struct.pack("<2f", 1.0, 2.0) + _entry(b"y", [3.0, 4.0]),
+    b"\x00" * (2 << 20),
+], ids=["2MiB-token", "2MiB-of-zeros"])
+def test_scan_is_linear_in_a_long_entry(tmp_path, body):
+    # A scan that retried every position after a failed match would take
+    # hours; the alarm interrupts it (the regex engine checks for signals).
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"2 2\n" + body)
+
+    def too_slow(signum, frame):
+        raise AssertionError("load_binary_model took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        got = _outcome(load_binary_model, path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == _outcome(reference_load_binary, path)
 
 
 def test_rows_are_views_of_one_float32_matrix(tmp_path):

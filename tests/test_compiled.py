@@ -407,6 +407,9 @@ def test_replaced_senses_are_compiled_again(toy_model):
              for s in lexicon.senses_of("java")]
     again = compiled.sense_index(toy_model, lexicon, other)
     assert again is not first and again.phrases.size == 1
+    # They are compiled for the call only: the lexicon's own entry stays.
+    assert compiled.sense_index(toy_model, lexicon, other) is not again
+    assert compiled.sense_index(toy_model, lexicon, lexicon.senses_of("java")) is first
 
 
 def _step1_matches_the_oracle(model, lexicon, senses, ca) -> list[float]:
