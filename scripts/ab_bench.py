@@ -5,6 +5,9 @@ Usage (from the root of a kwsense checkout)::
 
     python3 scripts/ab_bench.py --parent HEAD --workload cold-start --pairs 10
 
+Without ``--workload`` every workload of ``BENCHMARK.json`` runs, one after
+another, each with its own pairs and report.
+
 REV's files are exported into a temporary directory (``git archive``). Each
 pair then runs ``perfbench/run.py --trace 0`` once in that copy and once in
 the working tree, with the run length ``BENCHMARK.json`` sets, on one fresh
@@ -25,9 +28,9 @@ the working tree's median is worse than the parent's by more than the bound
 times the parent's median, else ``ok``. Runs that failed a check are
 counted per side. The copy is removed on exit.
 
-The exit status is 1 when a run failed a check on either side or a metric's
-verdict is ``worse``, else 0 (``unresolved`` is reported but passes), so the
-script can gate a change.
+The exit status is 1 when, in any workload run, a run failed a check on
+either side or a metric's verdict is ``worse``, else 0 (``unresolved`` is
+reported but passes), so the script can gate a change.
 """
 from __future__ import annotations
 
@@ -107,28 +110,22 @@ def report(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) ->
     return status
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="revision to compare against")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    args = ap.parse_args()
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in bench["workloads"]}:
-        ap.error(f"unknown workload {args.workload!r}")
-    # SIGTERM unwinds like Ctrl-C, so the copy is removed either way.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
-    tree = tmp / "parent"
-    try:
-        tree.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-        cache = ROOT / "perfbench" / ".cache"
-        cache.mkdir(exist_ok=True)
-        (tree / "perfbench" / ".cache").symlink_to(cache, target_is_directory=True)
-        seeds = random.sample(range(10_000, 1_000_000), args.pairs)
+def export(rev: str, tree: Path) -> None:
+    """Write the files of revision ``rev`` into the directory ``tree``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+
+
+def run_workloads(tree: Path, workloads: list[str], n_pairs: int, bench: dict) -> int:
+    """``n_pairs`` alternating pairs of each workload in turn, each reported on its own.
+
+    Returns the exit status over all of them: 1 if any report's is 1, else 0.
+    """
+    status = 0
+    for workload in workloads:
+        print(f"workload {workload}", flush=True)
+        seeds = random.sample(range(10_000, 1_000_000), n_pairs)
         pairs = []
         for i, seed in enumerate(seeds):
             sides = [(0, tree), (1, ROOT)]
@@ -136,14 +133,39 @@ def main() -> int:
                 sides.reverse()
             got: list[dict | None] = [None, None]
             for side, checkout in sides:
-                got[side] = run_bench(checkout, args.workload, seed, bench["run_seconds"])
+                got[side] = run_bench(checkout, workload, seed, bench["run_seconds"])
             pairs.append((got[0], got[1]))
             order = "parent first" if i % 2 == 0 else "working tree first"
-            print(f"pair {i + 1}/{args.pairs} seed {seed} ({order}): "
+            print(f"pair {i + 1}/{n_pairs} seed {seed} ({order}): "
                   + "; ".join(f"{k} {got[0][k]:.4g} -> {got[1][k]:.4g}"
                               for k in (got[0] or {}) if got[1] and k in got[1]),
                   flush=True)
-        return report(pairs, bench["end_to_end"])
+        status |= report(pairs, bench["end_to_end"])
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="revision to compare against")
+    ap.add_argument("--workload", help="default: every workload, one after another")
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload is not None and args.workload not in names:
+        ap.error(f"unknown workload {args.workload!r}")
+    # SIGTERM unwinds like Ctrl-C, so the copy is removed either way.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
+    tree = tmp / "parent"
+    try:
+        tree.mkdir()
+        export(args.parent, tree)
+        cache = ROOT / "perfbench" / ".cache"
+        cache.mkdir(exist_ok=True)
+        (tree / "perfbench" / ".cache").symlink_to(cache, target_is_directory=True)
+        workloads = names if args.workload is None else [args.workload]
+        return run_workloads(tree, workloads, args.pairs, bench)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)  # the link goes, the shared inputs stay
 

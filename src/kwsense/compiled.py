@@ -39,16 +39,13 @@ gives the same scores bit for bit.
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 ``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
 sense's description word set instead, as word ids, per stopword set
-(:func:`description_words`). Compiled parts are
-cached per (model, lexicon) pair: on the lexicon, per model, until the model
-is garbage-collected. A lexicon cannot change after it is built, so its
-interning is the only one its senses get. Only the lexicon's own sense
-objects are cached, keyed by the tuple of their ids. Descriptions compile
-only for the lexicon's own senses; step 1 also takes senses the lexicon does
-not hold and calls without a lexicon, whose senses are interned for the one
-compile and not cached, references resolved through the lexicon.
-:func:`rel_senses` and :func:`rel_sense_word` build their indexes without
-the cache.
+(:func:`description_words`). Compiled parts are cached per (model, lexicon)
+pair: on the lexicon, per model, until the model is garbage-collected. A
+lexicon cannot change after it is built, so its interning is the only one
+its senses get: every compiled part, the indexes of :func:`rel_senses` and
+:func:`rel_sense_word` included, is built from it and cached under the
+senses' ordinals in it. Only the lexicon's own sense objects compile; any
+other sense, under one of its ids or not, raises ValueError.
 """
 from __future__ import annotations
 
@@ -139,24 +136,20 @@ _UNSEEN = -2
 
 def _token_values(
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
-    interned: InternedSenses,
+    lexicon: Lexicon,
     tokens: np.ndarray,
     key: Hashable,
     compute: Callable[[list[int]], Sequence[int]],
 ) -> np.ndarray:
-    """A value (an int >= -1) for each of ``tokens``, ids into ``interned.tokens``.
+    """A value (an int >= -1) for each of ``tokens``, ids into the lexicon's interned tokens.
 
     ``compute`` gives the values of a list of distinct token ids; each
-    token's value is computed once. The lexicon's own tokens share one token
-    -> value array per (model, lexicon) pair and ``key``, filled as compiled
-    keywords and the SIF store need its tokens; threads that fill it together
-    write the same values. Tokens interned for one call get a fresh array.
+    token's value is computed once. The tokens share one token -> value array
+    per (model, lexicon) pair and ``key``, filled as compiled keywords and the
+    SIF store need its tokens; threads that fill it together write the same
+    values.
     """
-    if lexicon is None or interned is not lexicon.interned:
-        values = np.full(len(interned.tokens), _UNSEEN)
-    else:
-        values = _shared(model, lexicon, key, lambda: np.full(len(interned.tokens), _UNSEEN))
+    values = _shared(model, lexicon, key, lambda: np.full(len(lexicon.interned.tokens), _UNSEEN))
     out = values[tokens]
     if out.min(initial=0) == _UNSEEN:
         unseen = np.zeros(len(values), dtype=bool)
@@ -167,20 +160,15 @@ def _token_values(
     return out
 
 
-def _token_rows(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], interned: InternedSenses, tokens: np.ndarray
-) -> np.ndarray:
+def _token_rows(model: EmbeddingModel, lexicon: Lexicon, tokens: np.ndarray) -> np.ndarray:
     """The row in ``model`` of each of ``tokens`` (by :meth:`EmbeddingModel.row_id`), or -1."""
-    row_id, names = model.row_id, interned.tokens
-    return _token_values(model, lexicon, interned, tokens, _token_rows,
+    row_id, names = model.row_id, lexicon.interned.tokens
+    return _token_values(model, lexicon, tokens, _token_rows,
                          lambda ids: [-1 if (i := row_id(names[t])) is None else i for t in ids])
 
 
 def _phrase_table(
-    model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
-    interned: InternedSenses,
-    phrases: np.ndarray,
+    model: EmbeddingModel, lexicon: Lexicon, phrases: np.ndarray
 ) -> tuple[PhraseTable, np.ndarray]:
     """The table of the distinct ``phrases`` (ids) with a token in ``model``, and each one's row.
 
@@ -195,8 +183,8 @@ def _phrase_table(
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     distinct = ordered[new]
-    tokens, lengths = gather(interned.phrase_tokens, distinct)
-    rows = _token_rows(model, lexicon, interned, tokens)
+    tokens, lengths = gather(lexicon.interned.phrase_tokens, distinct)
+    rows = _token_rows(model, lexicon, tokens)
     found = rows >= 0
     # Found tokens before each token: per phrase, its first found token and count.
     before = np.zeros(len(found) + 1, dtype=np.intp)
@@ -461,38 +449,37 @@ def _shared(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callab
 def _compiled(
     build: Callable[..., _Compiled],
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
+    lexicon: Lexicon,
     senses: Sequence[Sense],
     *args: Hashable,
 ) -> _Compiled:
-    ids = tuple(map(attrgetter("id"), senses))
-    if lexicon is None or not all(map(is_, map(lexicon.senses.get, ids), senses)):
-        # Not the lexicon's own senses: compiled for this call only.
-        return build(model, lexicon, senses, *args)
+    """``build(model, lexicon, ordinals, *args)`` for the lexicon's ``senses``, made once."""
+    ordinals = _lexicon_ordinals(lexicon, senses)
     cache = _model_cache(model, lexicon)
-    key = (build, ids, *args)
+    key = (build, ordinals if isinstance(ordinals, range) else tuple(ordinals.tolist()), *args)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = build(model, lexicon, senses, *args)
+        hit = cache[key] = build(model, lexicon, ordinals, *args)
     return hit
 
 
-def _lexicon_ordinals(
-    lexicon: Optional[Lexicon], senses: Sequence[Sense]
-) -> Optional[range | np.ndarray]:
+def _lexicon_ordinals(lexicon: Lexicon, senses: Sequence[Sense]) -> range | np.ndarray:
     """The ordinals of ``senses`` in the lexicon's interning, a range if consecutive.
 
-    None unless each sense is the very object interned.
+    Every sense must be the very object the lexicon holds: any other sense,
+    under one of its ids or not, raises ValueError.
     """
-    if lexicon is None:
-        return None
     interned = lexicon.interned
+    # A keyword's senses are usually consecutive: one slice compares them all.
+    first = interned.ordinals.get(senses[0].id, 0) if senses else 0
+    held = interned.senses[first : first + len(senses)]
+    if len(held) == len(senses) and all(map(is_, held, senses)):
+        return range(first, first + len(senses))
     ordinals = list(map(interned.ordinals.get, map(attrgetter("id"), senses)))
     if None in ordinals or not all(map(is_, map(interned.senses.__getitem__, ordinals), senses)):
-        return None
-    first = ordinals[0] if ordinals else 0
-    consecutive = range(first, first + len(ordinals))
-    return consecutive if ordinals == list(consecutive) else np.array(ordinals, dtype=np.intp)
+        other = next(s for s in senses if lexicon.senses.get(s.id) is not s)
+        raise ValueError(f"sense {other.id!r} is not one the lexicon holds")
+    return np.array(ordinals, dtype=np.intp)
 
 
 def _member_positions(
@@ -508,32 +495,13 @@ def _member_positions(
 
 
 def _build_sense_index(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
+    model: EmbeddingModel, lexicon: Lexicon, ordinals: range | np.ndarray
 ) -> SenseIndex:
-    # The lexicon's interning serves when every sense is the very object
-    # interned. Otherwise the senses are interned for this call, references
-    # resolved through the lexicon.
-    ordinals = _lexicon_ordinals(lexicon, senses)
-    if ordinals is not None:
-        interned = lexicon.interned
-    else:
-        referenced = {}
-        for sense in senses:
-            for ref in sense.core_context:
-                if not ref.is_ref:
-                    continue
-                if lexicon is None:
-                    raise ValueError(
-                        f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
-                    )
-                referenced[ref.value] = lexicon.resolve(ref.value)
-        interned = InternedSenses.build(senses, list(referenced.values()))
-        ordinals = range(len(senses))
+    interned = lexicon.interned
     members, member_counts = _member_positions(interned, ordinals)
     synonyms, synonym_counts = gather(interned.synonyms, ordinals)
     member_phrases, member_lengths = gather(interned.member_phrases, members)
-    table, rows = _phrase_table(model, lexicon, interned,
-                                np.concatenate((synonyms, member_phrases)))
+    table, rows = _phrase_table(model, lexicon, np.concatenate((synonyms, member_phrases)))
     padded = None
     if table.size > STEP1_LOOP_PHRASES:
         padded = (
@@ -551,26 +519,20 @@ def _build_sense_index(
     )
 
 
-def _description_phrases(
-    lexicon: Lexicon, senses: Sequence[Sense]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The description phrase ids of ``senses``, one sense after another, and each one's count.
-
-    Descriptions compile only for the lexicon's own senses: any other sense
-    raises ValueError.
-    """
-    ordinals = _lexicon_ordinals(lexicon, senses)
-    if ordinals is None:
-        raise ValueError("descriptions compile only for senses the lexicon holds")
-    return gather(lexicon.interned.descriptions, ordinals)
-
-
 def _build_description_index(
-    model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]
+    model: EmbeddingModel, lexicon: Lexicon, ordinals: range | np.ndarray
 ) -> DescriptionIndex:
-    terms, counts = _description_phrases(lexicon, senses)
-    table, rows = _phrase_table(model, lexicon, lexicon.interned, terms)
+    terms, counts = gather(lexicon.interned.descriptions, ordinals)
+    table, rows = _phrase_table(model, lexicon, terms)
     return DescriptionIndex(phrases=table, terms=_padded(rows, counts))
+
+
+def _description_tokens(
+    lexicon: Lexicon, ordinals: range | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    phrases, counts = gather(lexicon.interned.descriptions, ordinals)
+    tokens, lengths = gather(lexicon.interned.phrase_tokens, phrases)
+    return tokens, _offsets(lengths)[_offsets(counts)]
 
 
 def description_tokens(lexicon: Lexicon, senses: Sequence[Sense]) -> tuple[np.ndarray, np.ndarray]:
@@ -579,18 +541,16 @@ def description_tokens(lexicon: Lexicon, senses: Sequence[Sense]) -> tuple[np.nd
     Token ids run one sense after another; sense j's are those between its
     bounds j and j + 1. Any sense the lexicon does not hold raises ValueError.
     """
-    phrases, counts = _description_phrases(lexicon, senses)
-    tokens, lengths = gather(lexicon.interned.phrase_tokens, phrases)
-    return tokens, _offsets(lengths)[_offsets(counts)]
+    return _description_tokens(lexicon, _lexicon_ordinals(lexicon, senses))
 
 
 def _build_description_words(
     model: EmbeddingModel,
     lexicon: Lexicon,
-    senses: Sequence[Sense],
+    ordinals: range | np.ndarray,
     stopwords: frozenset[str],
 ) -> DescriptionWords:
-    tokens, bounds = description_tokens(lexicon, senses)
+    tokens, bounds = _description_tokens(lexicon, ordinals)
     names = lexicon.interned.tokens
     # One vocabulary per (model, lexicon) pair, grown as keywords compile.
     vocabulary = _shared(model, lexicon, DescriptionWords, dict)
@@ -602,9 +562,8 @@ def _build_description_words(
         return np.where(stop, -1, np.fromiter(map(vocabulary.setdefault, lowered, ids), np.intp,
                                               len(ids)))
 
-    words = _token_values(model, lexicon, lexicon.interned, tokens,
-                          (description_words, stopwords), word_ids)
-    owners = np.repeat(np.arange(len(senses)), bounds[1:] - bounds[:-1])
+    words = _token_values(model, lexicon, tokens, (description_words, stopwords), word_ids)
+    owners = np.repeat(np.arange(len(ordinals)), bounds[1:] - bounds[:-1])
     kept = words >= 0
     # Each sense's distinct words: sort (sense, word) pairs and drop repeats.
     base = max(1, len(names))
@@ -613,13 +572,11 @@ def _build_description_words(
     new[:1] = True
     np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
     pairs = pairs[new]
-    offsets = np.searchsorted(pairs // base, np.arange(len(senses) + 1))
+    offsets = np.searchsorted(pairs // base, np.arange(len(ordinals) + 1))
     return DescriptionWords(vocabulary=vocabulary, offsets=offsets, words=pairs % base)
 
 
-def sense_index(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
-) -> SenseIndex:
+def sense_index(model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]) -> SenseIndex:
     """The compiled step-1 phrases of ``senses``, cached per (model, lexicon) pair."""
     return _compiled(_build_sense_index, model, lexicon, senses)
 
@@ -644,17 +601,17 @@ def description_words(
 
 def rel_sense_word(
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
+    lexicon: Lexicon,
     t: Sense,
     w: str,
     weights: RelWeights = DEFAULT_WEIGHTS,
 ) -> float:
-    """Two-level relatedness between a sense and a word; raises when unmeasurable.
+    """Two-level relatedness between the lexicon's sense ``t`` and a word; raises when unmeasurable.
 
-    The 1 x 1 case of :meth:`SenseIndex.relatedness`, on an index built for
-    this call alone (not cached).
+    The 1 x 1 case of :meth:`SenseIndex.relatedness`, on ``t``'s compiled
+    (and cached) index.
     """
-    index = _build_sense_index(model, lexicon, [t])
+    index = sense_index(model, lexicon, [t])
     r = index.relatedness(model.phrase_matrix([w]), weights)[0][0]
     if r is None or r != r:
         raise UnmeasurableError(f"not representable in model: sense {t.id!r} vs word {w!r}")
@@ -663,20 +620,20 @@ def rel_sense_word(
 
 def rel_senses(
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
+    lexicon: Lexicon,
     a: Sense,
     b: Sense,
     weights: RelWeights = DEFAULT_WEIGHTS,
 ) -> float:
-    """Two-level relatedness between senses; raises when neither level is measurable.
+    """Two-level relatedness between the lexicon's senses; raises when neither level is measurable.
 
     ``a``'s phrases (rows) are measured against ``b``'s phrase centroids
-    (columns) in one call, on indexes built for this call alone (not cached).
+    (columns) in one call, on each sense's compiled (and cached) index.
     Level 0 is the mean over the synonym pairs, level 1 the mean over pairs of
     core-context members of their level 0; pairs run over ``a`` outer and ``b``
     inner, and a level without a measured pair drops out.
     """
-    ia, ib = (_build_sense_index(model, lexicon, [s]) for s in (a, b))
+    ia, ib = (sense_index(model, lexicon, [s]) for s in (a, b))
     # The zero row after b's centroids makes column -1 (no token) NaN.
     rel = ia.phrases.relatedness(ib.phrases.centroids(range(ib.phrases.size))).tolist()
 

@@ -193,7 +193,7 @@ def build_sif_store(
     """
     interned = lexicon.interned
     tokens, offsets = description_tokens(lexicon, interned.senses)
-    rows = _token_rows(model, lexicon, interned, tokens)
+    rows = _token_rows(model, lexicon, tokens)
     return sif_vectors(model, list(lexicon.senses), offsets, tokens, rows, interned.tokens, cfg)
 
 
@@ -241,7 +241,7 @@ def _context_rows(model: EmbeddingModel, ca: ActiveContext) -> np.ndarray:
 
 def step1_base_scores(
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
+    lexicon: Lexicon,
     senses: Sequence[Sense],
     ca: ActiveContext,
     weights: RelWeights = DEFAULT_WEIGHTS,

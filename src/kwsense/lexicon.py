@@ -25,7 +25,7 @@ from itertools import chain, compress, count, repeat
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -159,25 +159,20 @@ class InternedSenses:
     member_phrases: Segments
 
     @classmethod
-    def build(
-        cls, senses: Sequence[Sense], refs: Optional[Sequence[Sense]] = None
-    ) -> "InternedSenses":
-        """Intern ``senses``; references resolve by id among ``refs`` (default: ``senses``).
+    def build(cls, senses: Sequence[Sense]) -> "InternedSenses":
+        """Intern ``senses``, whose references name senses among them.
 
-        ``refs`` are interned after ``senses``; a member referencing an id
-        not found among them (one of ``refs``' own members, which no caller
-        reads) has no phrases. No Python loop runs per phrase: only ``map``,
-        ``str.join``, ``str.split`` and numpy passes.
+        No Python loop runs per phrase: only ``map``, ``str.join``,
+        ``str.split`` and numpy passes.
         """
-        first = 0 if refs is None else len(senses)
-        every = [*senses] if refs is None else [*senses, *refs]
-        ordinals = dict(zip(map(attrgetter("id"), every[first:]), range(first, len(every))))
-        contexts = list(map(attrgetter("core_context"), every))
+        senses = tuple(senses)
+        ordinals = dict(zip(map(attrgetter("id"), senses), count()))
+        contexts = list(map(attrgetter("core_context"), senses))
         entries = list(chain.from_iterable(contexts))
         is_ref = np.fromiter(map(attrgetter("is_ref"), entries), bool, len(entries))
         values = list(map(attrgetter("value"), entries))
-        synonyms = list(map(attrgetter("synonyms"), every))
-        descriptions = list(map(attrgetter("description_terms"), every))
+        synonyms = list(map(attrgetter("synonyms"), senses))
+        descriptions = list(map(attrgetter("description_terms"), senses))
         synonym_offsets = _offsets(_lengths(synonyms))
         description_offsets = _offsets(_lengths(descriptions))
         n_synonyms, n_labels = int(synonym_offsets[-1]), len(entries) - int(is_ref.sum())
@@ -195,18 +190,17 @@ class InternedSenses:
         tokens, token_ids = _intern(words, len(words))
 
         # Member m: a label's phrase, or the synonyms of the sense it references.
-        target = np.fromiter(map(ordinals.get, values, repeat(-1)), np.intp, len(entries))
-        target[~is_ref] = -1
-        found = target >= 0
+        target = np.zeros(len(entries), dtype=np.intp)
+        target[is_ref] = np.fromiter(map(ordinals.__getitem__, compress(values, is_ref)), np.intp,
+                                     len(entries) - n_labels)
         label = np.zeros(len(entries), dtype=np.intp)
         label[~is_ref] = ids[n_synonyms : n_synonyms + n_labels]
-        lengths_of = np.where(is_ref, synonym_offsets[target + 1] - synonym_offsets[target], 1)
-        member_lengths = lengths_of * (found | ~is_ref)
-        positions = segment_positions(np.where(found, synonym_offsets[target], 0), member_lengths)
+        member_lengths = np.where(is_ref, synonym_offsets[target + 1] - synonym_offsets[target], 1)
+        positions = segment_positions(np.where(is_ref, synonym_offsets[target], 0), member_lengths)
         member_phrases = np.where(np.repeat(is_ref, member_lengths), ids[positions],
                                   np.repeat(label, member_lengths))
         return cls(
-            senses=tuple(every),
+            senses=senses,
             ordinals=ordinals,
             tokens=tokens,
             phrase_tokens=(_offsets(lengths), token_ids),

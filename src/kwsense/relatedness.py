@@ -289,13 +289,15 @@ def _principal_direction(vectors: np.ndarray | Sequence[Vector]) -> Optional[Vec
     fires on real description sets: on the benchmark's ``query-mix`` seed 5
     store the iterate still moves by 1.5e-3 at the 100th step, so that store
     is removed along the 100-step iterate, not along a converged direction.
+    The products are formed with ``einsum``, not with BLAS (``@``), whose
+    order of addition, and so the store's bytes, depend on its thread count.
     """
     m = np.asarray(vectors)
     m = m - m.mean(axis=0)
     dim = m.shape[1]
     u = np.ones(dim) / math.sqrt(dim)
     for _ in range(100):
-        w = m.T @ (m @ u)
+        w = np.einsum("ij,i->j", m, np.einsum("ij,j->i", m, u))
         norm = float(np.linalg.norm(w))
         if norm < 1e-15:
             return None

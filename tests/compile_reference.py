@@ -10,7 +10,7 @@ held to, bit for bit.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,23 +69,14 @@ def padded(segments: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array(rows, dtype=np.int32).reshape(len(segments), longest).T
 
 
-def member_synonyms(lexicon: Optional[Lexicon], sense: Sense) -> list[tuple[str, ...]]:
+def member_synonyms(lexicon: Lexicon, sense: Sense) -> list[tuple[str, ...]]:
     """The synonyms of each core-context member: a referenced sense's, or the bare label."""
-    out = []
-    for ref in sense.core_context:
-        if not ref.is_ref:
-            out.append((ref.value,))
-        elif lexicon is None:
-            raise ValueError(
-                f"sense {sense.id!r}: core-context reference {ref.value!r} needs a lexicon"
-            )
-        else:
-            out.append(lexicon.resolve(ref.value).synonyms)
-    return out
+    return [lexicon.resolve(ref.value).synonyms if ref.is_ref else (ref.value,)
+            for ref in sense.core_context]
 
 
 def build_sense_index(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
+    model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]
 ) -> SenseIndex:
     context = [member_synonyms(lexicon, sense) for sense in senses]
     table, ids = phrase_table(model, chain(
@@ -105,7 +96,7 @@ def build_sense_index(
 
 
 def build_description_index(
-    model: EmbeddingModel, lexicon: Optional[Lexicon], senses: Sequence[Sense]
+    model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]
 ) -> DescriptionIndex:
     table, ids = phrase_table(model, chain(*(s.description_terms for s in senses)))
     terms = [[ids.get(t, -1) for t in s.description_terms] for s in senses]

@@ -29,7 +29,7 @@ def principal_direction(vectors: Sequence[Vector]) -> Optional[Vector]:
     dim = m.shape[1]
     u = np.ones(dim) / math.sqrt(dim)
     for _ in range(100):
-        w = m.T @ (m @ u)
+        w = np.einsum("ij,i->j", m, np.einsum("ij,j->i", m, u))  # no BLAS: see kwsense
         norm = float(np.linalg.norm(w))
         if norm < 1e-15:
             return None

@@ -1,6 +1,7 @@
 """The no-regression verdict of scripts/ab_bench.py against a metric's bound, and its exit status."""
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -55,3 +56,32 @@ def test_unresolved_passes_and_a_failed_run_fails(capsys):
     assert ab_bench.report(level, METRICS) == 0
     for failed in ((None, level[0][1]), (level[0][0], None)):
         assert ab_bench.report(level + [failed], METRICS) == 1
+
+
+def test_without_a_workload_every_workload_runs_in_turn(tmp_path, monkeypatch, capsys):
+    (tmp_path / "perfbench").mkdir()
+    bench = {"run_seconds": 1, "end_to_end": METRICS,
+             "workloads": [{"name": "w1"}, {"name": "w2"}, {"name": "w3"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(ab_bench, "export", lambda rev, tree: (tree / "perfbench").mkdir())
+    monkeypatch.setattr(ab_bench.signal, "signal", lambda *args: None)
+    runs = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        runs.append(workload)
+        if workload == "w2" and checkout == tmp_path:  # the working tree fails w2's checks
+            return None
+        return {"setup_s": 1.0, "targets_per_s": 100.0}
+
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    # One exit status over all three: w2's failed runs fail it, though w3 passes after.
+    assert ab_bench.main(["--parent", "HEAD", "--pairs", "2"]) == 1
+    assert runs == ["w1"] * 4 + ["w2"] * 4 + ["w3"] * 4
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("workload")] == [
+        "workload w1", "workload w2", "workload w3"]
+    assert "failed runs: parent 0, working tree 2" in out
+    runs.clear()
+    assert ab_bench.main(["--parent", "HEAD", "--pairs", "2", "--workload", "w3"]) == 0
+    assert runs == ["w3"] * 4

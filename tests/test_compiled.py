@@ -37,6 +37,7 @@ from kwsense import (
     disambiguate,
     eval_wsd,
     load_wsd_corpus,
+    rel_sense_word,
     rel_senses,
     relatedness,
     select_active_context,
@@ -149,43 +150,25 @@ def _assert_same_index(got, want) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(_lexicons(), st.data())
-def test_interned_builders_match_the_per_phrase_reference(built, data):
+@given(_lexicons())
+def test_interned_builders_match_the_per_phrase_reference(built):
     lexicon, keywords = built
     model = EmbeddingModel(
         vocab={t: np.arange(4.0) + i for i, t in enumerate(_MODEL_TOKENS)}, dim=4)
 
-    def check_step1(lex, senses):
+    def check(senses):
+        ordinals = compiled._lexicon_ordinals(lexicon, senses)
         for crossover in (-1, 10**6):  # the padded matrices, then none
             with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover):
-                _assert_same_index(compiled._build_sense_index(model, lex, senses),
-                                   compile_reference.build_sense_index(model, lex, senses))
-
-    def check(lex, senses):
-        check_step1(lex, senses)
-        _assert_same_index(compiled._build_description_index(model, lex, senses),
-                           compile_reference.build_description_index(model, lex, senses))
+                _assert_same_index(compiled._build_sense_index(model, lexicon, ordinals),
+                                   compile_reference.build_sense_index(model, lexicon, senses))
+        _assert_same_index(compiled._build_description_index(model, lexicon, ordinals),
+                           compile_reference.build_description_index(model, lexicon, senses))
 
     for keyword in keywords:
-        check(lexicon, lexicon.senses_of(keyword))
+        check(lexicon.senses_of(keyword))
     # Several keywords' senses at once: ordinals that are not consecutive.
-    check(lexicon, [s for k in keywords[::-1] for s in lexicon.senses_of(k)])
-    # A sense the lexicon never held, under one of its ids: step 1 interns the
-    # keyword's senses for the call, references resolved through the lexicon.
-    old = data.draw(st.sampled_from(list(lexicon.senses.values())))
-    foreign = Sense(
-        id=old.id, lemmas=old.lemmas, synonyms=(*old.synonyms[1:], "w5 Q7"),
-        core_context=old.core_context[::-1], description_terms=(*old.description_terms, "w4"))
-    for keyword in keywords:
-        check_step1(lexicon, [foreign if s is old else s for s in lexicon.senses_of(keyword)])
-    check_step1(lexicon, [foreign])
-    # Without a lexicon, references cannot be resolved.
-    for sense in lexicon.senses.values():
-        if any(ref.is_ref for ref in sense.core_context):
-            with pytest.raises(ValueError, match="needs a lexicon"):
-                compiled._build_sense_index(model, None, [sense])
-        else:
-            check_step1(None, [sense])
+    check([s for k in keywords[::-1] for s in lexicon.senses_of(k)])
 
 
 @pytest.mark.parametrize("count", [0, 1, 9, 40])
@@ -398,20 +381,6 @@ def test_used_lexicon_pickles_and_copies_with_its_interning():
         assert builds == []
 
 
-def test_replaced_senses_are_compiled_again(toy_model):
-    lexicon = Lexicon.from_senses(make_toy_senses())
-    first = compiled.sense_index(toy_model, lexicon, lexicon.senses_of("java"))
-    assert compiled.sense_index(toy_model, lexicon, lexicon.senses_of("java")) is first
-    # Senses under the same ids that the lexicon does not hold.
-    other = [Sense(id=s.id, lemmas=s.lemmas, synonyms=("sea",))
-             for s in lexicon.senses_of("java")]
-    again = compiled.sense_index(toy_model, lexicon, other)
-    assert again is not first and again.phrases.size == 1
-    # They are compiled for the call only: the lexicon's own entry stays.
-    assert compiled.sense_index(toy_model, lexicon, other) is not again
-    assert compiled.sense_index(toy_model, lexicon, lexicon.senses_of("java")) is first
-
-
 def _step1_matches_the_oracle(model, lexicon, senses, ca) -> list[float]:
     got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
     for score, sense in zip(got, senses):
@@ -440,23 +409,82 @@ def test_an_edited_inventory_is_a_new_lexicon(toy_model):
     assert after[0] != before[0] and after[1] == before[1]
 
 
+def test_senses_apart_in_the_lexicon_compile_in_each_order(toy_model):
+    # Ordinals 0 and 2, then 2 and 0: each order is its own cache entry.
+    lexicon = Lexicon.from_senses(make_toy_senses())
+    island, _, language = lexicon.senses_of("java")
+    ca = ActiveContext(target="java", members=(("island", 1.0), ("code", 1.0)))
+    forward = _step1_matches_the_oracle(toy_model, lexicon, [island, language], ca)
+    backward = _step1_matches_the_oracle(toy_model, lexicon, [language, island], ca)
+    assert backward == forward[::-1] and forward[0] != forward[1]
+
+
 def test_senses_the_lexicon_never_held(toy_model, toy_lexicon):
-    # Step 1 and rel_senses take them, their references read from the
-    # lexicon; descriptions compile only for the lexicon's own senses.
+    # Neither step 1, rel_senses nor the descriptions take them, even when
+    # their references name the lexicon's senses.
     foreign = Sense(id="java#foreign", lemmas=("java",), synonyms=("java", "sea"),
                     core_context=(ContextRef("island#landmass", is_ref=True), ContextRef("cup")),
                     description_terms=("sea",))
     senses = [*toy_lexicon.senses_of("java"), foreign]
     ca = ActiveContext(target="java", members=(("island", 1.0), ("drink", 1.0)))
-    _step1_matches_the_oracle(toy_model, toy_lexicon, senses, ca)
-    for other in toy_lexicon.senses.values():
-        for a, b in ((foreign, other), (other, foreign)):
-            want = oracle.rel_tt(toy_model, toy_lexicon, a, b)
-            assert abs(rel_senses(toy_model, toy_lexicon, a, b) - want) <= TOL
-    with pytest.raises(ValueError, match="the lexicon holds"):
+    _step1_matches_the_oracle(toy_model, toy_lexicon, senses[:-1], ca)
+    with pytest.raises(ValueError, match="'java#foreign' is not one the lexicon holds"):
+        step1_base_scores(toy_model, toy_lexicon, senses, ca)
+    held = toy_lexicon.senses["island#landmass"]
+    for a, b in ((foreign, held), (held, foreign)):
+        with pytest.raises(ValueError, match="'java#foreign' is not one the lexicon holds"):
+            rel_senses(toy_model, toy_lexicon, a, b)
+    with pytest.raises(ValueError, match="'java#foreign' is not one the lexicon holds"):
+        rel_sense_word(toy_model, toy_lexicon, foreign, "sea")
+    with pytest.raises(ValueError, match="'java#foreign' is not one the lexicon holds"):
         compiled.description_index(toy_model, toy_lexicon, senses)
-    with pytest.raises(ValueError, match="the lexicon holds"):
+    with pytest.raises(ValueError, match="'java#foreign' is not one the lexicon holds"):
         compiled.description_words(toy_model, toy_lexicon, [foreign], STOP)
+
+
+# Every function that compiles or reads a lexicon's senses: called on a
+# keyword's senses, one of them ``sense``, or on ``sense`` and a held sense.
+_READERS = {
+    "step1_base_scores": lambda model, lexicon, senses, sense: step1_base_scores(
+        model, lexicon, senses, ActiveContext(target="java", members=(("sea", 1.0),))),
+    "sense_index": lambda model, lexicon, senses, sense: compiled.sense_index(
+        model, lexicon, senses),
+    "description_index": lambda model, lexicon, senses, sense: compiled.description_index(
+        model, lexicon, senses),
+    "description_words": lambda model, lexicon, senses, sense: compiled.description_words(
+        model, lexicon, senses, STOP),
+    "description_tokens": lambda model, lexicon, senses, sense: compiled.description_tokens(
+        lexicon, senses),
+    "rel_senses": lambda model, lexicon, senses, sense: rel_senses(
+        model, lexicon, lexicon.senses["java#coffee"], sense),
+    "rel_sense_word": lambda model, lexicon, senses, sense: rel_sense_word(
+        model, lexicon, sense, "sea"),
+}
+
+_NOT_HELD = {
+    # The lexicon holds a sense of this id, but not this sense object: in
+    # place of it, the keyword's senses have the ids of its cached entry.
+    "same_id": Sense(id="java#island", lemmas=("java",), synonyms=("java", "sea"),
+                     description_terms=("sea",)),
+    # No sense of this id, referencing another id the lexicon does not know.
+    "unknown_id": Sense(id="java#s1", lemmas=("java",), synonyms=("sea",),
+                        core_context=(ContextRef("north"), ContextRef("s2", is_ref=True))),
+}
+
+
+@pytest.mark.parametrize("other", list(_NOT_HELD))
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_a_sense_the_lexicon_does_not_hold_raises_one_error(toy_model, reader, other):
+    lexicon = Lexicon.from_senses(make_toy_senses())
+    java = lexicon.senses_of("java")
+    first = compiled.sense_index(toy_model, lexicon, java)
+    sense = _NOT_HELD[other]
+    senses = [sense if s.id == sense.id else s for s in java]
+    if sense.id not in lexicon.senses:
+        senses.append(sense)
+    with pytest.raises(ValueError, match=f"^sense {sense.id!r} is not one the lexicon holds$"):
+        _READERS[reader](toy_model, lexicon, senses, sense)
+    assert compiled.sense_index(toy_model, lexicon, java) is first
 
 
 def test_second_eval_wsd_reuses_compiled_keywords(toy_corpus_file):

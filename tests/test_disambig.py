@@ -229,12 +229,6 @@ class TestStep1:
         scores = step1_base_scores(toy_model, toy_lexicon, senses, ca)
         assert [s.score for s in scores] == [0.0, 0.0, 0.0]
 
-    def test_context_ref_without_lexicon_raises(self, toy_model, toy_lexicon):
-        senses = toy_lexicon.senses_of("island")
-        ca = select_active_context(toy_model, ["sea"], "island", _cfg())
-        with pytest.raises(ValueError, match="'land#ground' needs a lexicon"):
-            step1_base_scores(toy_model, None, senses, ca)
-
     def test_order_matches_input_senses(self, toy_model, toy_lexicon):
         senses = toy_lexicon.senses_of("java")
         ca = select_active_context(toy_model, ["island"], "java", _cfg())

@@ -158,6 +158,11 @@ def _sense(sid: str, synonyms: tuple[str, ...], context: tuple[ContextRef, ...] 
     return Sense(id=sid, lemmas=(sid,), synonyms=synonyms, core_context=context)
 
 
+def _held(*senses: Sense) -> Lexicon:
+    """A lexicon holding ``senses`` themselves: only a lexicon's own senses are related."""
+    return Lexicon.from_senses(senses)
+
+
 # Level 0 alone: RelWeights(1, 0) (or no core context); level 1 alone: RelWeights(0, 1).
 LEVEL0 = RelWeights(1.0, 0.0)
 LEVEL1 = RelWeights(0.0, 1.0)
@@ -168,44 +173,42 @@ class TestSenseLevels:
         a = _sense("a", ("sea",))
         b = _sense("b", ("island", "sea"))
         # (rel(sea, island) + rel(sea, sea)) / 2 = (0.75 + 1.0) / 2
-        assert rel_senses(plane_model, None, a, b) == pytest.approx(0.875, abs=1e-12)
+        assert rel_senses(plane_model, _held(a, b), a, b) == pytest.approx(0.875, abs=1e-12)
 
     def test_rel0_skips_missing_pairs(self, plane_model):
         a = _sense("a", ("sea",))
         b = _sense("b", ("island", "qzx"))
-        assert rel_senses(plane_model, None, a, b) == pytest.approx(0.75, abs=1e-12)
+        assert rel_senses(plane_model, _held(a, b), a, b) == pytest.approx(0.75, abs=1e-12)
 
     def test_rel0_all_missing_is_none(self, plane_model):
         # Level 0 missing: with level 1 measurable it carries full weight, whatever w0.
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("qzx",), (ContextRef("sea"),))
-        assert rel_senses(plane_model, None, a, b, LEVEL0) == rel_senses(
-            plane_model, None, a, b, LEVEL1
+        lexicon = _held(a, b)
+        assert rel_senses(plane_model, lexicon, a, b, LEVEL0) == rel_senses(
+            plane_model, lexicon, a, b, LEVEL1
         ) == pytest.approx(0.75, abs=1e-12)
 
     def test_rel1_over_context_members(self, plane_model):
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("north",), (ContextRef("sea"), ContextRef("island")))
         expected = (rel_words(plane_model, "island", "sea") + 1.0) / 2
-        assert rel_senses(plane_model, None, a, b, LEVEL1) == pytest.approx(expected, abs=1e-12)
+        got = rel_senses(plane_model, _held(a, b), a, b, LEVEL1)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_rel1_empty_context_is_none(self, plane_model):
         # Level 1 missing (one side has no core context): level 0 carries full weight.
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("north",))
-        assert rel_senses(plane_model, None, a, b, LEVEL1) == pytest.approx(0.5, abs=1e-12)
+        assert rel_senses(plane_model, _held(a, b), a, b, LEVEL1) == pytest.approx(0.5, abs=1e-12)
 
     def test_rel1_resolves_sense_refs_through_lexicon(self, toy_model, toy_lexicon):
         landmass = toy_lexicon.senses["island#landmass"]
         ground = toy_lexicon.senses["land#ground"]
         # OC(landmass) = [land#ground], whose synonyms are (land, ground);
         # OC(ground) = ["place"] as a bare label.
-        expected = rel_senses(
-            toy_model,
-            None,
-            _sense("x", ("land", "ground")),
-            _sense("y", ("place",)),
-        )
+        x, y = _sense("x", ("land", "ground")), _sense("y", ("place",))
+        expected = rel_senses(toy_model, _held(x, y), x, y)
         assert rel_senses(toy_model, toy_lexicon, landmass, ground, LEVEL1) == pytest.approx(
             expected, abs=1e-15
         )
@@ -213,10 +216,11 @@ class TestSenseLevels:
     def test_combined_is_weighted_sum(self, plane_model):
         a = _sense("a", ("sea",), (ContextRef("island"),))
         b = _sense("b", ("island",), (ContextRef("sea"),))
-        r0 = rel_senses(plane_model, None, a, b, LEVEL0)
-        r1 = rel_senses(plane_model, None, a, b, LEVEL1)
+        lexicon = _held(a, b)
+        r0 = rel_senses(plane_model, lexicon, a, b, LEVEL0)
+        r1 = rel_senses(plane_model, lexicon, a, b, LEVEL1)
         expected = 0.25 * r0 + 0.75 * r1
-        got = rel_senses(plane_model, None, a, b, RelWeights(0.25, 0.75))
+        got = rel_senses(plane_model, lexicon, a, b, RelWeights(0.25, 0.75))
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_empty_context_renormalizes_to_level0(self, plane_model):
@@ -224,18 +228,18 @@ class TestSenseLevels:
         b = _sense("b", ("island",))
         # No core context on either side: level 1 is missing and level 0
         # carries full weight instead of being scaled by w0.
-        assert rel_senses(plane_model, None, a, b) == pytest.approx(0.75, abs=1e-12)
+        assert rel_senses(plane_model, _held(a, b), a, b) == pytest.approx(0.75, abs=1e-12)
 
     def test_level0_missing_renormalizes_to_level1(self, plane_model):
         a = _sense("a", ("qzx",), (ContextRef("sea"),))
         b = _sense("b", ("island",), (ContextRef("sea"),))
-        assert rel_senses(plane_model, None, a, b) == pytest.approx(1.0, abs=1e-12)
+        assert rel_senses(plane_model, _held(a, b), a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_nothing_measurable_raises(self, plane_model):
         a = _sense("a", ("qzx",))
         b = _sense("b", ("wvu",))
         with pytest.raises(UnmeasurableError, match="senses not representable in model: 'a', 'b'"):
-            rel_senses(plane_model, None, a, b)
+            rel_senses(plane_model, _held(a, b), a, b)
 
     def test_self_relatedness_single_member_sense(self, toy_model, toy_lexicon):
         sense = toy_lexicon.senses["java#island"]
@@ -246,39 +250,34 @@ class TestSenseLevels:
             vocab={"boat": np.array([0.3, 0.4]), "ship": np.array([0.3, 0.4])}, dim=2
         )
         sense = _sense("s", ("boat", "ship"))
-        assert rel_senses(model, None, sense, sense) == 1.0
+        assert rel_senses(model, _held(sense), sense, sense) == 1.0
 
 
 class TestSenseWord:
     def test_rel0_mean_over_synonyms(self, plane_model):
         t = _sense("t", ("sea", "island"))
         expected = (1.0 + rel_words(plane_model, "island", "sea")) / 2
-        assert rel_sense_word(plane_model, None, t, "sea") == pytest.approx(expected, abs=1e-15)
+        got = rel_sense_word(plane_model, _held(t), t, "sea")
+        assert got == pytest.approx(expected, abs=1e-15)
 
     def test_rel1_mean_over_context(self, plane_model):
         t = _sense("t", ("north",), (ContextRef("sea"), ContextRef("island")))
         expected = (1.0 + rel_words(plane_model, "island", "sea")) / 2
-        got = rel_sense_word(plane_model, None, t, "sea", LEVEL1)
+        got = rel_sense_word(plane_model, _held(t), t, "sea", LEVEL1)
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_combined_weighting(self, plane_model):
         t = _sense("t", ("island",), (ContextRef("sea"),))
-        r0 = rel_sense_word(plane_model, None, t, "north", LEVEL0)
-        r1 = rel_sense_word(plane_model, None, t, "north", LEVEL1)
-        got = rel_sense_word(plane_model, None, t, "north")
+        lexicon = _held(t)
+        r0 = rel_sense_word(plane_model, lexicon, t, "north", LEVEL0)
+        r1 = rel_sense_word(plane_model, lexicon, t, "north", LEVEL1)
+        got = rel_sense_word(plane_model, lexicon, t, "north")
         assert got == pytest.approx(0.5 * r0 + 0.5 * r1, abs=1e-15)
 
     def test_oov_word_raises(self, plane_model):
         t = _sense("t", ("sea",))
         with pytest.raises(UnmeasurableError, match="not representable"):
-            rel_sense_word(plane_model, None, t, "qzx")
-
-    def test_context_ref_without_lexicon_raises(self, plane_model):
-        t = _sense("t", ("sea",), (ContextRef("north"), ContextRef("s2", is_ref=True)))
-        with pytest.raises(ValueError, match="'s2' needs a lexicon"):
-            rel_sense_word(plane_model, None, t, "sea")
-        with pytest.raises(ValueError, match="'s2' needs a lexicon"):
-            rel_senses(plane_model, None, t, t)
+            rel_sense_word(plane_model, _held(t), t, "qzx")
 
 
 @st.composite
@@ -330,6 +329,7 @@ def test_sense_relatedness_matches_oracle(case):
     ]
     # Both sides of the step-1 crossover: the loop path, then the array path.
     for loop_phrases in (compiled.STEP1_LOOP_PHRASES, -1):
+        lexicon.compiled.clear()
         with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", loop_phrases):
             got = [
                 _or_none(rel_senses, model, lexicon, a, b, w),

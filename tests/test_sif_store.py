@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,6 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kwsense
 import sif_reference
 from kwsense import (
     EmbeddingModel,
@@ -187,3 +191,33 @@ def test_build_allocates_no_matrix_over_the_distinct_tokens():
         tracemalloc.stop()
     assert len(store) == n_senses
     assert peak < 4 * n_senses * dim * 8
+
+
+# Builds a 1,800 x 300 store, the scale of the benchmark's query-mix store,
+# and writes its bytes to stdout.
+_STORE_BYTES = """
+import sys
+import numpy as np
+from kwsense import EmbeddingModel, Lexicon, Sense, build_sif_store
+rng = np.random.default_rng(7)
+model = EmbeddingModel.from_rows(rng.normal(size=(300, 300)), {f"w{i}": i for i in range(300)})
+lexicon = Lexicon.from_senses(
+    Sense(id=f"s{j}", lemmas=("s",), synonyms=("s",),
+          description_terms=tuple(f"w{i}" for i in rng.integers(0, 300, 8)))
+    for j in range(1800))
+sys.stdout.buffer.write(b"".join(v.tobytes() for v in build_sif_store(model, lexicon).values()))
+"""
+
+
+def test_store_bytes_do_not_depend_on_the_blas_thread_count():
+    # At this size OpenBLAS splits a matrix-vector product over two threads,
+    # which adds in another order than one thread does.
+    path = [str(Path(kwsense.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    stores = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        stores.append(subprocess.run([sys.executable, "-c", _STORE_BYTES], env=env,
+                                     capture_output=True, check=True).stdout)
+    assert len(stores[0]) == 1800 * 300 * 8
+    assert stores[0] == stores[1]
