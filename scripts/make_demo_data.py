@@ -52,7 +52,7 @@ def build_model(dim: int, seed: int) -> EmbeddingModel:
     for kw, mix in MIXTURES.items():
         v = sum(weight * bases[c] for c, weight in mix.items())
         vocab[kw] = v + rng.normal(scale=0.05, size=dim)
-    return EmbeddingModel(vocab=vocab, dim=dim, name=f"demo-{dim}d")
+    return EmbeddingModel(vocab=vocab, dim=dim)
 
 
 def build_senses() -> list[Sense]:

@@ -21,7 +21,6 @@ from .disambig import (
     disambiguate,
     load_docvec_store,
     norm_freq,
-    overlap,
     select_active_context,
     step1_base_scores,
     step2_rescore,
@@ -67,7 +66,6 @@ from .relatedness import (
     cosine,
     load_word_frequencies,
     rel_words,
-    sif_embeddings,
 )
 from .stopwords import STOPWORDS_VERSION, default_stopwords, load_stopwords
 
@@ -119,14 +117,12 @@ __all__ = [
     "load_wordpair_dataset",
     "load_wsd_corpus",
     "norm_freq",
-    "overlap",
     "rel_sense_word",
     "rel_senses",
     "rel_words",
     "save_lexicon",
     "save_text_model",
     "select_active_context",
-    "sif_embeddings",
     "spearman",
     "step1_base_scores",
     "step2_rescore",

@@ -530,18 +530,13 @@ def _build_description_index(
 def _description_tokens(
     lexicon: Lexicon, ordinals: range | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The description tokens of senses ``ordinals`` (ids into the lexicon's tokens), and bounds.
+
+    Token ids run one sense after another; sense j's lie between bounds j and j + 1.
+    """
     phrases, counts = gather(lexicon.interned.descriptions, ordinals)
     tokens, lengths = gather(lexicon.interned.phrase_tokens, phrases)
     return tokens, _offsets(lengths)[_offsets(counts)]
-
-
-def description_tokens(lexicon: Lexicon, senses: Sequence[Sense]) -> tuple[np.ndarray, np.ndarray]:
-    """The description tokens of the lexicon's ``senses`` (ids into its tokens) and bounds.
-
-    Token ids run one sense after another; sense j's are those between its
-    bounds j and j + 1. Any sense the lexicon does not hold raises ValueError.
-    """
-    return _description_tokens(lexicon, _lexicon_ordinals(lexicon, senses))
 
 
 def _build_description_words(

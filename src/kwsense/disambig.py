@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .compiled import (
+    _description_tokens,
     _token_rows,
     description_index,
-    description_tokens,
     description_words,
     sense_index,
 )
@@ -187,12 +187,11 @@ def build_sif_store(
     """Description embeddings for every sense, keyed by sense id.
 
     Description terms are whitespace-tokenized into one bag per sense, as
-    the lexicon interned them (:func:`~kwsense.compiled.description_tokens`).
-    Token rows come from the (model, lexicon) pair's token -> row array, so
-    compiled keywords reuse them.
+    the lexicon interned them. Token rows come from the (model, lexicon)
+    pair's token -> row array, so compiled keywords reuse them.
     """
     interned = lexicon.interned
-    tokens, offsets = description_tokens(lexicon, interned.senses)
+    tokens, offsets = _description_tokens(lexicon, range(len(interned.senses)))
     rows = _token_rows(model, lexicon, tokens)
     return sif_vectors(model, list(lexicon.senses), offsets, tokens, rows, interned.tokens, cfg)
 
@@ -259,35 +258,6 @@ def step1_base_scores(
         SenseScore(sense_id=sense.id, score=base, step1=base)
         for sense, base in zip(senses, bases)
     ]
-
-
-def _normalized_word_set(terms: Iterable[str], stopwords: frozenset[str]) -> set[str]:
-    return {
-        tok
-        for term in terms
-        for tok in term.lower().split()
-        if tok and tok not in stopwords
-    }
-
-
-def overlap(
-    ca: ActiveContext,
-    description: Iterable[str],
-    stopwords: frozenset[str] | None = None,
-) -> float:
-    """Set overlap between active-context words and description words.
-
-    Description terms are lowercased, whitespace-split, and stripped of
-    stopwords; context members are compared as whole lowercased entries.
-    Returns |description & context| / min(|description|, |context|),
-    or 0 when either side is empty.
-    """
-    stop = default_stopwords() if stopwords is None else stopwords
-    ca_words = {w.lower() for w in ca.words}
-    desc_words = _normalized_word_set(description, stop)
-    if not ca_words or not desc_words:
-        return 0.0
-    return len(desc_words & ca_words) / min(len(desc_words), len(ca_words))
 
 
 def _strategy_strengths(
@@ -364,7 +334,7 @@ def strategy_store(
 
 def step2_rescore(
     model: EmbeddingModel,
-    lexicon: Optional[Lexicon],
+    lexicon: Lexicon,
     scores: Sequence[SenseScore],
     ca: ActiveContext,
     params: AlgoParams = AlgoParams(),
@@ -379,8 +349,6 @@ def step2_rescore(
     centroid strategies) keep their step-1 score unchanged.
     """
     store = strategy_store(model, params.strategy, sif_store, docvec_store)
-    if lexicon is None:
-        raise ConfigError("step 2 requires the lexicon that defined the senses")
     stop = default_stopwords() if stopwords is None else stopwords
     if not scores:
         return []

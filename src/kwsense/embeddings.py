@@ -76,30 +76,27 @@ class EmbeddingModel:
     build models with :meth:`from_rows`. Treated as immutable.
     """
 
-    __slots__ = ("matrix", "index", "dim", "name", "duplicates", "__weakref__")
+    __slots__ = ("matrix", "index", "dim", "duplicates", "__weakref__")
 
-    def __init__(
-        self, vocab: Mapping[str, Vector], dim: int, name: str = "", duplicates: int = 0
-    ):
+    def __init__(self, vocab: Mapping[str, Vector], dim: int, duplicates: int = 0):
         matrix = np.array(list(vocab.values()))
         if matrix.dtype != np.float32:
             matrix = matrix.astype(np.float64, copy=False)
-        self._set(matrix.reshape(len(vocab), dim), dict(zip(vocab, range(len(vocab)))),
-                  name, duplicates)
+        self._set(matrix.reshape(len(vocab), dim), dict(zip(vocab, range(len(vocab)))), duplicates)
 
     @classmethod
     def from_rows(
-        cls, matrix: np.ndarray, index: dict[str, int], name: str = "", duplicates: int = 0
+        cls, matrix: np.ndarray, index: dict[str, int], duplicates: int = 0
     ) -> "EmbeddingModel":
         """A model over ``matrix`` (made read-only, not copied) and its token -> row ``index``."""
         model = cls.__new__(cls)
-        model._set(matrix, index, name, duplicates)
+        model._set(matrix, index, duplicates)
         return model
 
-    def _set(self, matrix: np.ndarray, index: dict[str, int], name: str, duplicates: int) -> None:
+    def _set(self, matrix: np.ndarray, index: dict[str, int], duplicates: int) -> None:
         matrix.flags.writeable = False
         self.matrix, self.index, self.dim = matrix, index, matrix.shape[1]
-        self.name, self.duplicates = name, duplicates
+        self.duplicates = duplicates
 
     @property
     def vocab(self) -> Mapping[str, Vector]:
@@ -239,7 +236,7 @@ def _lines_left(fh: BinaryIO) -> int:
     return lines
 
 
-def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel:
+def load_text_model(path: str | Path) -> EmbeddingModel:
     """Load a whitespace-separated text embedding file.
 
     The file may begin with a ``<count> <dim>`` header line; otherwise the
@@ -304,7 +301,7 @@ def load_text_model(path: str | Path, name: str | None = None) -> EmbeddingModel
     duplicates = len(tokens) - len(index)
     if duplicates:
         logger.warning("%s: %d duplicate tokens dropped (first occurrence kept)", path, duplicates)
-    return EmbeddingModel.from_rows(matrix[: len(tokens)], index, name or path.name, duplicates)
+    return EmbeddingModel.from_rows(matrix[: len(tokens)], index, duplicates)
 
 
 def _whole_entries(
@@ -384,7 +381,7 @@ def _read_binary_entries(
     return tokens, matrix
 
 
-def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingModel:
+def load_binary_model(path: str | Path) -> EmbeddingModel:
     """Load a word2vec-style binary embedding file.
 
     Layout: an ASCII header ``<count> <dim>\\n``, then per entry the token
@@ -429,7 +426,7 @@ def load_binary_model(path: str | Path, name: str | None = None) -> EmbeddingMod
     duplicates = count - len(index)
     if duplicates:
         logger.warning("%s: %d duplicate tokens dropped (first occurrence kept)", path, duplicates)
-    return EmbeddingModel.from_rows(matrix, index, name or path.name, duplicates)
+    return EmbeddingModel.from_rows(matrix, index, duplicates)
 
 
 def save_text_model(model: EmbeddingModel, path: str | Path, header: bool = True) -> None:

@@ -87,8 +87,11 @@ class WordPairDataset:
             raise ValueError("a word-pair dataset needs at least two pairs")
 
 
-def load_wordpair_dataset(path: str | Path, name: str | None = None) -> WordPairDataset:
-    """Load a TSV word-pair file: word1<TAB>word2<TAB>human-score per line."""
+def load_wordpair_dataset(path: str | Path) -> WordPairDataset:
+    """Load a TSV word-pair file: word1<TAB>word2<TAB>human-score per line.
+
+    The dataset is named after the file's stem.
+    """
     path = Path(path)
     pairs = []
     for lineno, line in text_lines(path):
@@ -109,7 +112,7 @@ def load_wordpair_dataset(path: str | Path, name: str | None = None) -> WordPair
         pairs.append(WordPair(w1, w2, score))
     if len(pairs) < 2:
         raise ParseError(f"{path}: need at least two pairs")
-    return WordPairDataset(name=name or path.stem, pairs=tuple(pairs))
+    return WordPairDataset(name=path.stem, pairs=tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,12 @@ class WsdCorpus:
     items: tuple[WsdItem, ...]
 
 
-def load_wsd_corpus(path: str | Path, name: str | None = None) -> WsdCorpus:
+def load_wsd_corpus(path: str | Path) -> WsdCorpus:
     """Load a JSONL disambiguation corpus.
 
     One item per line: {"item_id", "tokens", "targets": [{"position",
     "keyword", "gold"}]}. Target positions must index into the token list.
+    The corpus is named after the file's stem.
     """
     path = Path(path)
     items = []
@@ -208,7 +212,7 @@ def load_wsd_corpus(path: str | Path, name: str | None = None) -> WsdCorpus:
         items.append(
             WsdItem(item_id=str(obj["item_id"]), tokens=tuple(tokens), targets=tuple(targets))
         )
-    return WsdCorpus(name=name or path.stem, items=tuple(items))
+    return WsdCorpus(name=path.stem, items=tuple(items))
 
 
 @dataclass(frozen=True)

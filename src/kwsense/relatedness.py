@@ -36,15 +36,14 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingModel, Vector
 from .errors import ParseError, text_lines
-from .lexicon import _intern, _offsets
 
 logger = logging.getLogger(__name__)
 
@@ -387,24 +386,3 @@ def sif_vectors(
                 v -= float(np.dot(direction, v)) * direction
     vectors.flags.writeable = False
     return dict(zip(map(ids.__getitem__, kept.tolist()), vectors))
-
-
-def sif_embeddings(
-    model: EmbeddingModel,
-    descriptions: Mapping[str, Sequence[str]],
-    cfg: SifConfig = SifConfig(),
-) -> dict[str, Vector]:
-    """Frequency-weighted description embeddings, keyed like ``descriptions``.
-
-    Each description is a bag of tokens; tokens missing from the model are
-    skipped, and a description with no in-vocabulary token is omitted from the
-    result; one warning per call counts them. With fewer than two embeddings
-    the principal component removal is skipped. The bags are interned, and
-    each distinct token looked up once, for :func:`sif_vectors`.
-    """
-    bags = list(descriptions.values())
-    offsets = _offsets(np.fromiter(map(len, bags), np.intp, len(bags)))
-    names, tokens = _intern(chain.from_iterable(bags), int(offsets[-1]))
-    row_id = model.row_id
-    token_rows = np.array([-1 if (i := row_id(t)) is None else i for t in names], dtype=np.intp)
-    return sif_vectors(model, list(descriptions), offsets, tokens, token_rows[tokens], names, cfg)

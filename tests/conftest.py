@@ -44,7 +44,7 @@ TOY_DIM = 5
 
 def make_toy_model() -> EmbeddingModel:
     vocab = {tok: np.array(vec, dtype=np.float64) for tok, vec in TOY_VECTORS.items()}
-    return EmbeddingModel(vocab=vocab, dim=TOY_DIM, name="toy")
+    return EmbeddingModel(vocab=vocab, dim=TOY_DIM)
 
 
 def make_toy_senses() -> list[Sense]:

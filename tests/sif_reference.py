@@ -3,8 +3,8 @@
 This builds description embeddings the way they were built before lexicons
 interned their phrases: one Python pass over every token occurrence, with a
 row lookup and two frequency lookups each. :func:`kwsense.build_sif_store`
-and :func:`kwsense.sif_embeddings` must give the same keys, in the same
-order, and the same bytes; ``test_sif_store.py`` checks that. The warning
+must give the same keys, in the same order, and the same bytes;
+``test_sif_store.py`` checks that. The warning
 goes to this module's own logger, so tests can compare the two texts.
 """
 from __future__ import annotations

@@ -59,7 +59,7 @@ def reference_load_binary(path: Path) -> EmbeddingModel:
                 duplicates += 1
             else:
                 vocab[token] = vec
-    return EmbeddingModel(vocab=vocab, dim=dim, name=path.name, duplicates=duplicates)
+    return EmbeddingModel(vocab=vocab, dim=dim, duplicates=duplicates)
 
 
 def _outcome(load, path: Path):

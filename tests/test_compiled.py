@@ -453,8 +453,6 @@ _READERS = {
         model, lexicon, senses),
     "description_words": lambda model, lexicon, senses, sense: compiled.description_words(
         model, lexicon, senses, STOP),
-    "description_tokens": lambda model, lexicon, senses, sense: compiled.description_tokens(
-        lexicon, senses),
     "rel_senses": lambda model, lexicon, senses, sense: rel_senses(
         model, lexicon, lexicon.senses["java#coffee"], sense),
     "rel_sense_word": lambda model, lexicon, senses, sense: rel_sense_word(

@@ -28,7 +28,6 @@ from kwsense import (
     disambiguate,
     load_docvec_store,
     norm_freq,
-    overlap,
     select_active_context,
     step1_base_scores,
     step2_rescore,
@@ -146,26 +145,35 @@ class TestActiveContext:
                 != step1_base_scores(toy_model, toy_lexicon, senses, ca))
 
 
+def _overlap(ca: ActiveContext, description: list[str], stopwords: frozenset[str]) -> float:
+    """Step 2's overlap strength of the one sense of a lexicon, ``description`` its terms."""
+    sense = Sense(id="s", lemmas=("kw",), synonyms=("kw",), description_terms=tuple(description))
+    model = EmbeddingModel(vocab={"kw": np.ones(2)}, dim=2)
+    words = compiled.description_words(model, Lexicon.from_senses([sense]), [sense], stopwords)
+    (strength,) = words.overlap({w.lower() for w in ca.words})
+    return strength
+
+
 class TestOverlap:
     def test_ratio_against_smaller_set(self):
         ca = ActiveContext(target="kw", members=(("a", 0.9), ("b", 0.8)))
-        assert overlap(ca, ["b", "c", "d"], frozenset()) == 0.5
+        assert _overlap(ca, ["b", "c", "d"], frozenset()) == 0.5
 
     def test_empty_sides_are_zero(self):
         empty = ActiveContext(target="kw")
         full = ActiveContext(target="kw", members=(("a", 0.9),))
-        assert overlap(empty, ["a"], frozenset()) == 0.0
-        assert overlap(full, [], frozenset()) == 0.0
+        assert _overlap(empty, ["a"], frozenset()) == 0.0
+        assert _overlap(full, [], frozenset()) == 0.0
 
     def test_description_stopwords_removed_and_terms_split(self):
         ca = ActiveContext(target="kw", members=(("sea", 0.9), ("island", 0.8)))
-        score = overlap(ca, ["big sea", "the island"], frozenset({"the"}))
+        score = _overlap(ca, ["big sea", "the island"], frozenset({"the"}))
         # Description tokens {big, sea, island}; both context words hit.
         assert score == pytest.approx(2 / 2)
 
     def test_case_insensitive(self):
         ca = ActiveContext(target="kw", members=(("Sea", 0.9),))
-        assert overlap(ca, ["SEA"], frozenset()) == 1.0
+        assert _overlap(ca, ["SEA"], frozenset()) == 1.0
 
     def test_word_sets_compiled_once_per_senses_and_stopwords(self, toy_model, toy_lexicon):
         lexicon, senses = toy_lexicon, toy_lexicon.senses_of("java")
@@ -183,9 +191,9 @@ class TestOverlap:
         base = step1_base_scores(toy_model, lexicon, senses, ca)
         rescored = step2_rescore(toy_model, lexicon, base, ca,
                                  AlgoParams(strategy=Strategy.OVERLAP), stopwords=STOP)
+        factor = 1 - max(b.score for b in base)
         assert [s.step2_delta for s in rescored] == [
-            (1 - max(b.score for b in base)) * overlap(ca, s.description_terms, STOP)
-            for s in senses
+            factor * oracle.overlap_score(ca.words, s.description_terms, STOP) for s in senses
         ]
 
     @settings(max_examples=200, deadline=None)
@@ -206,7 +214,7 @@ class TestOverlap:
             for stop in (frozenset({"the", "σ"}), frozenset()):  # two stopword sets
                 got = compiled.description_words(model, lexicon, senses, stop).overlap(
                     {w.lower() for w in ca.words})
-                want = [overlap(ca, s.description_terms, stop) for s in senses]
+                want = [oracle.overlap_score(ca.words, s.description_terms, stop) for s in senses]
                 assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
@@ -280,7 +288,7 @@ class TestStep2:
         )
         max_score = max(s.score for s in base)
         for before, after, sense in zip(base, rescored, senses):
-            strength = overlap(ca, sense.description_terms, STOP)
+            strength = oracle.overlap_score(ca.words, sense.description_terms, STOP)
             assert after.score == pytest.approx(
                 before.score + (1 - max_score) * strength, abs=1e-12
             )

@@ -21,12 +21,12 @@ from kwsense import (
     SifConfig,
     UnmeasurableError,
     angular_relatedness,
+    build_sif_store,
     cosine,
     load_word_frequencies,
     rel_sense_word,
     rel_senses,
     rel_words,
-    sif_embeddings,
 )
 from kwsense import compiled
 from kwsense.lexicon import ContextRef
@@ -385,6 +385,13 @@ class TestWordFrequencies:
             load_word_frequencies(path)
 
 
+def _store_of_bags(model: EmbeddingModel, bags: dict[str, list[str]], cfg: SifConfig):
+    """The SIF store of a lexicon with one sense per bag, each token a description term."""
+    lexicon = Lexicon.from_senses(Sense(id=sid, lemmas=(sid,), synonyms=(sid,),
+                                        description_terms=tuple(bag)) for sid, bag in bags.items())
+    return build_sif_store(model, lexicon, cfg)
+
+
 class TestSifEmbeddings:
     def test_uniform_weights_give_plain_centroid(self, toy_model):
         descriptions = {
@@ -392,7 +399,7 @@ class TestSifEmbeddings:
             "s2": ["coffee", "drink"],
         }
         cfg = SifConfig(remove_component=False)
-        vectors = sif_embeddings(toy_model, descriptions, cfg)
+        vectors = _store_of_bags(toy_model, descriptions, cfg)
         expected1 = (toy_model.vocab["island"] + toy_model.vocab["sea"]) / 2
         expected2 = (toy_model.vocab["coffee"] + toy_model.vocab["drink"]) / 2
         np.testing.assert_allclose(vectors["s1"], expected1, atol=1e-12)
@@ -402,7 +409,7 @@ class TestSifEmbeddings:
         path = tmp_path / "freqs.txt"
         path.write_text("island 99\nsea 1\n")
         cfg = SifConfig(word_freq_source=path, remove_component=False)
-        vectors = sif_embeddings(toy_model, {"s": ["island", "sea"]}, cfg)
+        vectors = _store_of_bags(toy_model, {"s": ["island", "sea"]}, cfg)
         plain = (toy_model.vocab["island"] + toy_model.vocab["sea"]) / 2
         # The smoothed-inverse weight of "island" is lower, so the embedding
         # leans toward "sea" relative to the plain centroid.
@@ -411,7 +418,7 @@ class TestSifEmbeddings:
 
     def test_no_invocab_tokens_omitted_with_warning(self, toy_model, caplog):
         with caplog.at_level(logging.WARNING, logger="kwsense.relatedness"):
-            vectors = sif_embeddings(
+            vectors = _store_of_bags(
                 toy_model, {"bad": ["qzx", "wvu"], "good": ["island"]},
                 SifConfig(remove_component=False),
             )
@@ -423,7 +430,7 @@ class TestSifEmbeddings:
         descriptions = {f"oov{i}": ["qzx"] for i in range(5)}
         descriptions["good"] = ["island"]
         with caplog.at_level(logging.WARNING, logger="kwsense.relatedness"):
-            vectors = sif_embeddings(toy_model, descriptions, SifConfig())
+            vectors = _store_of_bags(toy_model, descriptions, SifConfig())
         assert list(vectors) == ["good"]
         (record,) = caplog.records
         assert record.getMessage().startswith("5 descriptions have no in-vocabulary tokens")
@@ -438,8 +445,8 @@ class TestSifEmbeddings:
             "s1": ["island", "sea", "bali"],
             "s2": ["coffee", "drink", "cup"],
         }
-        vectors = sif_embeddings(toy_model, descriptions, SifConfig())
-        raw = sif_embeddings(toy_model, descriptions, SifConfig(remove_component=False))
+        vectors = _store_of_bags(toy_model, descriptions, SifConfig())
+        raw = _store_of_bags(toy_model, descriptions, SifConfig(remove_component=False))
         m = np.stack(list(raw.values()))
         m = m - m.mean(axis=0)
         _, _, vt = np.linalg.svd(m, full_matrices=False)
@@ -455,14 +462,14 @@ class TestSifEmbeddings:
             "s2": ["coffee", "drink", "cup"],
             "s3": ["programming", "code"],
         }
-        raw = sif_embeddings(toy_model, descriptions, SifConfig(remove_component=False))
+        raw = _store_of_bags(toy_model, descriptions, SifConfig(remove_component=False))
         u = _principal_direction(list(raw.values()))
-        vectors = sif_embeddings(toy_model, descriptions, SifConfig())
+        vectors = _store_of_bags(toy_model, descriptions, SifConfig())
         for v in vectors.values():
             assert abs(float(np.dot(u, v))) <= 1e-9
 
     def test_single_description_skips_removal(self, toy_model):
-        vectors = sif_embeddings(toy_model, {"s": ["island", "sea"]}, SifConfig())
+        vectors = _store_of_bags(toy_model, {"s": ["island", "sea"]}, SifConfig())
         expected = (toy_model.vocab["island"] + toy_model.vocab["sea"]) / 2
         np.testing.assert_allclose(vectors["s"], expected, atol=1e-12)
 

@@ -1,9 +1,8 @@
-"""The SIF description store: interned builders against the per-token reference.
+"""The SIF description store: the interned builder against the per-token reference.
 
-:func:`build_sif_store` reads the lexicon's interned description tokens and
-:func:`sif_embeddings` interns its token bags; both must give the keys, key
-order, bytes and warning of the per-token builder they replaced
-(``sif_reference``). The store is one read-only float64 matrix, and
+:func:`build_sif_store` reads the lexicon's interned description tokens; it
+must give the keys, key order, bytes and warning of the per-token builder
+it replaced (``sif_reference``). The store is one read-only float64 matrix, and
 building it allocates no matrix over the distinct tokens.
 """
 from __future__ import annotations
@@ -30,7 +29,6 @@ from kwsense import (
     SifConfig,
     build_sif_store,
     compiled,
-    sif_embeddings,
 )
 
 # "W3" and "w3" are both rows, so "W3" is found through "w3"; only the raw
@@ -111,11 +109,6 @@ def test_store_matches_the_per_token_reference(scenario, data):
         def check() -> None:
             _assert_same(lambda: build_sif_store(model, lexicon, cfg),
                          lambda: sif_reference.build_sif_store(model, lexicon, cfg))
-            # Unsplit terms as tokens too: one holding whitespace is never a row.
-            bags = {s.id: [*s.description_terms, *" ".join(s.description_terms).split()]
-                    for s in lexicon.senses.values()}
-            _assert_same(lambda: sif_embeddings(model, bags, cfg),
-                         lambda: sif_reference.sif_embeddings(model, bags, cfg))
 
         check()
         # A sense deleted, one added, then one replaced: each a new lexicon.

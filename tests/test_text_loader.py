@@ -59,7 +59,7 @@ def reference_load_text(path: Path) -> EmbeddingModel:
             vocab[token] = vec
     if dim is None or not vocab:
         raise ParseError(f"{path}: no vector lines found")
-    return EmbeddingModel(vocab=vocab, dim=dim, name=path.name, duplicates=duplicates)
+    return EmbeddingModel(vocab=vocab, dim=dim, duplicates=duplicates)
 
 
 def _outcome(load, path: Path):
