@@ -29,6 +29,7 @@ from .disambig import (
 from .embeddings import (
     EmbeddingModel,
     Vector,
+    VectorTable,
     load_binary_model,
     load_text_model,
     save_text_model,
@@ -93,6 +94,7 @@ __all__ = [
     "UnmeasurableError",
     "ValidationReport",
     "Vector",
+    "VectorTable",
     "WordPair",
     "WordPairDataset",
     "WordPairEvalResult",

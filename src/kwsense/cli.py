@@ -33,7 +33,7 @@ from .disambig import (
     load_docvec_store,
     strategy_store,
 )
-from .embeddings import EmbeddingModel, load_binary_model, load_text_model
+from .embeddings import EmbeddingModel, VectorTable, load_binary_model, load_text_model
 from .errors import ConfigError, ParseError, UnmeasurableError
 from .evaluation import eval_wordpairs, eval_wsd, load_wordpair_dataset, load_wsd_corpus
 from .lexicon import Lexicon, load_lexicon
@@ -147,7 +147,7 @@ def _load_lexicon(cfg: RunConfig) -> Lexicon:
 
 
 def _build_stores(cfg: RunConfig, model: EmbeddingModel, lexicon: Lexicon):
-    sif_store = None
+    sif_store: Optional[VectorTable] = None
     docvec_store: Optional[DocVecStore] = None
     if cfg.params.strategy is Strategy.SIF:
         sif_store = build_sif_store(

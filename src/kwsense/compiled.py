@@ -49,7 +49,6 @@ other sense, under one of its ids or not, raises ValueError.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, is_
@@ -427,16 +426,8 @@ _T = TypeVar("_T")
 
 def _model_cache(model: EmbeddingModel, lexicon: Lexicon) -> dict:
     """The compiled parts of a (model, lexicon) pair: on the lexicon, while the model lives."""
-    caches, key = lexicon.compiled, id(model)
-    entry = caches.get(key)
-    if entry is None or entry[0]() is not model:
-
-        def drop(_ref: weakref.ref) -> None:
-            if caches.get(key) is entry:
-                del caches[key]
-
-        entry = caches[key] = (weakref.ref(model, drop), {})
-    return entry[1]
+    cache = lexicon.compiled.get(model)
+    return lexicon.compiled.setdefault(model, {}) if cache is None else cache
 
 
 def _shared(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callable[[], _T]) -> _T:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .compiled import (
     description_words,
     sense_index,
 )
-from .embeddings import EmbeddingModel, Vector
+from .embeddings import EmbeddingModel, VectorTable, _lines_left
 from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
 from .lexicon import Lexicon, Sense
 from .relatedness import (
@@ -143,17 +143,24 @@ class SenseScore:
 
 @dataclass
 class DocVecStore:
-    """Precomputed per-sense document vectors for the DOC_VEC strategy."""
+    """Precomputed per-sense document vectors for the DOC_VEC strategy; ``dim`` is their table's."""
 
-    vectors: dict[str, Vector]
-    dim: int
+    vectors: VectorTable
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.dim
 
 
 def load_docvec_store(path: str | Path) -> DocVecStore:
-    """Load a JSONL document-vector store: one {"id", "vector"} object per line."""
+    """Load a JSONL document-vector store: one {"id", "vector"} object per line.
+
+    Rows go, in file order, into one float64 matrix allocated at the first
+    vector: a row per line, and at most one per ``2 * dim + 1`` bytes of file.
+    """
     path = Path(path)
-    vectors: dict[str, Vector] = {}
-    dim: int | None = None
+    index: dict[str, int] = {}
+    matrix: np.ndarray | None = None
     for where, obj in json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
             raise ParseError(f"{where}: expected an object with 'id' and 'vector'")
@@ -169,22 +176,26 @@ def load_docvec_store(path: str | Path) -> DocVecStore:
             raise ParseError(f"{where}: vector components must be finite numbers") from None
         if not np.all(np.isfinite(vec)):
             raise ParseError(f"{where}: vector components must be finite numbers")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ParseError(f"{where}: expected {dim} components, got {vec.shape[0]}")
-        if sense_id in vectors:
+        if matrix is None:
+            dim = len(vec)
+            with path.open("rb") as fh:
+                size = min(_lines_left(fh), path.stat().st_size // (2 * dim + 1) + 1)
+            matrix = np.empty((size, dim))
+        elif len(vec) != dim:
+            raise ParseError(f"{where}: expected {dim} components, got {len(vec)}")
+        if sense_id in index:
             raise ParseError(f"{where}: duplicate id {sense_id!r}")
-        vectors[sense_id] = vec
-    if dim is None:
+        matrix[len(index)] = vec
+        index[sense_id] = len(index)
+    if matrix is None:
         raise ParseError(f"{path}: no document vectors found")
-    return DocVecStore(vectors=vectors, dim=dim)
+    return DocVecStore(VectorTable(matrix[: len(index)], index))
 
 
 def build_sif_store(
     model: EmbeddingModel, lexicon: Lexicon, cfg: SifConfig = SifConfig()
-) -> dict[str, Vector]:
-    """Description embeddings for every sense, keyed by sense id.
+) -> VectorTable:
+    """Description embeddings for every sense, as a table keyed by sense id.
 
     Description terms are whitespace-tokenized into one bag per sense, as
     the lexicon interned them. Token rows come from the (model, lexicon)
@@ -266,7 +277,7 @@ def _strategy_strengths(
     senses: Sequence[Sense],
     ca: ActiveContext,
     params: AlgoParams,
-    store: Mapping[str, Vector],
+    store: Optional[VectorTable],
     stopwords: frozenset[str],
 ) -> list[Optional[float]]:
     """Strategy strength in [0, 1] per sense, or None where the inputs are unavailable."""
@@ -296,11 +307,10 @@ def _strategy_strengths(
         index = description_index(model, lexicon, senses)
         rel = relatedness_to(index.topk_centroids(reference, params.k), ca_centroid)
     else:
-        store_rows = np.zeros((len(senses), model.dim))
-        for j, sense in enumerate(senses):
-            v = store.get(sense.id)
-            if v is not None:
-                store_rows[j] = v
+        # Each sense's row of the store, gathered at once; a zero row for an id it lacks.
+        at = np.array([store.index.get(sense.id, -1) for sense in senses], dtype=np.intp)
+        store_rows = np.zeros((len(senses), store.dim))
+        store_rows[at >= 0] = store.matrix[at[at >= 0]]
         rel = relatedness_to(store_rows, ca_centroid)
     # NaN: no term representable, id absent from the store, or a zero vector.
     return [r if r == r else None for r in rel]
@@ -309,27 +319,25 @@ def _strategy_strengths(
 def strategy_store(
     model: EmbeddingModel,
     strategy: Strategy,
-    sif_store: Optional[Mapping[str, Vector]],
+    sif_store: Optional[VectorTable],
     docvec_store: Optional[DocVecStore],
-) -> Mapping[str, Vector]:
-    """The per-sense vector store ``strategy`` reads; empty if it reads none.
+) -> Optional[VectorTable]:
+    """The per-sense vector table ``strategy`` reads; None if it reads none.
 
-    Raises ConfigError when the strategy needs a store that is absent, or a
-    document-vector store whose dimension differs from the model's.
+    Raises ConfigError when the strategy needs a store that is absent, or one
+    whose dimension differs from the model's.
     """
     if strategy is Strategy.SIF:
-        if sif_store is None:
-            raise ConfigError("strategy 'sif' requires a description-embedding store")
-        return sif_store
-    if strategy is Strategy.DOC_VEC:
-        if docvec_store is None:
-            raise ConfigError("strategy 'docvec' requires a document-vector store")
-        if docvec_store.dim != model.dim:
-            raise ConfigError(
-                f"document-vector dimension {docvec_store.dim} != model dimension {model.dim}"
-            )
-        return docvec_store.vectors
-    return {}
+        store, kind = sif_store, "description-embedding"
+    elif strategy is Strategy.DOC_VEC:
+        store, kind = docvec_store, "document-vector"
+    else:
+        return None
+    if store is None:
+        raise ConfigError(f"strategy '{strategy.value}' requires a {kind} store")
+    if store.dim != model.dim:
+        raise ConfigError(f"{kind} dimension {store.dim} != model dimension {model.dim}")
+    return sif_store if strategy is Strategy.SIF else docvec_store.vectors
 
 
 def step2_rescore(
@@ -338,7 +346,7 @@ def step2_rescore(
     scores: Sequence[SenseScore],
     ca: ActiveContext,
     params: AlgoParams = AlgoParams(),
-    sif_store: Optional[dict[str, Vector]] = None,
+    sif_store: Optional[VectorTable] = None,
     docvec_store: Optional[DocVecStore] = None,
     stopwords: frozenset[str] | None = None,
 ) -> list[SenseScore]:
@@ -431,7 +439,7 @@ def disambiguate(
     context_words: Sequence[str],
     cfg: ContextConfig = ContextConfig(),
     params: AlgoParams = AlgoParams(),
-    sif_store: Optional[dict[str, Vector]] = None,
+    sif_store: Optional[VectorTable] = None,
     docvec_store: Optional[DocVecStore] = None,
 ) -> DisambiguationResult:
     """Rank the senses of ``keyword`` against its context.

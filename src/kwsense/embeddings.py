@@ -1,14 +1,14 @@
 """Word embedding models: loading, lookup, and vector aggregation.
 
-Vectors are 1-D numpy arrays with finite components. A model is one
-read-only ``(rows, dim)`` matrix and a ``dict`` from token to row id; a
-lookup returns a read-only view of its row, made on demand, so a model holds
-no per-row objects. Text models store float64 rows; binary models store
+Vectors are 1-D numpy arrays with finite components. A model's vocabulary
+and the per-sense stores of step 2 are each a :class:`VectorTable`: one
+read-only ``(rows, dim)`` matrix and a ``dict`` from key to row id; a lookup
+returns a read-only view of its row, made on demand, so a table holds no
+per-row objects. Text models store float64 rows; binary models store
 float32 rows, as the file does. Everything that does arithmetic on model
 vectors widens them to float64 first, which is exact, so a binary model
 gives the same results as a float64 model of the same values. Callers that
-handle many rows (compiled keywords, description embeddings) keep row ids
-and gather the rows they need from :attr:`EmbeddingModel.matrix`.
+handle many rows keep row ids and gather the rows they need from a matrix.
 """
 from __future__ import annotations
 
@@ -33,25 +33,27 @@ _TEXT_BLOCK_BYTES = 1 << 17  # bytes of whole lines per block of load_text_model
 Vector = np.ndarray
 
 
-class _Vocab(Mapping[str, Vector]):
-    """Read-only token -> row mapping over a model's index and matrix."""
+class VectorTable(Mapping[str, Vector]):
+    """Key -> vector over a row ``matrix`` (made read-only, not copied) and a key -> row ``index``."""
 
-    __slots__ = ("_index", "_matrix")
+    __slots__ = ("matrix", "index")
 
-    def __init__(self, index: dict[str, int], matrix: np.ndarray):
-        self._index, self._matrix = index, matrix
+    def __init__(self, matrix: np.ndarray, index: dict[str, int]):
+        matrix.flags.writeable = False
+        self.matrix, self.index = matrix, index
 
-    def __getitem__(self, token: str) -> Vector:
-        return self._matrix[self._index[token]]
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
-    def __contains__(self, token: object) -> bool:
-        return token in self._index
+    def __getitem__(self, key: str) -> Vector:
+        return self.matrix[self.index[key]]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
+        return iter(self.index)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self.index)
 
 
 def _first_rows(tokens: Sequence[str]) -> dict[str, int]:
@@ -70,13 +72,13 @@ class EmbeddingModel:
     ``matrix`` is read-only and holds a row per input entry, in input order,
     including the rows of entries dropped as duplicates; ``index`` maps each
     token to the row of its first occurrence, in order of first occurrence,
-    and ``duplicates`` counts the dropped entries. ``vocab`` is a read-only
-    mapping view of the same table. ``EmbeddingModel(vocab, dim)`` stacks the
+    and ``duplicates`` counts the dropped entries. ``vocab`` is the same
+    table as a :class:`VectorTable`. ``EmbeddingModel(vocab, dim)`` stacks the
     vectors of a ``dict`` (float32 if they all are, else float64); loaders
     build models with :meth:`from_rows`. Treated as immutable.
     """
 
-    __slots__ = ("matrix", "index", "dim", "duplicates", "__weakref__")
+    __slots__ = ("vocab", "matrix", "index", "dim", "duplicates", "__weakref__")
 
     def __init__(self, vocab: Mapping[str, Vector], dim: int, duplicates: int = 0):
         matrix = np.array(list(vocab.values()))
@@ -94,14 +96,9 @@ class EmbeddingModel:
         return model
 
     def _set(self, matrix: np.ndarray, index: dict[str, int], duplicates: int) -> None:
-        matrix.flags.writeable = False
+        self.vocab = VectorTable(matrix, index)
         self.matrix, self.index, self.dim = matrix, index, matrix.shape[1]
         self.duplicates = duplicates
-
-    @property
-    def vocab(self) -> Mapping[str, Vector]:
-        """Token -> vector, read-only, in order of first occurrence."""
-        return _Vocab(self.index, self.matrix)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -227,11 +224,13 @@ def _parse_block(block: list[bytes], dim: int) -> tuple[list[str], np.ndarray] |
 
 
 def _lines_left(fh: BinaryIO) -> int:
-    """Newlines from the position of ``fh`` to the end of its file, plus one; keeps the position."""
+    """Line ends (``\\n``, ``\\r``, ``\\r\\n``) after the position of ``fh``, plus one; keeps it."""
     pos = fh.tell()
     lines = 1
-    while chunk := fh.read(_BLOCK_BYTES):
-        lines += chunk.count(b"\n")
+    while block := fh.read(_BLOCK_BYTES):
+        lines += block.count(b"\n")
+        if b"\r" in block:  # a line end for errors.text_lines, an overcount for readlines
+            lines += block.count(b"\r") - block.count(b"\r\n")
     fh.seek(pos)
     return lines
 
@@ -253,9 +252,9 @@ def load_text_model(path: str | Path) -> EmbeddingModel:
     parse is parsed line by line, which decides whether it is valid and which
     error to raise. The matrix is allocated once: for the header's count of
     rows, bounded by the number of ``2 * dim + 1``-byte lines the file can
-    hold, or, without a header, for one more row than the file has newlines
+    hold, or, without a header, for one more row than the file has line ends
     left. Only a header that undercounts costs a second allocation and copy,
-    sized by counting the newlines left.
+    sized by counting the line ends left.
     """
     path = Path(path)
     tokens: list[str] = []

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .disambig import AlgoParams, ContextConfig, DocVecStore, disambiguate, strategy_store
-from .embeddings import EmbeddingModel, Vector
+from .embeddings import EmbeddingModel, VectorTable
 from .errors import ParseError, UnmeasurableError, json_lines, text_lines
 from .lexicon import Lexicon
 from .relatedness import rel_words
@@ -290,7 +290,7 @@ def _score_target(
     target: WsdTarget,
     cfg: ContextConfig,
     params: AlgoParams,
-    sif_store: Optional[dict[str, Vector]],
+    sif_store: Optional[VectorTable],
     docvec_store: Optional[DocVecStore],
 ) -> WsdRecord:
     unresolved = tuple(g for g in target.gold if g not in lexicon.senses)
@@ -328,7 +328,7 @@ def eval_wsd(
     corpus: WsdCorpus,
     cfg: ContextConfig = ContextConfig(),
     params: AlgoParams = AlgoParams(),
-    sif_store: Optional[dict[str, Vector]] = None,
+    sif_store: Optional[VectorTable] = None,
     docvec_store: Optional[DocVecStore] = None,
     jobs: int = 1,
 ) -> WsdReport:

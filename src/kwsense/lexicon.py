@@ -26,6 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -211,10 +212,6 @@ class InternedSenses:
         )
 
 
-class _OwnedSenses(dict):
-    """A sense table that :meth:`Lexicon.from_senses` built: the lexicon keeps it uncopied."""
-
-
 @dataclass(frozen=True)
 class Lexicon:
     """A read-only sense inventory with a lemma index and its interned phrases.
@@ -229,12 +226,13 @@ class Lexicon:
     index: dict[str, list[str]] = field(init=False)
     # The senses' phrases, interned once; not part of the value.
     interned: InternedSenses = field(init=False, repr=False, compare=False)
-    # Compiled keywords per model, kept by kwsense.compiled; not part of the value.
-    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Compiled keywords per live model, kept by kwsense.compiled; not part of the value.
+    compiled: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Any other mapping is copied, so that changing it cannot change the lexicon.
-        senses = self.senses if type(self.senses) is _OwnedSenses else dict(self.senses)
+        # Copied, so that changing the mapping cannot change the lexicon.
+        senses = dict(self.senses)
         misfiled = [key for key, sense in senses.items() if key != sense.id]
         if misfiled:
             raise ValueError(f"senses must be keyed by their ids: {misfiled!r}")
@@ -258,16 +256,17 @@ class Lexicon:
         object.__setattr__(self, "interned", InternedSenses.build(list(senses.values())))
 
     def __getstate__(self) -> dict:
-        # Pickles and copies start with no compiled keywords: those hold weak references.
-        return {**self.__dict__, "senses": dict(self.senses), "compiled": {}}
+        # Pickles and copies start with no compiled keywords.
+        return {**self.__dict__, "senses": dict(self.senses), "compiled": None}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, senses=MappingProxyType(state["senses"]))
+        senses, compiled = MappingProxyType(state["senses"]), WeakKeyDictionary()
+        self.__dict__.update(state, senses=senses, compiled=compiled)
 
     @classmethod
     def from_senses(cls, senses: Iterable[Sense]) -> "Lexicon":
         """Build a lexicon, checking id uniqueness and reference integrity."""
-        table = _OwnedSenses()
+        table: dict[str, Sense] = {}
         for sense in senses:
             if sense.id in table:
                 raise ValueError(f"duplicate sense id: {sense.id!r}")

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingModel, Vector
+from .embeddings import EmbeddingModel, Vector, VectorTable
 from .errors import ParseError, text_lines
 
 logger = logging.getLogger(__name__)
@@ -348,14 +348,15 @@ def sif_vectors(
     rows: np.ndarray,
     names: Sequence[str],
     cfg: SifConfig,
-) -> dict[str, Vector]:
+) -> VectorTable:
     """Description embeddings from interned token bags: the one SIF builder.
 
     ``offsets`` cut the token occurrences into one bag per id of ``ids``;
     per occurrence, ``tokens`` gives its id in ``names`` and ``rows`` its
     row in ``model`` (negative: not in the model, skipped). Each distinct
-    found token is weighed once. The vectors are read-only rows of one
-    float64 matrix, in the order of ``ids``.
+    found token is weighed once. Returns a table over the one float64
+    matrix of the embeddings, a row per id with a found token, in the order
+    of ``ids``.
     """
     freqs = load_word_frequencies(cfg.word_freq_source) if cfg.word_freq_source else {}
     found = rows >= 0
@@ -384,5 +385,4 @@ def sif_vectors(
         if direction is not None:
             for v in vectors:
                 v -= float(np.dot(direction, v)) * direction
-    vectors.flags.writeable = False
-    return dict(zip(map(ids.__getitem__, kept.tolist()), vectors))
+    return VectorTable(vectors, dict(zip(map(ids.__getitem__, kept.tolist()), range(len(kept)))))

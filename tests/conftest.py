@@ -9,11 +9,12 @@ fails the active-context threshold.
 from __future__ import annotations
 
 import json
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 
-from kwsense import ContextRef, EmbeddingModel, Lexicon, Sense
+from kwsense import ContextRef, EmbeddingModel, Lexicon, Sense, VectorTable
 
 TOY_VECTORS: dict[str, tuple[float, ...]] = {
     "java": (0.45, 0.45, 0.45, 0.00, 0.00),
@@ -45,6 +46,12 @@ TOY_DIM = 5
 def make_toy_model() -> EmbeddingModel:
     vocab = {tok: np.array(vec, dtype=np.float64) for tok, vec in TOY_VECTORS.items()}
     return EmbeddingModel(vocab=vocab, dim=TOY_DIM)
+
+
+def vector_table(vectors: Mapping[str, Sequence[float]], dim: int) -> VectorTable:
+    """A per-sense store of ``vectors``: their float64 rows in one table, in key order."""
+    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+    return VectorTable(matrix, dict(zip(vectors, range(len(vectors)))))
 
 
 def make_toy_senses() -> list[Sense]:

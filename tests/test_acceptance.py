@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import TOY_CORPUS_ITEMS
+from conftest import TOY_CORPUS_ITEMS, vector_table
 from kwsense import (
     AlgoParams,
     ContextConfig,
@@ -399,7 +399,7 @@ def test_c8_performance_100_senses(strategy):
     stores = {
         "sif_store": build_sif_store(model, lexicon),
         "docvec_store": DocVecStore(
-            vectors={s.id: rng.normal(size=dim) for s in senses}, dim=dim
+            vector_table({s.id: rng.normal(size=dim) for s in senses}, dim)
         ),
     }
 

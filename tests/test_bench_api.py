@@ -28,6 +28,7 @@ MEMBERS = {
     kwsense.Lexicon: ("senses", "senses_of", "resolve_context", "index"),
     kwsense.EmbeddingModel: ("phrase_vector", "vocab"),
     kwsense.DocVecStore: ("vectors", "dim"),
+    kwsense.VectorTable: ("get",),
     kwsense.Sense: ("id", "lemmas", "synonyms", "core_context", "description_terms", "frequency"),
     kwsense.ContextRef: ("value", "is_ref"),
     kwsense.DisambiguationResult: ("active_context", "scores", "to_dict"),

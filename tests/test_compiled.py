@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import compile_reference
 import oracle
 from compile_reference import centroid
-from conftest import make_toy_model, make_toy_senses
+from conftest import make_toy_lexicon, make_toy_model, make_toy_senses
 from kwsense import (
     ActiveContext,
     AlgoParams,
@@ -319,15 +319,13 @@ def test_each_model_lexicon_pair_gets_its_own_results():
     assert len(set(results.values())) == len(results)
 
 
-def test_pair_cache_is_dropped_with_the_model(toy_lexicon):
-    model = make_toy_model()
-    senses = toy_lexicon.senses_of("java")
-    compiled.sense_index(model, toy_lexicon, senses)
-    key = id(model)
-    assert key in toy_lexicon.compiled
+def test_pair_cache_is_dropped_with_the_model():
+    model, lexicon = make_toy_model(), make_toy_lexicon()
+    compiled.sense_index(model, lexicon, lexicon.senses_of("java"))
+    assert list(lexicon.compiled) == [model]
     del model
     gc.collect()
-    assert key not in toy_lexicon.compiled
+    assert len(lexicon.compiled) == 0
 
 
 def _shared_token_lexicon(n_keywords: int = 24) -> tuple[EmbeddingModel, Lexicon, object]:
@@ -524,7 +522,7 @@ def test_threads_share_one_cache():
         sys.setswitchinterval(interval)
     assert time.monotonic() - started < 60
     assert got == want
-    rows = lexicon.compiled[id(model)][1][compiled._token_rows]
+    rows = lexicon.compiled[model][compiled._token_rows]
     assert rows.tolist() == [-1 if (i := model.row_id(t)) is None else i
                              for t in lexicon.interned.tokens]
 

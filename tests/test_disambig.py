@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from kwsense import (
 from kwsense.lexicon import ContextRef
 from kwsense.relatedness import angular_relatedness, rel_words
 
-from conftest import TOY_DIM
+from conftest import TOY_DIM, vector_table
 
 STOP = frozenset({"the", "is", "an", "of", "a"})
 
@@ -136,7 +137,7 @@ class TestActiveContext:
             params = AlgoParams(strategy=strategy)
             got = [step2_rescore(toy_model, toy_lexicon,
                                  step1_base_scores(toy_model, toy_lexicon, senses, c),
-                                 c, params, sif_store=sif, docvec_store=DocVecStore(sif, TOY_DIM))
+                                 c, params, sif_store=sif, docvec_store=DocVecStore(sif))
                    for c in (ca, bare)]
             assert got[0] == got[1], strategy
         # Steps 1 and 2 read the carried rows instead of looking the words up.
@@ -315,6 +316,13 @@ class TestStep2:
             step2_rescore(toy_model, toy_lexicon, base, ca,
                           AlgoParams(strategy=Strategy.SIF))
 
+    def test_sif_store_of_another_dimension_is_config_error(self, toy_model, toy_lexicon):
+        store = vector_table({"java#island": (1.0, 0.0)}, 2)
+        with pytest.raises(ConfigError,
+                           match="^description-embedding dimension 2 != model dimension 5$"):
+            disambiguate(toy_model, toy_lexicon, "java", ["island"], _cfg(),
+                         AlgoParams(strategy=Strategy.SIF), sif_store=store)
+
     def test_docvec_requires_store_and_matching_dim(self, toy_model, toy_lexicon):
         senses = toy_lexicon.senses_of("java")
         ca = ActiveContext(target="java")
@@ -322,7 +330,7 @@ class TestStep2:
         with pytest.raises(ConfigError, match="docvec"):
             step2_rescore(toy_model, toy_lexicon, base, ca,
                           AlgoParams(strategy=Strategy.DOC_VEC))
-        bad = DocVecStore(vectors={"java#island": np.array([1.0, 0.0])}, dim=2)
+        bad = DocVecStore(vector_table({"java#island": (1.0, 0.0)}, 2))
         with pytest.raises(ConfigError, match="dimension"):
             step2_rescore(toy_model, toy_lexicon, base, ca,
                           AlgoParams(strategy=Strategy.DOC_VEC), docvec_store=bad)
@@ -331,7 +339,7 @@ class TestStep2:
         senses = toy_lexicon.senses_of("java")
         ca = select_active_context(toy_model, ["island"], "java", _cfg())
         base = step1_base_scores(toy_model, toy_lexicon, senses, ca)
-        store = {"java#island": toy_model.vocab["island"]}
+        store = vector_table({"java#island": toy_model.vocab["island"]}, TOY_DIM)
         rescored = step2_rescore(
             toy_model, toy_lexicon, base, ca,
             AlgoParams(strategy=Strategy.SIF), sif_store=store, stopwords=STOP,
@@ -455,6 +463,50 @@ class TestDocVecStore:
             "java#island", "java#coffee", "java#language",
             "island#landmass", "land#ground",
         }
+
+    def test_rows_are_read_only_rows_of_one_matrix(self, toy_docvec_file):
+        vectors = load_docvec_store(toy_docvec_file).vectors
+        assert vectors.matrix.dtype == np.float64 and not vectors.matrix.flags.writeable
+        assert all(np.shares_memory(v, vectors.matrix) for v in vectors.values())
+        with pytest.raises(ValueError, match="read-only"):
+            vectors["java#island"][0] = 1.0
+
+    def test_dim_is_read_from_the_table(self, toy_docvec_file):
+        store = load_docvec_store(toy_docvec_file)
+        assert store.dim == store.vectors.dim == store.vectors.matrix.shape[1] == 5
+        other = DocVecStore(vector_table({"a": (1.0, 2.0, 3.0)}, 3))
+        assert other.dim == 3
+        with pytest.raises(AttributeError):
+            other.dim = 5
+        with pytest.raises(TypeError):
+            DocVecStore(vectors=other.vectors, dim=5)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_every_line_end_loads_every_row(self, tmp_path, end):
+        rows = {f"s{i}": [float(i), -0.5] for i in range(40)}
+        path = tmp_path / "dv.jsonl"
+        path.write_text(end.join(json.dumps({"id": k, "vector": v}) for k, v in rows.items())
+                        + end * 3, newline="")
+        vectors = load_docvec_store(path).vectors
+        assert list(vectors) == list(rows)
+        assert vectors.matrix.tolist() == list(rows.values())
+
+    def test_load_peaks_near_its_matrix(self, tmp_path):
+        # One matrix, filled row by row: stacking the rows at the end doubles the peak.
+        rows, dim = 1000, 300
+        vectors = np.round(np.random.default_rng(3).normal(size=(rows, dim)), 3)
+        path = tmp_path / "dv.jsonl"
+        with path.open("w") as fh:
+            for i, v in enumerate(vectors.tolist()):
+                fh.write(json.dumps({"id": f"s{i}", "vector": v}) + "\n")
+        tracemalloc.start()
+        try:
+            store = load_docvec_store(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.vectors.matrix.tobytes() == vectors.tobytes()
+        assert peak < 1.5 * vectors.nbytes
 
     def test_dim_mismatch_names_line(self, tmp_path):
         path = tmp_path / "dv.jsonl"
@@ -580,11 +632,11 @@ class TestDisambiguate:
             Sense(id="java#b", **twin),
         ]
         lexicon = Lexicon.from_senses(senses)
-        docvecs = DocVecStore(vectors={
+        docvecs = DocVecStore(vector_table({
             "java#a": toy_model.vocab["cup"],
             "java#island": toy_model.vocab["sea"],
-            "java#b": toy_model.vocab["cup"].copy(),
-        }, dim=5)
+            "java#b": toy_model.vocab["cup"],
+        }, 5))
         result = disambiguate(
             toy_model, lexicon, "java", ["drink", "island", "brew"], _cfg(),
             AlgoParams(strategy=strategy),

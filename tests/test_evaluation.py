@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwsense.evaluation
+from conftest import vector_table
 from kwsense import (
     AlgoParams,
     ConfigError,
@@ -294,10 +295,24 @@ class TestEvalWsd:
         monkeypatch.setattr(kwsense.evaluation, "disambiguate",
                             lambda *args: calls.append(args))
         corpus = load_wsd_corpus(toy_corpus_file)
-        store = DocVecStore(vectors={"java#island": np.ones(3)}, dim=3)
+        store = DocVecStore(vector_table({"java#island": np.ones(3)}, 3))
         with pytest.raises(ConfigError, match="dimension 3 != model dimension 5"):
             self._run(toy_model, toy_lexicon, corpus,
                       params=AlgoParams(strategy=Strategy.DOC_VEC), docvec_store=store)
+        assert calls == []
+
+    def test_sif_dimension_mismatch_raises_before_any_target(
+        self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+                            lambda *args: calls.append(args))
+        corpus = load_wsd_corpus(toy_corpus_file)
+        store = vector_table({"java#island": np.ones(3)}, 3)
+        with pytest.raises(ConfigError,
+                           match="^description-embedding dimension 3 != model dimension 5$"):
+            self._run(toy_model, toy_lexicon, corpus,
+                      params=AlgoParams(strategy=Strategy.SIF), sif_store=store)
         assert calls == []
 
     def test_internal_error_propagates(
@@ -337,10 +352,10 @@ class TestEvalWsd:
         lexicon = Lexicon.from_senses([*make_toy_senses(), Sense(
             id="zz#oov", lemmas=("zz",), synonyms=("qqq", "rrr sss"),
             core_context=(ContextRef("ttt"),), description_terms=("uuu", "vvv www"))])
-        sif = {k: v for k, v in build_sif_store(toy_model, lexicon).items()
-               if k not in ("land#ground", "zz#oov")}
-        docvec = DocVecStore(vectors={k: np.array(v) for k, v in TOY_DOCVECS.items()
-                                      if k != "island#landmass"}, dim=5)
+        sif = vector_table({k: v for k, v in build_sif_store(toy_model, lexicon).items()
+                            if k not in ("land#ground", "zz#oov")}, 5)
+        docvec = DocVecStore(vector_table({k: v for k, v in TOY_DOCVECS.items()
+                                           if k != "island#landmass"}, 5))
         sentences = [["island", "the", "sea", "land"], ["island"], ["zz", "sea", "code"],
                      ["land", "ground", "qqq"], ["zz"], ["java", "island", "bali"]]
         items = tuple(

@@ -36,6 +36,7 @@ from kwsense import (
 )
 
 from compile_reference import centroid
+from conftest import vector_table
 
 DIM = 16
 STOP = frozenset({"the"})
@@ -93,7 +94,7 @@ def _stores(model, lexicon, freqs):
         found = [v for t in sense.description_terms if (v := model.phrase_vector(t)) is not None]
         if found:
             docvec[sense.id] = centroid(found)
-    return sif, DocVecStore(vectors=docvec, dim=DIM)
+    return sif, DocVecStore(vector_table(docvec, DIM))
 
 
 @pytest.fixture(scope="module")
