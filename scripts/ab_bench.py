@@ -144,11 +144,19 @@ def run_workloads(tree: Path, workloads: list[str], n_pairs: int, bench: dict) -
     return status
 
 
+def _at_least_one(text: str) -> int:
+    """``--pairs``: an int of at least 1, so that a verdict rests on some runs."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
     ap.add_argument("--workload", help="default: every workload, one after another")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_at_least_one, default=10)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]

@@ -5,8 +5,8 @@ word relatedness over synonym pairs, level 1 the mean of level 0 over pairs
 of core-context members (a sense reference stands for the referenced
 sense's synonyms, a bare label for itself alone). Means skip missing pairs
 with the denominator reduced, and a level without a measured pair drops out
-while the other carries full weight (:func:`combine_levels`). Step 1 reads
-it through :meth:`SenseIndex.relatedness` and :meth:`SenseIndex.base_scores`;
+while the other carries full weight. Step 1 reads it through
+:meth:`SenseIndex.relatedness` and :meth:`SenseIndex.base_scores`;
 :func:`rel_sense_word` is that method's 1 x 1 case and :func:`rel_senses`
 measures one index's phrases against another's.
 
@@ -24,17 +24,21 @@ stable sort and scatters over phrase ids, with no Python work per phrase, into
   the row ids of its found tokens in token order, and the model's own
   matrix. A compiled keyword holds int row ids, never row objects or float64
   copies;
-* index lists or matrices: per sense (and per core-context member) the
-  table rows of its phrases, duplicates included, with -1 marking phrases
-  that have no token in the model and the padding of a matrix column.
+* padded index matrices: per sense (and per core-context member) the
+  table rows of its phrases in input order, duplicates included, one column
+  each, with -1 marking phrases that have no token in the model and the
+  padding of a column.
 
 Per call the rows are gathered from the matrix with ``np.take``
 ``_BLOCK_ROWS`` phrases at a time and widened exactly to float64, the phrase
 centroids are formed by adding tokens position after position
 (:meth:`EmbeddingModel.phrase_vector`'s order), and each block is measured
-against the context by one :func:`relatedness_rows` call. Means skip missing
-values and add the others one after another, in input order, so every path
-gives the same scores bit for bit.
+against the context by one :func:`relatedness_rows` call. Step 1 has one
+aggregation for keywords of every size. A (phrase, word) pair is missing
+when either side has no direction, so missing phrases are settled when a
+keyword compiles (:class:`SenseIndex`); per call, step 1 drops the words with
+no direction and adds the rest in input order, bit for bit the skip-missing
+means.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 ``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
@@ -50,9 +54,8 @@ other sense, under one of its ids or not, raises ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import attrgetter, is_
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -61,15 +64,6 @@ from .embeddings import EmbeddingModel, Vector
 from .errors import UnmeasurableError
 from .lexicon import InternedSenses, Lexicon, Sense, _offsets, gather, segment_positions
 from .relatedness import _TIE_WINDOW, DEFAULT_WEIGHTS, RelWeights, rank_top, relatedness_rows
-
-# Step 1 aggregates with a Python loop up to this many compiled phrases, and
-# with arrays above it. On the benchmark's keywords (2-vCPU guest) the arrays
-# cost 0.12 ms at 8 phrases and the loop 0.02 ms; they break even at 24-31
-# phrases in a process that scored many keywords, and at about 60 in a fresh
-# process, where the array path's first calls are slow; at 100 phrases the
-# arrays take 0.23 ms and the loop 0.8 ms.
-STEP1_LOOP_PHRASES = 48
-
 
 @dataclass(frozen=True, slots=True)
 class PhraseTable:
@@ -93,25 +87,30 @@ class PhraseTable:
         Tokens are gathered with ``np.take``, widened exactly, and added
         position after position, the order of :meth:`EmbeddingModel.phrase_vector`.
         """
-        matrix = self.matrix
+        matrix, rows = self.matrix, self.rows
         out = np.zeros((len(ids) + 1, matrix.shape[1]))
         if not len(ids):
             return out
-        ids = np.arange(ids.start, ids.stop) if isinstance(ids, range) else np.asarray(ids)
+        # Rows of the first n ids at a position; the ids reaching each later one (a prefix).
+        if isinstance(ids, range):
+            at = lambda offset, n: rows[offset + ids.start : offset + ids.start + n]
+            reaches = [min(max(reach - ids.start, 0), len(ids)) for reach in self.later]
+        else:
+            ids = np.asarray(ids)
+            at = lambda offset, n: rows[offset + ids[:n]]
+            reaches = np.searchsorted(ids, self.later).tolist()
         if matrix.dtype == out.dtype:
             # Straight into out: the default mode="raise" would buffer a copy.
-            matrix.take(self.rows[ids], axis=0, out=out[:-1], mode="clip")
+            matrix.take(at(0, len(ids)), axis=0, out=out[:-1], mode="clip")
         else:
-            out[:-1] = matrix.take(self.rows[ids], axis=0)  # float32 widens exactly
-        if self.later:
-            # The ids that reach a token position are a prefix of ``ids``.
-            counts = np.ones((int(np.searchsorted(ids, self.later[0])), 1))
+            out[:-1] = matrix.take(at(0, len(ids)), axis=0)  # float32 widens exactly
+        if reaches and reaches[0]:
+            counts = np.ones((reaches[0], 1))
             offset = self.size
-            for reach in self.later:
-                n = int(np.searchsorted(ids, reach))
+            for reach, n in zip(self.later, reaches):
                 if not n:
                     break
-                out[:n] += matrix.take(self.rows[offset + ids[:n]], axis=0)
+                out[:n] += matrix.take(at(offset, n), axis=0)
                 counts[:n] += 1.0
                 offset += reach
             out[: len(counts)] /= counts
@@ -211,45 +210,12 @@ def _phrase_table(
     return table, occurrences
 
 
-def _split(items: list, counts: Iterable[int]) -> list[list]:
-    """``items`` cut into consecutive lists of ``counts`` items."""
-    bounds = [0, *accumulate(counts)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _padded(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``(longest, len(lengths))`` matrix whose column j is segment j of ``values``, padded with -1."""
-    out = np.full((len(lengths), int(lengths.max(initial=0))), -1, dtype=np.int32)
-    starts = lengths.cumsum() - lengths
-    out[np.arange(len(lengths)).repeat(lengths),
-        np.arange(len(values)) - starts.repeat(lengths)] = values
-    return out.T
-
-
-def mean_skip_missing(values: Iterable[Optional[float]]) -> Optional[float]:
-    """Mean of the measured values in input order; None and NaN mark missing ones.
-
-    Returns None when nothing was measured.
-    """
-    total = 0.0
-    n = 0
-    for v in values:
-        if v is not None and v == v:
-            total += v
-            n += 1
-    return total / n if n else None
-
-
-def combine_levels(r0: Optional[float], r1: Optional[float], weights: RelWeights) -> Optional[float]:
-    # A level whose inputs are entirely missing drops out and the other level
-    # carries full weight; None means both levels are missing.
-    if r0 is None and r1 is None:
-        return None
-    if r1 is None:
-        return r0
-    if r0 is None:
-        return r1
-    return weights.w0 * r0 + weights.w1 * r1
+    used = np.arange(np.maximum.reduce(lengths, initial=0))[:, None] < lengths
+    out = np.full(used.shape, -1, dtype=np.int32)
+    out.T[used.T] = values  # column after column
+    return out
 
 
 def _means(values: np.ndarray) -> np.ndarray:
@@ -257,8 +223,7 @@ def _means(values: np.ndarray) -> np.ndarray:
 
     Values and counts are reduced together along a trailing axis of length 2,
     so numpy adds along axis 0 one row after another (a reduction over a
-    contiguous axis would sum pairwise) and the means equal
-    :func:`mean_skip_missing`'s.
+    contiguous axis would sum pairwise).
     """
     measured = values == values
     pairs = np.stack((np.where(measured, values, 0.0), measured), axis=-1)
@@ -267,58 +232,79 @@ def _means(values: np.ndarray) -> np.ndarray:
         return sums[..., 0] / sums[..., 1]
 
 
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, one row after another (a reduction adds pairwise beside size-1 axes)."""
+    return np.add.accumulate(values, axis=0)[-1] if len(values) else values.sum(axis=0)
+
+
+def _pair_means(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                row_counts: np.ndarray, col_counts: np.ndarray) -> np.ndarray:
+    """Per (column of ``rows``, column of ``cols``), the mean of ``values`` over their index pairs.
+
+    Pairs run ``rows`` outer and ``cols`` inner, -1 reads the last row or column
+    of ``values`` (which must be 0), and a mean divides by its two counts' product.
+    """
+    picked = values[rows[:, None, :, None], cols[None, :, None, :]]
+    sums = _row_sums(picked.reshape(len(rows) * len(cols), rows.shape[1], cols.shape[1]))
+    return sums / (row_counts * col_counts.T)
+
+
+def _coefficients(levels: np.ndarray, weights: RelWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Per sense, the weights of levels 0 and 1 (columns) by ``levels``' bits 0 and 1.
+
+    A level that cannot be measured drops out and the other weighs 1, exactly
+    (``1.0 * r + 0.0 * 0.0 == r``); NaN where neither can.
+    """
+    both = np.array([[np.nan, np.nan], [1.0, 0.0], [0.0, 1.0], [weights.w0, weights.w1]])[levels]
+    return both[:, :1], both[:, 1:]
+
+
 @dataclass(frozen=True, slots=True)
 class SenseIndex:
     """Step-1 phrases of a keyword's senses: synonyms and core-context members' synonyms.
 
-    ``synonyms`` lists per sense the table rows of its synonyms, ``members``
-    per sense those of each core-context member's synonyms (-1: no token in
-    the model). Above ``STEP1_LOOP_PHRASES`` phrases ``padded`` holds the same
-    as matrices for the array path: per-sense synonyms, per-member synonyms
-    and per-sense member numbers, one column each.
+    Columns of ``groups`` hold table rows in input order, padded with -1: per
+    sense its synonyms, per core-context member its synonyms, then an empty
+    group. Columns of ``members`` hold each sense's member groups. Missing
+    phrases are settled at compile time: one with no token in the model or a
+    zero centroid is -1 too, which reads a zero row. ``counts`` holds float
+    columns, at least 1: measurable phrases per group, members with one per
+    sense. ``levels`` bit 0 (1) is set for a sense with such a synonym (member).
     """
 
     phrases: PhraseTable
-    synonyms: list[list[int]]
-    members: list[list[list[int]]]
-    padded: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    groups: np.ndarray
+    members: np.ndarray
+    counts: tuple[np.ndarray, np.ndarray]
+    levels: np.ndarray
 
-    def relatedness(
-        self, words: np.ndarray, weights: RelWeights
-    ) -> np.ndarray | list[list[Optional[float]]]:
+    def relatedness(self, words: np.ndarray, weights: RelWeights) -> np.ndarray:
         """Two-level relatedness of every sense (row) to every row of ``words`` (column).
 
-        NaN (the array path) or None (the loop path) where neither level is
-        measurable: an array above ``STEP1_LOOP_PHRASES`` phrases, else lists.
+        NaN where neither level of the sense is measurable, and in the column
+        of a word with no direction.
         """
         rel = self.phrases.relatedness(words)
-        if self.padded is None:
-            by_word = rel.T.tolist()  # the last entry, row -1, is NaN
-            return [
-                [
-                    combine_levels(
-                        mean_skip_missing(r[i] for i in syn),
-                        mean_skip_missing(mean_skip_missing(r[i] for i in m) for m in mem),
-                        weights,
-                    )
-                    for r in by_word
-                ]
-                for syn, mem in zip(self.synonyms, self.members)
-            ]
-        synonyms, member_synonyms, members = self.padded
-        r0 = _means(rel[synonyms])
-        r1 = _means(np.vstack((_means(rel[member_synonyms]), rel[-1:]))[members])
-        # A level with nothing measured drops out and the other carries full weight.
-        return np.where(
-            r1 != r1, r0, np.where(r0 != r0, r1, weights.w0 * r0 + weights.w1 * r1)
-        )
+        rel[-1] = 0.0  # a padding index reads a zero row
+        # Per group its mean; the empty last group's is 0, read by member padding.
+        means = _row_sums(rel[self.groups]) / self.counts[0]
+        r1 = _row_sums(means[self.members]) / self.counts[1]
+        c0, c1 = _coefficients(self.levels, weights)
+        return c0 * means[: len(self.levels)] + c1 * r1
 
     def base_scores(self, words: np.ndarray, weights: RelWeights) -> list[float]:
-        """Step-1 score per sense: its mean :meth:`relatedness` over ``words``, 0 if none."""
+        """Step-1 score per sense: its mean :meth:`relatedness` over the words with a direction.
+
+        0 for a sense with neither level measurable, or when no word has a direction.
+        """
+        squared_norms = np.einsum("ik,ik->i", words, words)
+        if not squared_norms.all():
+            words = words[squared_norms != 0.0]
+            if not len(words):
+                return [0.0] * len(self.levels)
         values = self.relatedness(words, weights)
-        if self.padded is not None:
-            return np.nan_to_num(_means(values.T), nan=0.0).tolist()
-        return [0.0 if (m := mean_skip_missing(v)) is None else m for v in values]
+        means = (np.add.accumulate(values, axis=1)[:, -1] / len(words)).tolist()
+        return [0.0 if m != m else m for m in means]
 
 
 @dataclass(frozen=True, slots=True)
@@ -493,20 +479,23 @@ def _build_sense_index(
     synonyms, synonym_counts = gather(interned.synonyms, ordinals)
     member_phrases, member_lengths = gather(interned.member_phrases, members)
     table, rows = _phrase_table(model, lexicon, np.concatenate((synonyms, member_phrases)))
-    padded = None
-    if table.size > STEP1_LOOP_PHRASES:
-        padded = (
-            _padded(rows[: len(synonyms)], synonym_counts),
-            _padded(rows[len(synonyms) :], member_lengths),
-            _padded(np.arange(len(member_lengths)), member_counts),
-        )
-    ids = rows.tolist()
+    # A zero squared norm, the kernel's own test: missing like a phrase with no token.
+    centroids = table.centroids(range(table.size))
+    rows = np.where((np.einsum("ik,ik->i", centroids, centroids) != 0.0)[rows], rows, -1)
+    # One padded matrix: the groups, then each sense's member groups.
+    n, g = len(synonym_counts), len(synonym_counts) + len(member_lengths) + 1
+    padded = _padded(np.concatenate((rows, np.arange(n, g - 1))),
+                     np.concatenate((synonym_counts, member_lengths, [0], member_counts)))
+    groups, members = padded[:, :g], padded[:, g:]
+    # Measurable phrases per group, and members with one per sense.
+    found = np.add.reduce(groups >= 0, axis=0)
+    member_found = np.add.reduce(found[members] > 0, axis=0)
     return SenseIndex(
         phrases=table,
-        synonyms=_split(ids, synonym_counts.tolist()),
-        members=_split(_split(ids[len(synonyms) :], member_lengths.tolist()),
-                       member_counts.tolist()),
-        padded=padded,
+        groups=groups,
+        members=members,
+        counts=(np.maximum(found, 1.0)[:, None], np.maximum(member_found, 1.0)[:, None]),
+        levels=(found[:n] > 0) + 2 * (member_found > 0),
     )
 
 
@@ -598,8 +587,8 @@ def rel_sense_word(
     (and cached) index.
     """
     index = sense_index(model, lexicon, [t])
-    r = index.relatedness(model.phrase_matrix([w]), weights)[0][0]
-    if r is None or r != r:
+    r = index.relatedness(model.phrase_matrix([w]), weights)[0, 0]
+    if r != r:
         raise UnmeasurableError(f"not representable in model: sense {t.id!r} vs word {w!r}")
     return float(r)
 
@@ -620,17 +609,15 @@ def rel_senses(
     inner, and a level without a measured pair drops out.
     """
     ia, ib = (sense_index(model, lexicon, [s]) for s in (a, b))
-    # The zero row after b's centroids makes column -1 (no token) NaN.
-    rel = ia.phrases.relatedness(ib.phrases.centroids(range(ib.phrases.size))).tolist()
-
-    def level0(rows: list[int], cols: list[int]) -> Optional[float]:
-        return mean_skip_missing(rel[i][j] for i in rows for j in cols)
-
-    r = combine_levels(
-        level0(ia.synonyms[0], ib.synonyms[0]),
-        mean_skip_missing(level0(x, y) for x in ia.members[0] for y in ib.members[0]),
-        weights,
-    )
-    if r is None:
+    # Row -1 (a's padding) and column -1 (b's zero centroid) read 0.
+    rel = ia.phrases.relatedness(ib.phrases.centroids(range(ib.phrases.size)))
+    rel[-1] = 0.0
+    rel[:, -1] = 0.0
+    # Per pair of groups its mean; the empty last groups' row and column are 0.
+    by_pair = _pair_means(rel, ia.groups, ib.groups, ia.counts[0], ib.counts[0])
+    r1 = _pair_means(by_pair, ia.members, ib.members, ia.counts[1], ib.counts[1])
+    c0, c1 = _coefficients(ia.levels & ib.levels, weights)
+    r = float((c0 * by_pair[:1, :1] + c1 * r1)[0, 0])
+    if r != r:
         raise UnmeasurableError(f"senses not representable in model: {a.id!r}, {b.id!r}")
     return r

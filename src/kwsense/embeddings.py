@@ -55,6 +55,13 @@ class VectorTable(Mapping[str, Vector]):
     def __len__(self) -> int:
         return len(self.index)
 
+    def __eq__(self, other: object) -> bool:
+        # Mapping's own == compares rows with ==, which gives no single bool.
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.keys() == other.keys() and all(
+            np.array_equal(row, other[key]) for key, row in self.items())
+
 
 def _first_rows(tokens: Sequence[str]) -> dict[str, int]:
     """Token -> row id of its first occurrence, in order of first occurrence."""

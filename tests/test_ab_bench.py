@@ -85,3 +85,15 @@ def test_without_a_workload_every_workload_runs_in_turn(tmp_path, monkeypatch, c
     runs.clear()
     assert ab_bench.main(["--parent", "HEAD", "--pairs", "2", "--workload", "w3"]) == 0
     assert runs == ["w3"] * 4
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1", "two"])
+def test_pairs_below_one_is_a_usage_error_before_any_export(pairs, monkeypatch, capsys):
+    # Zero pairs would print an empty report and pass the gate on no runs.
+    exported = []
+    monkeypatch.setattr(ab_bench, "export", lambda rev, tree: exported.append(rev))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["--parent", "HEAD", "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
+    assert exported == []

@@ -1,4 +1,4 @@
-"""Compiled keywords: phrase tables, the step-1 crossover, the per-pair cache.
+"""Compiled keywords: phrase tables, step 1 against the loop reference, the per-pair cache.
 
 Compiled keywords hold the model's own matrix and row ids into it, never
 row objects or float64 copies; their centroids and means must equal the
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import compile_reference
 import oracle
-from compile_reference import centroid
+from compile_reference import centroid, mean_skip_missing
 from conftest import make_toy_lexicon, make_toy_model, make_toy_senses
 from kwsense import (
     ActiveContext,
@@ -33,6 +33,7 @@ from kwsense import (
     RelWeights,
     Sense,
     Strategy,
+    UnmeasurableError,
     compiled,
     disambiguate,
     eval_wsd,
@@ -43,9 +44,9 @@ from kwsense import (
     select_active_context,
     step1_base_scores,
 )
-from kwsense.compiled import mean_skip_missing
 from kwsense.evaluation import WsdCorpus, WsdItem, WsdTarget
 from test_kernel import scenarios
+from test_relatedness import _or_none
 
 TOL = 1e-10
 STOP = frozenset({"the", "of"})
@@ -103,7 +104,8 @@ class TestPhraseTable:
 
 # "W3" and "w3" are both in the model, so "W3" is found through "w3"; only
 # the raw form of "Q7" is there; "q7", "zz" and "yy" are out of vocabulary.
-_MODEL_TOKENS = ("w0", "w1", "w2", "w3", "w4", "w5", "W3", "Q7")
+# "n1" is -"w1" and "z0" is zero, so phrases can have no direction.
+_MODEL_TOKENS = ("w0", "w1", "w2", "w3", "w4", "w5", "W3", "Q7", "n1", "z0")
 _TOKENS = (*_MODEL_TOKENS, "W1", "q7", "zz", "yy")
 _SEPARATORS = (" ", " ", "  ", "\t", " \n ", "\u00a0")
 
@@ -142,9 +144,8 @@ def _assert_same_index(got, want) -> None:
     assert a.rows.dtype == b.rows.dtype and a.rows.tolist() == b.rows.tolist()
     pairs = [(got.terms, want.terms)] if isinstance(want, compiled.DescriptionIndex) else []
     if isinstance(want, compiled.SenseIndex):
-        assert got.synonyms == want.synonyms and got.members == want.members
-        assert (got.padded is None) == (want.padded is None)
-        pairs = list(zip(got.padded or (), want.padded or ()))
+        pairs = [(got.groups, want.groups), (got.members, want.members),
+                 *zip(got.counts, want.counts), (got.levels, want.levels)]
     for x, y in pairs:
         assert x.dtype == y.dtype and x.shape == y.shape and x.tolist() == y.tolist()
 
@@ -153,15 +154,13 @@ def _assert_same_index(got, want) -> None:
 @given(_lexicons())
 def test_interned_builders_match_the_per_phrase_reference(built):
     lexicon, keywords = built
-    model = EmbeddingModel(
-        vocab={t: np.arange(4.0) + i for i, t in enumerate(_MODEL_TOKENS)}, dim=4)
+    vocab = {t: np.arange(4.0) + i for i, t in enumerate(_MODEL_TOKENS)}
+    model = EmbeddingModel(vocab=dict(vocab, n1=-vocab["w1"], z0=np.zeros(4)), dim=4)
 
     def check(senses):
         ordinals = compiled._lexicon_ordinals(lexicon, senses)
-        for crossover in (-1, 10**6):  # the padded matrices, then none
-            with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover):
-                _assert_same_index(compiled._build_sense_index(model, lexicon, ordinals),
-                                   compile_reference.build_sense_index(model, lexicon, senses))
+        _assert_same_index(compiled._build_sense_index(model, lexicon, ordinals),
+                           compile_reference.build_sense_index(model, lexicon, senses))
         _assert_same_index(compiled._build_description_index(model, lexicon, ordinals),
                            compile_reference.build_description_index(model, lexicon, senses))
 
@@ -207,22 +206,18 @@ def _keyword_with(n_senses: int) -> tuple[EmbeddingModel, Lexicon, list[Sense]]:
     return model, Lexicon.from_senses([*senses, other]), senses
 
 
-@pytest.mark.parametrize("n_senses", [2, 20], ids=["loop", "arrays"])
-def test_step1_both_sides_of_the_crossover(n_senses):
+@pytest.mark.parametrize("n_senses", [2, 20], ids=["small", "large"])
+def test_step1_small_and_large_keywords(n_senses):
+    # A keyword of 10 phrases and one of 58: one aggregation for both.
     model, lexicon, senses = _keyword_with(n_senses)
     index = compiled.sense_index(model, lexicon, senses)
-    assert (index.phrases.size <= compiled.STEP1_LOOP_PHRASES) == (n_senses == 2)
+    assert index.phrases.size == (10 if n_senses == 2 else 58)
     ca = select_active_context(model, ["w70", "w71", "qzx", "w72"], "kw",
                                ContextConfig(threshold=0.0, stopwords=STOP))
     assert len(ca) == 3
-    assert (index.padded is None) == (n_senses == 2)
     weights = RelWeights(0.3, 0.7)
     got = [s.score for s in step1_base_scores(model, lexicon, senses, ca, weights)]
-    for crossover in (-1, 10**6):  # every keyword on the array side, then on the loop side
-        lexicon.compiled.clear()
-        with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover):
-            again = step1_base_scores(model, lexicon, senses, ca, weights)
-        assert [s.score for s in again] == got
+    assert got == compile_reference.base_scores(model, lexicon, senses, ca.rows, weights)
     want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, ca.members,
                                       w0=0.3, w1=0.7, stopwords=STOP)
     assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
@@ -237,14 +232,125 @@ def test_step1_paths_match_oracle(scenario):
                                     scenario["threshold"], scenario["max_context"])
     ca = ActiveContext(target="kw", members=tuple(members))
     want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, members, stopwords=STOP)
-    scores = {}
-    for crossover in (-1, 10**6):  # every keyword on the array side, then on the loop side
-        lexicon.compiled.clear()
-        with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", crossover), \
-                mock.patch.object(relatedness, "_BLOCK_ROWS", 2):
-            scores[crossover] = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
-        assert all(abs(a - b) <= TOL for a, b in zip(scores[crossover], want))
-    assert scores[-1] == scores[10**6]
+    with mock.patch.object(relatedness, "_BLOCK_ROWS", 2):
+        got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
+        reference = compile_reference.base_scores(model, lexicon, senses,
+                                                  model.phrase_matrix(ca.words))
+    assert got == reference
+    assert all(abs(a - b) <= TOL for a, b in zip(got, want))
+
+
+# Missing values, settled when a keyword compiles: "z" is a zero vector, "v"
+# is -"w1" so the phrase "w1 v" has a zero centroid, "qzx" is out of vocabulary.
+WEIGHTS = RelWeights(0.3, 0.7)
+
+
+def _missing_model() -> EmbeddingModel:
+    rng = np.random.default_rng(7)
+    vocab = {f"w{i}": rng.normal(size=5) for i in range(40)}
+    return EmbeddingModel(vocab=dict(vocab, z=np.zeros(5), v=-vocab["w1"]), dim=5)
+
+
+def _kw(i, synonyms, *members, sid=None) -> Sense:
+    core = tuple(ContextRef(m, is_ref=True) if "#" in m else ContextRef(m) for m in members)
+    return Sense(id=sid or f"kw#{i}", lemmas=((sid or "kw").split("#")[0],),
+                 synonyms=tuple(synonyms), core_context=core)
+
+
+def _step1_matches_the_reference(senses, words, *others) -> list[float]:
+    """Step 1, rel_sense_word and rel_senses of ``senses`` equal the loop reference exactly."""
+    model, lexicon = _missing_model(), Lexicon.from_senses([*senses, *others])
+    ca = ActiveContext(target="kw", members=tuple((w, 1.0) for w in words))
+    got = [s.score for s in step1_base_scores(model, lexicon, senses, ca, WEIGHTS)]
+    assert got == compile_reference.base_scores(model, lexicon, senses,
+                                                model.phrase_matrix(words), WEIGHTS)
+    for score, sense in zip(got, senses):
+        want = oracle.mean_skip([oracle.rel_tw(model, lexicon, sense, w, 0.3, 0.7) for w in words])
+        assert abs(score - (0.0 if want is None else want)) <= TOL
+    for sense in senses:
+        for word in words:
+            want = compile_reference.rel_sense_word(model, lexicon, sense, word, WEIGHTS)
+            assert _or_none(rel_sense_word, model, lexicon, sense, word, WEIGHTS) == want
+        for other in senses:
+            want = compile_reference.rel_senses(model, lexicon, sense, other, WEIGHTS)
+            assert _or_none(rel_senses, model, lexicon, sense, other, WEIGHTS) == want
+    return got
+
+
+def test_step1_skips_a_token_with_a_zero_vector():
+    senses = [_kw(0, ["w0", "z", "w2"], "w3", "z"), _kw(1, ["w4"], "w5")]
+    got = _step1_matches_the_reference(senses, ["w6", "w7"])
+    # Without "z" the scores are the same: it is missing, not a vector.
+    assert got == _step1_matches_the_reference(
+        [_kw(0, ["w0", "w2"], "w3"), _kw(1, ["w4"], "w5")], ["w6", "w7"])
+
+
+@pytest.mark.parametrize("place", ["synonym", "label", "reference"])
+def test_step1_skips_a_phrase_whose_centroid_cancels(place):
+    if place == "synonym":
+        first = _kw(0, ["w0", "w1 v"], "w3")
+    elif place == "label":
+        first = _kw(0, ["w0"], "w1 v", "w3")
+    else:
+        first = _kw(0, ["w0"], "r#0", "w3")
+    referenced = _kw(0, ["w2", "w1 v"], sid="r#0")
+    senses = [first, _kw(1, ["w4", "w1 v"], "r#0", "w5")]
+    _step1_matches_the_reference(senses, ["w6", "w7", "w1"], referenced)
+    model = _missing_model()
+    lexicon = Lexicon.from_senses([*senses, referenced])
+    index = compiled.sense_index(model, lexicon, senses)
+    cancelled = next(i for i in range(index.phrases.size)
+                     if not index.phrases.centroids([i])[0].any())
+    assert cancelled not in index.groups
+
+
+def test_step1_drops_a_member_with_no_measurable_phrase():
+    # kw#0 has three members; only "w3" has a measurable phrase, so level 1
+    # is the level 0 of "w3" alone.
+    senses = [_kw(0, ["w0"], "qzx", "w3", "r#1"), _kw(1, ["w4"], "w5", "z")]
+    others = [_kw(1, ["qzx", "z"], sid="r#1")]
+    _step1_matches_the_reference(senses, ["w6", "w7"], *others)
+    model, lexicon = _missing_model(), Lexicon.from_senses([*senses, *others])
+    plain, level1 = _kw(0, ["w0"], "w3"), RelWeights(0.0, 1.0)
+    assert (rel_sense_word(model, lexicon, senses[0], "w6", level1)
+            == rel_sense_word(model, Lexicon.from_senses([plain]), plain, "w6", level1))
+
+
+def test_step1_sense_with_neither_level_measurable():
+    senses = [_kw(0, ["qzx", "w1 v"], "z", "qzx"), _kw(1, ["w4"], "w5")]
+    got = _step1_matches_the_reference(senses, ["w6", "w7"])
+    assert got[0] == 0.0 and got[1] > 0.0
+    model, lexicon = _missing_model(), Lexicon.from_senses(senses)
+    index = compiled.sense_index(model, lexicon, senses)
+    values = index.relatedness(model.phrase_matrix(["w6", "w7"]), WEIGHTS)
+    assert np.isnan(values[0]).all() and not np.isnan(values[1]).any()
+    with pytest.raises(UnmeasurableError):
+        rel_sense_word(model, lexicon, senses[0], "w6")
+    with pytest.raises(UnmeasurableError):
+        rel_senses(model, lexicon, senses[1], senses[0])
+
+
+def test_step1_skips_a_context_word_whose_row_is_zero():
+    senses = [_kw(0, ["w0", "w2"], "w3"), _kw(1, ["w4"], "w5")]
+    got = _step1_matches_the_reference(senses, ["w6", "z", "qzx", "w7"])
+    assert got == _step1_matches_the_reference(senses, ["w6", "w7"])
+    assert _step1_matches_the_reference(senses, ["z", "qzx"]) == [0.0, 0.0]
+    # A context given as rows: the zero row is skipped the same way.
+    model, lexicon = _missing_model(), Lexicon.from_senses(senses)
+    rows = model.phrase_matrix(["w6", "z", "w7"])
+    ca = ActiveContext(target="kw", members=(("w6", 1.0), ("z", 1.0), ("w7", 1.0)), rows=rows)
+    assert [s.score for s in step1_base_scores(model, lexicon, senses, ca, WEIGHTS)] == got
+
+
+def test_step1_adds_in_index_order_for_one_sense_and_one_word():
+    # With one sense and one word, the sums over members (and over words,
+    # and over member pairs) run along an axis with nothing beside it, where
+    # a plain reduction would add pairwise.
+    sense = _kw(0, [f"w{i}" for i in range(20)], *(f"w{i}" for i in range(20, 40)))
+    other = _kw(1, ["w1", "w2"], *(f"w{i}" for i in range(30, 36)))
+    for word in ("w0", "w25", "w39"):
+        _step1_matches_the_reference([sense], [word], other)
+    _step1_matches_the_reference([sense], [f"w{i}" for i in range(5, 30)], other)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 15])

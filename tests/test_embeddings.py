@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,19 @@ from hypothesis import strategies as st
 from kwsense import (
     EmbeddingModel,
     ParseError,
+    VectorTable,
     load_binary_model,
+    load_docvec_store,
     load_text_model,
     save_text_model,
 )
 
 from compile_reference import centroid
 from conftest import TOY_DIM, TOY_VECTORS
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import make_demo_data  # noqa: E402
 
 
 class TestTextLoader:
@@ -306,3 +314,42 @@ class TestPhraseVector:
     def test_all_oov_is_missing(self, toy_model):
         assert toy_model.phrase_vector("qzx wvu") is None
         assert toy_model.phrase_vector("") is None
+
+
+class TestTableEquality:
+    """Tables compare by their keys and each key's row, whatever the row layout."""
+
+    @staticmethod
+    def _demo_docvecs(tmp_path) -> Path:
+        path = tmp_path / "docvec.jsonl"
+        make_demo_data.write_docvecs(path, make_demo_data.build_model(12, 7),
+                                     make_demo_data.build_senses())
+        return path
+
+    def test_two_loads_of_the_demo_docvec_store_are_equal(self, tmp_path):
+        path = self._demo_docvecs(tmp_path)
+        a, b = load_docvec_store(path), load_docvec_store(path)
+        assert a.vectors is not b.vectors and a.vectors == b.vectors
+        assert a == b and not a != b
+
+    def test_a_changed_row_is_unequal(self, tmp_path):
+        table = load_docvec_store(self._demo_docvecs(tmp_path)).vectors
+        matrix = table.matrix.copy()
+        matrix[len(matrix) // 2, 3] += 1e-12
+        assert table != VectorTable(matrix, dict(table.index))
+        # The same rows under another row order are equal.
+        order = dict(zip(reversed(list(table.index)), range(len(table))))
+        assert table == VectorTable(table.matrix[list(table.index.values())[::-1]], order)
+
+    def test_a_changed_key_is_unequal(self, tmp_path):
+        table = load_docvec_store(self._demo_docvecs(tmp_path)).vectors
+        first, *rest = table.index
+        renamed = {first + "x": table.index[first], **{k: table.index[k] for k in rest}}
+        assert table != VectorTable(table.matrix.copy(), renamed)
+        assert table != VectorTable(table.matrix[1:].copy(), {k: i - 1 for k, i in
+                                                              table.index.items() if i})
+
+    def test_a_model_vocabulary_equals_itself(self, toy_model_file):
+        model = load_text_model(toy_model_file)
+        assert model.vocab == model.vocab
+        assert model.vocab == load_text_model(toy_model_file).vocab

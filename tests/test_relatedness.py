@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import logging
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import compile_reference
 import kwsense
 import oracle
 from kwsense import (
@@ -28,7 +28,6 @@ from kwsense import (
     rel_senses,
     rel_words,
 )
-from kwsense import compiled
 from kwsense.lexicon import ContextRef
 
 
@@ -327,19 +326,20 @@ def test_sense_relatedness_matches_oracle(case):
         oracle.rel_tt(model, lexicon, b, a, w.w0, w.w1),
         oracle.rel_tw(model, lexicon, a, word, w.w0, w.w1),
     ]
-    # Both sides of the step-1 crossover: the loop path, then the array path.
-    for loop_phrases in (compiled.STEP1_LOOP_PHRASES, -1):
-        lexicon.compiled.clear()
-        with mock.patch.object(compiled, "STEP1_LOOP_PHRASES", loop_phrases):
-            got = [
-                _or_none(rel_senses, model, lexicon, a, b, w),
-                _or_none(rel_senses, model, lexicon, b, a, w),
-                _or_none(rel_sense_word, model, lexicon, a, word, w),
-            ]
-        for g, r in zip(got, want):
-            assert (g is None) == (r is None)
-            if g is not None:
-                assert abs(g - r) <= 1e-10
+    got = [
+        _or_none(rel_senses, model, lexicon, a, b, w),
+        _or_none(rel_senses, model, lexicon, b, a, w),
+        _or_none(rel_sense_word, model, lexicon, a, word, w),
+    ]
+    assert got == [
+        compile_reference.rel_senses(model, lexicon, a, b, w),
+        compile_reference.rel_senses(model, lexicon, b, a, w),
+        compile_reference.rel_sense_word(model, lexicon, a, word, w),
+    ]
+    for g, r in zip(got, want):
+        assert (g is None) == (r is None)
+        if g is not None:
+            assert abs(g - r) <= 1e-10
 
 
 def test_every_public_name_resolves():
