@@ -266,7 +266,7 @@ def _cmd_eval_pairs(cfg: RunConfig, args: argparse.Namespace) -> int:
     try:
         result = eval_wordpairs(model, dataset)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     if cfg.output == "json":
         _print_json({"config": cfg.echo(), "dataset": dataset.name, **result.to_dict()})

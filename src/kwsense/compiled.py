@@ -36,9 +36,9 @@ centroids are formed by adding tokens position after position
 against the context by one :func:`relatedness_rows` call. Step 1 has one
 aggregation for keywords of every size. A (phrase, word) pair is missing
 when either side has no direction, so missing phrases are settled when a
-keyword compiles (:class:`SenseIndex`); per call, step 1 drops the words with
-no direction and adds the rest in input order, bit for bit the skip-missing
-means.
+keyword compiles (:class:`SenseIndex`). Every row of an active context has a
+direction (its constructor checks them), so per call step 1 adds the values
+in input order with no missing-word work, bit for bit the skip-missing means.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 ``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
@@ -218,23 +218,16 @@ def _padded(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _means(values: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 of the non-NaN values, added in index order; NaN where there are none.
-
-    Values and counts are reduced together along a trailing axis of length 2,
-    so numpy adds along axis 0 one row after another (a reduction over a
-    contiguous axis would sum pairwise).
-    """
-    measured = values == values
-    pairs = np.stack((np.where(measured, values, 0.0), measured), axis=-1)
-    sums = np.add.reduce(pairs, axis=0)
-    with np.errstate(invalid="ignore"):
-        return sums[..., 0] / sums[..., 1]
-
-
 def _row_sums(values: np.ndarray) -> np.ndarray:
     """Sum over axis 0, one row after another (a reduction adds pairwise beside size-1 axes)."""
     return np.add.accumulate(values, axis=0)[-1] if len(values) else values.sum(axis=0)
+
+
+def _means(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 0 of the non-NaN values, added in index order; NaN where there are none."""
+    measured = values == values
+    with np.errstate(invalid="ignore"):
+        return _row_sums(np.where(measured, values, 0.0)) / np.count_nonzero(measured, axis=0)
 
 
 def _pair_means(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -293,15 +286,10 @@ class SenseIndex:
         return c0 * means[: len(self.levels)] + c1 * r1
 
     def base_scores(self, words: np.ndarray, weights: RelWeights) -> list[float]:
-        """Step-1 score per sense: its mean :meth:`relatedness` over the words with a direction.
+        """Step-1 score per sense: its mean :meth:`relatedness` over ``words``.
 
-        0 for a sense with neither level measurable, or when no word has a direction.
+        ``words``: an active context's rows (at least one); 0 where neither level is measurable.
         """
-        squared_norms = np.einsum("ik,ik->i", words, words)
-        if not squared_norms.all():
-            words = words[squared_norms != 0.0]
-            if not len(words):
-                return [0.0] * len(self.levels)
         values = self.relatedness(words, weights)
         means = (np.add.accumulate(values, axis=1)[:, -1] / len(words)).tolist()
         return [0.0 if m != m else m for m in means]
@@ -479,9 +467,9 @@ def _build_sense_index(
     synonyms, synonym_counts = gather(interned.synonyms, ordinals)
     member_phrases, member_lengths = gather(interned.member_phrases, members)
     table, rows = _phrase_table(model, lexicon, np.concatenate((synonyms, member_phrases)))
-    # A zero squared norm, the kernel's own test: missing like a phrase with no token.
+    # A centroid with no direction: missing like a phrase with no token.
     centroids = table.centroids(range(table.size))
-    rows = np.where((np.einsum("ik,ik->i", centroids, centroids) != 0.0)[rows], rows, -1)
+    rows = np.where(_relatedness.has_direction(centroids)[rows], rows, -1)
     # One padded matrix: the groups, then each sense's member groups.
     n, g = len(synonym_counts), len(synonym_counts) + len(member_lengths) + 1
     padded = _padded(np.concatenate((rows, np.arange(n, g - 1))),

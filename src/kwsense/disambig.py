@@ -40,6 +40,7 @@ from .relatedness import (
     DEFAULT_WEIGHTS,
     RelWeights,
     SifConfig,
+    has_direction,
     rank_top,
     relatedness_to,
     sif_vectors,
@@ -99,14 +100,24 @@ class ActiveContext:
 
     Members are (word, relatedness-to-target) pairs sorted by descending
     relatedness; ties keep their original input order. The target itself is
-    never a member. ``rows`` holds the members' phrase vectors as float64
-    rows, in member order, when the context was selected from a model (steps
-    1 and 2 reuse them); it is not part of the value or of the JSON form.
+    never a member. ``rows`` holds the members' vectors, read by steps 1 and
+    2: one float64 row per member, in member order, each with a direction
+    (:func:`has_direction`). The constructor raises ValueError otherwise, and
+    makes the rows read-only so that the check keeps holding; a context
+    without members needs no rows. The rows are not part of the value or of
+    the JSON form.
     """
 
     target: str
     members: tuple[tuple[str, float], ...] = ()
-    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = self.rows
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
+                and len(rows) == len(self.members) and has_direction(rows).all()):
+            raise ValueError("rows must be one float64 row per member, each with a direction")
+        rows.flags.writeable = False
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -244,11 +255,6 @@ def select_active_context(
     )
 
 
-def _context_rows(model: EmbeddingModel, ca: ActiveContext) -> np.ndarray:
-    """The members' phrase vectors as float64 rows: the context's own, else looked up."""
-    return model.phrase_matrix(ca.words) if ca.rows is None else ca.rows
-
-
 def step1_base_scores(
     model: EmbeddingModel,
     lexicon: Lexicon,
@@ -258,13 +264,13 @@ def step1_base_scores(
 ) -> list[SenseScore]:
     """Mean sense-word relatedness against the active context, per sense.
 
-    Context members the sense cannot be related to are skipped with the
-    denominator reduced; an empty (or fully missing) context yields 0.
+    Every member has a direction, so a sense's score is its mean over all
+    members; 0 for a sense with neither level measurable, or an empty context.
     """
     if not ca.members:
         return [SenseScore(sense_id=sense.id, score=0.0, step1=0.0) for sense in senses]
     index = sense_index(model, lexicon, senses)
-    bases = index.base_scores(_context_rows(model, ca), weights)
+    bases = index.base_scores(ca.rows, weights)
     return [
         SenseScore(sense_id=sense.id, score=base, step1=base)
         for sense, base in zip(senses, bases)
@@ -284,25 +290,22 @@ def _strategy_strengths(
     if params.strategy is Strategy.OVERLAP:
         words = description_words(model, lexicon, senses, stopwords)
         return words.overlap({w.lower() for w in ca.words})
+    if not ca.members:
+        return [None] * len(senses)
     if params.strategy is Strategy.AVERAGE:
-        if not ca.words:
-            return [None] * len(senses)
-        return description_index(model, lexicon, senses).average(_context_rows(model, ca))
-    # The centroid (a float64 sum in row order, then one division) of the
-    # members that have a direction, which are all members a selection keeps;
-    # a zero centroid has no direction either.
-    rows = _context_rows(model, ca)
-    rows = rows[rows.any(axis=1)]
-    ca_centroid = np.add.reduce(rows, axis=0) / max(1, len(rows))
-    if not ca_centroid.any():
+        return description_index(model, lexicon, senses).average(ca.rows)
+    # The members' centroid: a float64 sum in row order, then one division.
+    rows = ca.rows
+    ca_centroid = np.add.reduce(rows, axis=0) / len(rows)
+    if not has_direction(ca_centroid):
         return [None] * len(senses)
     if params.strategy is Strategy.TOP_K:
         # Each sense's k description terms nearest to the centroid of context + keyword.
-        kd_vec = model.phrase_matrix([ca.target])
-        if kd_vec.any():
+        kd_vec = model.phrase_matrix([ca.target])[0]
+        if has_direction(kd_vec):
             rows = np.vstack((rows, kd_vec))
         reference = np.add.reduce(rows, axis=0) / len(rows)
-        if not reference.any():
+        if not has_direction(reference):
             return [None] * len(senses)
         index = description_index(model, lexicon, senses)
         rel = relatedness_to(index.topk_centroids(reference, params.k), ca_centroid)

@@ -9,8 +9,8 @@ core contexts (level 1) and combines the two levels with :class:`RelWeights`,
 is defined once, in :mod:`kwsense.compiled`.
 
 Pairs are measured by one kernel, :func:`relatedness_rows`: it takes two
-float64 matrices (a zero row marks a missing vector) and returns the
-relatedness of every pair of rows, NaN where either side is missing.
+float64 matrices and returns the relatedness of every pair of rows, NaN
+where either side has no direction (:func:`has_direction`).
 :func:`relatedness_to` measures the rows of one matrix against one vector
 block by block (context words against the keyword, sense vectors against
 the context centroid), and :func:`rel_words` is its 1 x 1 case; the compiled
@@ -146,11 +146,18 @@ def angular_relatedness(v1: Vector, v2: Vector) -> float:
     return 1.0 - math.acos(cosine(v1, v2)) / math.pi
 
 
+def has_direction(vectors: np.ndarray) -> np.ndarray:
+    """Whether each float64 vector (the last axis) has a direction: a squared norm other than 0.
+
+    The kernel's own test; a vector whose squared norm underflows has none.
+    """
+    return np.einsum("...k,...k->...", vectors, vectors) != 0.0
+
+
 def relatedness_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Angular relatedness of every (row, col) pair of two float64 matrices.
 
-    NaN where either vector is missing: its squared norm is 0, which includes
-    vectors so small that it underflows.
+    NaN where either vector is missing: it has no direction (:func:`has_direction`).
     """
     row_norms = np.sqrt(np.einsum("ik,ik->i", rows, rows))
     col_norms = np.sqrt(np.einsum("ik,ik->i", cols, cols))

@@ -31,6 +31,7 @@ MEMBERS = {
     kwsense.VectorTable: ("get",),
     kwsense.Sense: ("id", "lemmas", "synonyms", "core_context", "description_terms", "frequency"),
     kwsense.ContextRef: ("value", "is_ref"),
+    kwsense.ActiveContext: ("words",),
     kwsense.DisambiguationResult: ("active_context", "scores", "to_dict"),
     kwsense.SenseScore: ("sense_id", "score"),
     kwsense.WsdCorpus: ("name", "items"),

@@ -150,6 +150,19 @@ class TestEvalPairs:
         assert code == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, message", [
+        ("sea\tqzx\t5\nqzx\tisland\t3\n",
+         "data error: dataset 'p': fewer than two pairs covered by the model\n"),
+        ("island\tisle\t5\nsea\tisland\t5\n",
+         "data error: undefined correlation: zero rank variance\n"),
+    ], ids=["too-few-covered", "zero-rank-variance"])
+    def test_unusable_dataset_is_a_data_error(self, toy_model_file, tmp_path, capsys,
+                                              lines, message):
+        path = tmp_path / "p.tsv"
+        path.write_text(lines)
+        assert main(["eval-pairs", "--model", str(toy_model_file), str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == message
+
 
 class TestEvalWsd:
     def test_table_reports_counts(self, base_args, toy_corpus_file, capsys):

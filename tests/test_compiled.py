@@ -230,12 +230,12 @@ def test_step1_paths_match_oracle(scenario):
     model, lexicon, senses = scenario["model"], scenario["lexicon"], scenario["senses"]
     members = oracle.active_context(model, scenario["context"], "kw", STOP,
                                     scenario["threshold"], scenario["max_context"])
-    ca = ActiveContext(target="kw", members=tuple(members))
+    ca = ActiveContext(target="kw", members=tuple(members),
+                       rows=model.phrase_matrix([w for w, _ in members]))
     want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, members, stopwords=STOP)
     with mock.patch.object(relatedness, "_BLOCK_ROWS", 2):
         got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
-        reference = compile_reference.base_scores(model, lexicon, senses,
-                                                  model.phrase_matrix(ca.words))
+        reference = compile_reference.base_scores(model, lexicon, senses, ca.rows)
     assert got == reference
     assert all(abs(a - b) <= TOL for a, b in zip(got, want))
 
@@ -260,10 +260,10 @@ def _kw(i, synonyms, *members, sid=None) -> Sense:
 def _step1_matches_the_reference(senses, words, *others) -> list[float]:
     """Step 1, rel_sense_word and rel_senses of ``senses`` equal the loop reference exactly."""
     model, lexicon = _missing_model(), Lexicon.from_senses([*senses, *others])
-    ca = ActiveContext(target="kw", members=tuple((w, 1.0) for w in words))
+    ca = ActiveContext(target="kw", members=tuple((w, 1.0) for w in words),
+                       rows=model.phrase_matrix(words))
     got = [s.score for s in step1_base_scores(model, lexicon, senses, ca, WEIGHTS)]
-    assert got == compile_reference.base_scores(model, lexicon, senses,
-                                                model.phrase_matrix(words), WEIGHTS)
+    assert got == compile_reference.base_scores(model, lexicon, senses, ca.rows, WEIGHTS)
     for score, sense in zip(got, senses):
         want = oracle.mean_skip([oracle.rel_tw(model, lexicon, sense, w, 0.3, 0.7) for w in words])
         assert abs(score - (0.0 if want is None else want)) <= TOL
@@ -330,16 +330,16 @@ def test_step1_sense_with_neither_level_measurable():
         rel_senses(model, lexicon, senses[1], senses[0])
 
 
-def test_step1_skips_a_context_word_whose_row_is_zero():
-    senses = [_kw(0, ["w0", "w2"], "w3"), _kw(1, ["w4"], "w5")]
-    got = _step1_matches_the_reference(senses, ["w6", "z", "qzx", "w7"])
-    assert got == _step1_matches_the_reference(senses, ["w6", "w7"])
-    assert _step1_matches_the_reference(senses, ["z", "qzx"]) == [0.0, 0.0]
-    # A context given as rows: the zero row is skipped the same way.
-    model, lexicon = _missing_model(), Lexicon.from_senses(senses)
-    rows = model.phrase_matrix(["w6", "z", "w7"])
-    ca = ActiveContext(target="kw", members=(("w6", 1.0), ("z", 1.0), ("w7", 1.0)), rows=rows)
-    assert [s.score for s in step1_base_scores(model, lexicon, senses, ca, WEIGHTS)] == got
+def test_a_context_word_with_no_direction_is_never_a_member():
+    # "z" is a zero vector and "qzx" has none: no relatedness to the keyword,
+    # so selection drops them at any threshold, and a context cannot hold them.
+    model = _missing_model()
+    words = ["w6", "z", "qzx", "w7"]
+    ca = select_active_context(model, words, "w8", ContextConfig(threshold=0.0, stopwords=STOP))
+    assert sorted(ca.words) == ["w6", "w7"]
+    with pytest.raises(ValueError, match="direction"):
+        ActiveContext(target="kw", members=tuple((w, 1.0) for w in words[:3]),
+                      rows=model.phrase_matrix(words[:3]))
 
 
 def test_step1_adds_in_index_order_for_one_sense_and_one_word():
@@ -485,6 +485,11 @@ def test_used_lexicon_pickles_and_copies_with_its_interning():
         assert builds == []
 
 
+def _context(model, target, words) -> ActiveContext:
+    return ActiveContext(target=target, members=tuple((w, 1.0) for w in words),
+                         rows=model.phrase_matrix(words))
+
+
 def _step1_matches_the_oracle(model, lexicon, senses, ca) -> list[float]:
     got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
     for score, sense in zip(got, senses):
@@ -502,7 +507,7 @@ def test_an_edited_inventory_is_a_new_lexicon(toy_model):
                     core_context=(ContextRef("ref#1", is_ref=True),)),
               Sense(id="k#2", lemmas=("k",), synonyms=("coffee",)), ref]
     lexicon = Lexicon.from_senses(senses)
-    ca = ActiveContext(target="k", members=(("sea", 1.0), ("cup", 1.0)))
+    ca = _context(toy_model, "k", ["sea", "cup"])
     before = _step1_matches_the_oracle(toy_model, lexicon, lexicon.senses_of("k"), ca)
     edited = Sense(id="ref#1", lemmas=("ref",), synonyms=("coffee", "drink"))
     with pytest.raises(TypeError):
@@ -517,7 +522,7 @@ def test_senses_apart_in_the_lexicon_compile_in_each_order(toy_model):
     # Ordinals 0 and 2, then 2 and 0: each order is its own cache entry.
     lexicon = Lexicon.from_senses(make_toy_senses())
     island, _, language = lexicon.senses_of("java")
-    ca = ActiveContext(target="java", members=(("island", 1.0), ("code", 1.0)))
+    ca = _context(toy_model, "java", ["island", "code"])
     forward = _step1_matches_the_oracle(toy_model, lexicon, [island, language], ca)
     backward = _step1_matches_the_oracle(toy_model, lexicon, [language, island], ca)
     assert backward == forward[::-1] and forward[0] != forward[1]
@@ -530,7 +535,7 @@ def test_senses_the_lexicon_never_held(toy_model, toy_lexicon):
                     core_context=(ContextRef("island#landmass", is_ref=True), ContextRef("cup")),
                     description_terms=("sea",))
     senses = [*toy_lexicon.senses_of("java"), foreign]
-    ca = ActiveContext(target="java", members=(("island", 1.0), ("drink", 1.0)))
+    ca = _context(toy_model, "java", ["island", "drink"])
     _step1_matches_the_oracle(toy_model, toy_lexicon, senses[:-1], ca)
     with pytest.raises(ValueError, match="'java#foreign' is not one the lexicon holds"):
         step1_base_scores(toy_model, toy_lexicon, senses, ca)
@@ -550,7 +555,7 @@ def test_senses_the_lexicon_never_held(toy_model, toy_lexicon):
 # keyword's senses, one of them ``sense``, or on ``sense`` and a held sense.
 _READERS = {
     "step1_base_scores": lambda model, lexicon, senses, sense: step1_base_scores(
-        model, lexicon, senses, ActiveContext(target="java", members=(("sea", 1.0),))),
+        model, lexicon, senses, _context(model, "java", ["sea"])),
     "sense_index": lambda model, lexicon, senses, sense: compiled.sense_index(
         model, lexicon, senses),
     "description_index": lambda model, lexicon, senses, sense: compiled.description_index(

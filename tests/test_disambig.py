@@ -35,7 +35,7 @@ from kwsense import (
     step3_frequency,
 )
 from kwsense.lexicon import ContextRef
-from kwsense.relatedness import angular_relatedness, rel_words
+from kwsense.relatedness import angular_relatedness, has_direction, rel_words
 
 from conftest import TOY_DIM, vector_table
 
@@ -128,9 +128,11 @@ class TestActiveContext:
         assert ca.rows.dtype == np.float64
         assert ca.rows.tobytes() == toy_model.phrase_matrix(ca.words).tobytes()
         # The rows are not part of the value or of the JSON form.
-        bare = ActiveContext(target=ca.target, members=ca.members)
-        assert bare == ca and hash(bare) == hash(ca)
-        assert json.dumps(bare.to_json()) == json.dumps(ca.to_json())
+        built = ActiveContext(target=ca.target, members=ca.members,
+                              rows=toy_model.phrase_matrix(ca.words))
+        moved = ActiveContext(target=ca.target, members=ca.members, rows=ca.rows[::-1].copy())
+        assert built == ca == moved and hash(built) == hash(ca) == hash(moved)
+        assert json.dumps(moved.to_json()) == json.dumps(ca.to_json())
         senses = toy_lexicon.senses_of("java")
         sif = build_sif_store(toy_model, toy_lexicon)
         for strategy in Strategy:
@@ -138,43 +140,77 @@ class TestActiveContext:
             got = [step2_rescore(toy_model, toy_lexicon,
                                  step1_base_scores(toy_model, toy_lexicon, senses, c),
                                  c, params, sif_store=sif, docvec_store=DocVecStore(sif))
-                   for c in (ca, bare)]
+                   for c in (ca, built)]
             assert got[0] == got[1], strategy
-        # Steps 1 and 2 read the carried rows instead of looking the words up.
-        moved = ActiveContext(target=ca.target, members=ca.members, rows=ca.rows[::-1].copy())
+        # Steps 1 and 2 read the carried rows, not the words.
         assert (step1_base_scores(toy_model, toy_lexicon, senses, moved)
                 != step1_base_scores(toy_model, toy_lexicon, senses, ca))
 
+    def test_rows_are_checked_when_a_context_is_built(self):
+        members = (("a", 0.9), ("b", 0.8))
+        rows = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
+        assert ActiveContext(target="kw", members=members, rows=rows).rows is rows
+        with pytest.raises(ValueError, match="read-only"):  # the check keeps holding
+            rows[1] = 0.0
+        assert ActiveContext(target="kw").rows.shape == (0, 0)  # no members, no rows
+        for other in (rows[:1], np.vstack((rows, rows)), rows[0], rows.astype(np.float32),
+                      rows.tolist(), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="one float64 row per member"):
+                ActiveContext(target="kw", members=members, rows=other)
+        tiny = np.array([3e-170, -1e-170, 2e-170])
+        assert tiny.any() and np.einsum("k,k->", tiny, tiny) == 0.0  # its squared norm underflows
+        for no_direction in (np.zeros(3), tiny):
+            with pytest.raises(ValueError, match="each with a direction"):
+                ActiveContext(target="kw", members=members, rows=np.vstack((rows[0], no_direction)))
 
-def _overlap(ca: ActiveContext, description: list[str], stopwords: frozenset[str]) -> float:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["normal", "zero", "tiny"]), min_size=1, max_size=6),
+           st.lists(st.integers(0, 20), max_size=10), st.floats(0.0, 1.0),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_selected_rows_are_the_members_vectors(self, kinds, picks, threshold, top, seed):
+        # Words with no direction (out of vocabulary, zero, or a squared norm
+        # that underflows) are among the candidates; none is ever selected.
+        rng = np.random.default_rng(seed)
+        scale = {"normal": 1.0, "zero": 0.0, "tiny": 1e-170}
+        vocab = {f"w{i}": rng.normal(size=3) * scale[kind] for i, kind in enumerate(kinds)}
+        model = EmbeddingModel(vocab=dict(vocab, kw=rng.normal(size=3)), dim=3)
+        names = [*vocab, "qzx", "w0 qzx", f"w0 w{len(kinds) - 1}"]
+        context = [names[i % len(names)] for i in picks]
+        ca = select_active_context(model, context, "kw",
+                                   ContextConfig(max_context=top, threshold=threshold,
+                                                 stopwords=frozenset()))
+        assert ca.rows.shape == (len(ca), 3)
+        assert ca.rows.tobytes() == model.phrase_matrix(ca.words).tobytes()
+        assert has_direction(ca.rows).all()
+        kept = {w for w in context if has_direction(model.phrase_matrix([w])[0])
+                and rel_words(model, w, "kw") >= threshold}
+        assert set(ca.words) <= kept and len(ca) == min(top, len(kept))
+
+
+def _overlap(context: list[str], description: list[str], stopwords: frozenset[str]) -> float:
     """Step 2's overlap strength of the one sense of a lexicon, ``description`` its terms."""
     sense = Sense(id="s", lemmas=("kw",), synonyms=("kw",), description_terms=tuple(description))
     model = EmbeddingModel(vocab={"kw": np.ones(2)}, dim=2)
     words = compiled.description_words(model, Lexicon.from_senses([sense]), [sense], stopwords)
-    (strength,) = words.overlap({w.lower() for w in ca.words})
+    (strength,) = words.overlap({w.lower() for w in context})
     return strength
 
 
 class TestOverlap:
     def test_ratio_against_smaller_set(self):
-        ca = ActiveContext(target="kw", members=(("a", 0.9), ("b", 0.8)))
-        assert _overlap(ca, ["b", "c", "d"], frozenset()) == 0.5
+        assert _overlap(["a", "b"], ["b", "c", "d"], frozenset()) == 0.5
 
     def test_empty_sides_are_zero(self):
-        empty = ActiveContext(target="kw")
-        full = ActiveContext(target="kw", members=(("a", 0.9),))
-        assert _overlap(empty, ["a"], frozenset()) == 0.0
-        assert _overlap(full, [], frozenset()) == 0.0
+        assert _overlap([], ["a"], frozenset()) == 0.0
+        assert _overlap(["a"], [], frozenset()) == 0.0
 
     def test_description_stopwords_removed_and_terms_split(self):
-        ca = ActiveContext(target="kw", members=(("sea", 0.9), ("island", 0.8)))
-        score = _overlap(ca, ["big sea", "the island"], frozenset({"the"}))
+        score = _overlap(["sea", "island"], ["big sea", "the island"], frozenset({"the"}))
         # Description tokens {big, sea, island}; both context words hit.
         assert score == pytest.approx(2 / 2)
 
     def test_case_insensitive(self):
-        ca = ActiveContext(target="kw", members=(("Sea", 0.9),))
-        assert _overlap(ca, ["SEA"], frozenset()) == 1.0
+        assert _overlap(["Sea"], ["SEA"], frozenset()) == 1.0
 
     def test_word_sets_compiled_once_per_senses_and_stopwords(self, toy_model, toy_lexicon):
         lexicon, senses = toy_lexicon, toy_lexicon.senses_of("java")
@@ -188,7 +224,8 @@ class TestOverlap:
         assert words.overlap({"sea"}) == [1.0] * 3
         assert compiled.description_words(toy_model, lexicon, senses, STOP) is first
         # Step 2 scores with the compiled sets.
-        ca = ActiveContext(target="java", members=(("sea", 0.9),))
+        ca = ActiveContext(target="java", members=(("sea", 0.9),),
+                           rows=toy_model.phrase_matrix(["sea"]))
         base = step1_base_scores(toy_model, lexicon, senses, ca)
         rescored = step2_rescore(toy_model, lexicon, base, ca,
                                  AlgoParams(strategy=Strategy.OVERLAP), stopwords=STOP)
@@ -209,13 +246,12 @@ class TestOverlap:
                 [dataclasses.replace(s, description_terms=s.description_terms[::-1])
                  for s in senses]))
         model = EmbeddingModel(vocab={"k": np.ones(2)}, dim=2)
-        ca = ActiveContext(target="k", members=tuple((w, 1.0) for w in context))
         for lexicon in lexicons:
             senses = list(lexicon.senses.values())
             for stop in (frozenset({"the", "σ"}), frozenset()):  # two stopword sets
                 got = compiled.description_words(model, lexicon, senses, stop).overlap(
-                    {w.lower() for w in ca.words})
-                want = [oracle.overlap_score(ca.words, s.description_terms, stop) for s in senses]
+                    {w.lower() for w in context})
+                want = [oracle.overlap_score(context, s.description_terms, stop) for s in senses]
                 assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
