@@ -29,16 +29,17 @@ stable sort and scatters over phrase ids, with no Python work per phrase, into
   each, with -1 marking phrases that have no token in the model and the
   padding of a column.
 
-Per call the rows are gathered from the matrix with ``np.take``
-``_BLOCK_ROWS`` phrases at a time and widened exactly to float64, the phrase
-centroids are formed by adding tokens position after position
-(:meth:`EmbeddingModel.phrase_vector`'s order), and each block is measured
-against the context by one :func:`relatedness_rows` call. Step 1 has one
-aggregation for keywords of every size. A (phrase, word) pair is missing
-when either side has no direction, so missing phrases are settled when a
-keyword compiles (:class:`SenseIndex`). Every row of an active context has a
-direction (its constructor checks them), so per call step 1 adds the values
-in input order with no missing-word work, bit for bit the skip-missing means.
+Per call the rows of the whole table are gathered from the matrix with
+``np.take`` and widened exactly to float64, every phrase centroid is formed
+once by adding tokens position after position
+(:meth:`EmbeddingModel.phrase_vector`'s order), and that one matrix is
+measured against the context by one :func:`relatedness_rows` call. Step 1
+has one aggregation for keywords of every size. A (phrase, word) pair is
+missing when either side has no direction, so missing phrases are settled
+when a keyword compiles (:class:`SenseIndex`). Every row of an active
+context has a direction (its constructor checks them), so per call step 1
+adds the values in input order with no missing-word work, bit for bit the
+skip-missing means.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
 ``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
@@ -81,50 +82,27 @@ class PhraseTable:
     later: tuple[int, ...]
     size: int
 
-    def centroids(self, ids: Sequence[int]) -> np.ndarray:
-        """Float64 centroids of the phrases ``ids`` (ascending), then a zero row (index -1).
+    def centroids(self) -> np.ndarray:
+        """Float64 centroids of every phrase, then a zero row (index -1).
 
         Tokens are gathered with ``np.take``, widened exactly, and added
         position after position, the order of :meth:`EmbeddingModel.phrase_vector`.
         """
-        matrix, rows = self.matrix, self.rows
-        out = np.zeros((len(ids) + 1, matrix.shape[1]))
-        if not len(ids):
-            return out
-        # Rows of the first n ids at a position; the ids reaching each later one (a prefix).
-        if isinstance(ids, range):
-            at = lambda offset, n: rows[offset + ids.start : offset + ids.start + n]
-            reaches = [min(max(reach - ids.start, 0), len(ids)) for reach in self.later]
-        else:
-            ids = np.asarray(ids)
-            at = lambda offset, n: rows[offset + ids[:n]]
-            reaches = np.searchsorted(ids, self.later).tolist()
+        matrix, rows, size = self.matrix, self.rows, self.size
+        out = np.zeros((size + 1, matrix.shape[1]))
         if matrix.dtype == out.dtype:
             # Straight into out: the default mode="raise" would buffer a copy.
-            matrix.take(at(0, len(ids)), axis=0, out=out[:-1], mode="clip")
+            matrix.take(rows[:size], axis=0, out=out[:-1], mode="clip")
         else:
-            out[:-1] = matrix.take(at(0, len(ids)), axis=0)  # float32 widens exactly
-        if reaches and reaches[0]:
-            counts = np.ones((reaches[0], 1))
-            offset = self.size
-            for reach, n in zip(self.later, reaches):
-                if not n:
-                    break
-                out[:n] += matrix.take(at(offset, n), axis=0)
-                counts[:n] += 1.0
+            out[:-1] = matrix.take(rows[:size], axis=0)  # float32 widens exactly
+        if self.later:
+            counts = np.ones((self.later[0], 1))
+            offset = size
+            for reach in self.later:
+                out[:reach] += matrix.take(rows[offset : offset + reach], axis=0)
+                counts[:reach] += 1.0
                 offset += reach
             out[: len(counts)] /= counts
-        return out
-
-    def relatedness(self, words: np.ndarray) -> np.ndarray:
-        """Relatedness of every phrase to every row of ``words``, then a NaN row (index -1).
-
-        Centroids are formed and measured ``_BLOCK_ROWS`` phrases at a time.
-        """
-        out = np.full((self.size + 1, len(words)), np.nan)
-        for start in range(0, self.size, _relatedness._BLOCK_ROWS):
-            ids = range(start, min(start + _relatedness._BLOCK_ROWS, self.size))
-            out[ids.start : ids.stop] = relatedness_rows(self.centroids(ids)[:-1], words)
         return out
 
 
@@ -277,7 +255,7 @@ class SenseIndex:
         NaN where neither level of the sense is measurable, and in the column
         of a word with no direction.
         """
-        rel = self.phrases.relatedness(words)
+        rel = relatedness_rows(self.phrases.centroids(), words)
         rel[-1] = 0.0  # a padding index reads a zero row
         # Per group its mean; the empty last group's is 0, read by member padding.
         means = _row_sums(rel[self.groups]) / self.counts[0]
@@ -304,7 +282,7 @@ class DescriptionIndex:
 
     def average(self, words: np.ndarray) -> list[Optional[float]]:
         """Per sense, the mean relatedness over (word, term) pairs, words outer; None if none."""
-        rel = self.phrases.relatedness(words)
+        rel = relatedness_rows(self.phrases.centroids(), words)  # row -1: NaN
         by_pair = rel[self.terms].transpose(2, 0, 1).reshape(-1, self.terms.shape[1])
         return [None if m != m else m for m in _means(by_pair).tolist()]
 
@@ -315,17 +293,13 @@ class DescriptionIndex:
         added in rank order. A sense whose ranking holds a near-tie as
         :func:`rank_top` defines it (distinct neighbours within ``_TIE_WINDOW``,
         in a run of close neighbours that starts among its first ``k`` terms)
-        is ranked by :func:`rank_top` instead. A table of one block forms its
-        centroids once; a larger one is measured block by block and forms only
-        the chosen terms' centroids again.
+        is ranked by :func:`rank_top` instead. The table's centroids are formed
+        once, measured by one kernel call, and summed from that one matrix.
         """
-        table = self.phrases
-        whole = table.size <= _relatedness._BLOCK_ROWS
-        if whole:
-            vectors = table.centroids(range(table.size))
-            rel = relatedness_rows(vectors, reference[None, :])[:, 0]
-        else:
-            rel = table.relatedness(reference[None, :])[:, 0]
+        # A k at or past the longest description picks the same terms.
+        k = min(k, max(1, self.terms.shape[0]))
+        vectors = self.phrases.centroids()
+        rel = relatedness_rows(vectors, reference[None, :])[:, 0]
         terms = self.terms.T
         by_term = rel[terms]
         order = (-by_term).argsort(axis=1, kind="stable")  # NaN (unrepresentable) last
@@ -347,21 +321,12 @@ class DescriptionIndex:
             rel_list = rel.tolist()
             for s in np.flatnonzero(near).tolist():
                 ids = [i for i in terms[s].tolist() if i != -1 and rel_list[i] == rel_list[i]]
-                distinct = sorted(set(ids))
-                top = rank_top(ids, rel_list, k,
-                               dict(zip(distinct, table.centroids(distinct))), reference)
+                top = rank_top(ids, rel_list, k, vectors, reference)
                 chosen[s] = top + [-1] * (chosen.shape[1] - len(top))
-        if not whole:
-            distinct = sorted(set(chosen[chosen >= 0].tolist()))
-            vectors = table.centroids(distinct)
-            chosen = np.where(chosen >= 0, np.searchsorted(distinct, chosen), -1)
-        # Rank order, at most _BLOCK_ROWS gathered vectors at a time.
-        total = np.empty((len(terms), table.matrix.shape[1]))
-        step = max(1, _relatedness._BLOCK_ROWS // max(1, chosen.shape[1]))
-        for start in range(0, len(terms), step):
-            total[start : start + step] = np.add.reduce(
-                vectors[chosen[start : start + step].T], axis=0
-            )
+        # Rank order, one rank's rows at a time; -1 reads the zero row.
+        total = np.zeros((len(terms), vectors.shape[1]))
+        for column in chosen.T:
+            total += vectors[column]
         return total / np.maximum(np.minimum(found, k), 1)[:, None]
 
 
@@ -468,8 +433,7 @@ def _build_sense_index(
     member_phrases, member_lengths = gather(interned.member_phrases, members)
     table, rows = _phrase_table(model, lexicon, np.concatenate((synonyms, member_phrases)))
     # A centroid with no direction: missing like a phrase with no token.
-    centroids = table.centroids(range(table.size))
-    rows = np.where(_relatedness.has_direction(centroids)[rows], rows, -1)
+    rows = np.where(_relatedness.has_direction(table.centroids())[rows], rows, -1)
     # One padded matrix: the groups, then each sense's member groups.
     n, g = len(synonym_counts), len(synonym_counts) + len(member_lengths) + 1
     padded = _padded(np.concatenate((rows, np.arange(n, g - 1))),
@@ -598,7 +562,7 @@ def rel_senses(
     """
     ia, ib = (sense_index(model, lexicon, [s]) for s in (a, b))
     # Row -1 (a's padding) and column -1 (b's zero centroid) read 0.
-    rel = ia.phrases.relatedness(ib.phrases.centroids(range(ib.phrases.size)))
+    rel = relatedness_rows(ia.phrases.centroids(), ib.phrases.centroids())
     rel[-1] = 0.0
     rel[:, -1] = 0.0
     # Per pair of groups its mean; the empty last groups' row and column are 0.

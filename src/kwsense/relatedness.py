@@ -12,23 +12,23 @@ Pairs are measured by one kernel, :func:`relatedness_rows`: it takes two
 float64 matrices and returns the relatedness of every pair of rows, NaN
 where either side has no direction (:func:`has_direction`).
 :func:`relatedness_to` measures the rows of one matrix against one vector
-block by block (context words against the keyword, sense vectors against
-the context centroid), and :func:`rel_words` is its 1 x 1 case; the compiled
-keywords of :mod:`kwsense.compiled` call the kernel on blocks of phrase
-centroids. The scalar :func:`cosine` shares the kernel's cosine routine, so
-the exact-endpoint rule lives in one place. arccos is ill-conditioned at
-+/-1, so entries with |cos| > 0.999999 are checked for exactly equal (or
-exactly negated) vectors and set to the exact endpoint; the other flagged
-entries are recomputed with sums in index order, so they round the same way
-whatever the bulk product does. The kernel stacks at most ``_BLOCK_ROWS``
-rows at a time and forms products with ``einsum`` instead of a BLAS matrix
-product (``@``): stacking every row of a call at once, or one BLAS matrix
-product, each raised a process's peak resident memory by far more than the
-0.6 MB of a block at dim 300. The einsum loop also computes every entry the
-same way, so identical vectors score identically and ties keep their input
-order. Blocks are stacked as float64, which widens float32 model rows
-exactly; :func:`ordered_relatedness` measures one pair with sums in index
-order, for callers that must break near-ties as the defining formula does.
+(context words against the keyword, sense vectors against the context
+centroid), and :func:`rel_words` is its 1 x 1 case; the compiled keywords of
+:mod:`kwsense.compiled` pass it a whole table of phrase centroids. The
+scalar :func:`cosine` shares the kernel's cosine routine, so the
+exact-endpoint rule lives in one place. arccos is ill-conditioned at +/-1,
+so entries with |cos| > 0.999999 are checked for exactly equal (or exactly
+negated) vectors and set to the exact endpoint; the other flagged entries
+are recomputed with sums in index order, so they round the same way whatever
+the bulk product does. The kernel forms products with ``einsum`` instead of
+a BLAS matrix product (``@``), so no entry depends on the number of BLAS
+threads or of rows in a call: identical vectors score identically and ties
+keep their input order. Callers pass whole tables: one ``topk`` or
+``average`` call on a 1,600-phrase description table at dim 300 peaks at
+1.25 times the table's float64 centroid matrix (3.8 MB) under tracemalloc.
+Rows are float64, which widens float32 model rows exactly;
+:func:`ordered_relatedness` measures one pair with sums in index order, for
+callers that must break near-ties as the defining formula does.
 """
 from __future__ import annotations
 
@@ -70,8 +70,6 @@ class RelWeights:
 DEFAULT_WEIGHTS = RelWeights(0.5, 0.5)
 
 
-# Rows stacked per kernel block: ~0.6 MB of float64 at dim 300.
-_BLOCK_ROWS = 256
 # Beyond this |cos| arccos is ill-conditioned: one rounding unit of the
 # cosine moves relatedness by 1e-13 here and by up to 1e-8 at +/-1.
 _NEAR_ENDPOINT = 0.999999
@@ -180,22 +178,18 @@ def relatedness_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def relatedness_to(rows: np.ndarray, vector: Vector) -> list[float]:
     """Angular relatedness of every row of a float64 matrix to one vector; NaN where missing.
 
-    The rows are measured ``_BLOCK_ROWS`` at a time by :func:`relatedness_rows`;
-    a zero row or vector (squared norm 0) is missing.
+    One :func:`relatedness_rows` call; a zero row or vector (squared norm 0) is missing.
     """
-    col = np.asarray(vector, dtype=np.float64)[None, :]
-    out: list[float] = []
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        out += relatedness_rows(rows[start : start + _BLOCK_ROWS], col)[:, 0].tolist()
-    return out
+    return relatedness_rows(rows, np.asarray(vector, dtype=np.float64)[None, :])[:, 0].tolist()
 
 
 def rank_top(
-    ids: list[int], rel: list[float], n: int, vectors: Sequence[Vector], reference: Vector
+    ids: list[int], rel: list[float], n: int, vectors: np.ndarray, reference: Vector
 ) -> list[int]:
     """The first ``n`` of ``ids`` by descending ``rel[i]``; ties keep input order.
 
-    ``rel[i]`` is the relatedness of ``vectors[i]`` to ``reference``. A run of
+    ``vectors`` is a float64 matrix indexed by id, and ``rel[i]`` is the
+    relatedness of its row ``i`` to ``reference``. A run of
     ranked entries each within ``_TIE_WINDOW`` of the next is a near-tie when
     it starts among the first ``n`` and holds two distinct entries: its
     entries are first re-measured in ``rel`` with the defining formula's

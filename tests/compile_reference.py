@@ -24,7 +24,7 @@ import numpy as np
 from kwsense.compiled import DescriptionIndex, PhraseTable, SenseIndex
 from kwsense.embeddings import EmbeddingModel, Vector
 from kwsense.lexicon import Lexicon, Sense
-from kwsense.relatedness import DEFAULT_WEIGHTS, RelWeights
+from kwsense.relatedness import DEFAULT_WEIGHTS, RelWeights, relatedness_rows
 
 
 def centroid(vectors: Iterable[Vector]) -> Vector:
@@ -103,7 +103,7 @@ def build_sense_index(
     model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]
 ) -> SenseIndex:
     table, synonyms, members = sense_lists(model, lexicon, senses)
-    vectors = table.centroids(range(table.size))
+    vectors = table.centroids()
     measurable = {i for i in range(table.size) if float(np.dot(vectors[i], vectors[i])) != 0.0}
     groups = [[i if i in measurable else -1 for i in group]
               for group in (*synonyms, *(m for mem in members for m in mem), [])]
@@ -169,7 +169,7 @@ def sense_relatedness(
 ) -> list[list[Optional[float]]]:
     """Two-level relatedness of every sense to every row of ``words``; None where unmeasurable."""
     table, synonyms, members = sense_lists(model, lexicon, senses)
-    by_word = table.relatedness(words).T.tolist()  # the last entry, row -1, is NaN
+    by_word = relatedness_rows(table.centroids(), words).T.tolist()  # row -1 is NaN
     return [
         [
             combine_levels(
@@ -211,7 +211,7 @@ def rel_senses(
     ta, syn_a, mem_a = sense_lists(model, lexicon, [a])
     tb, syn_b, mem_b = sense_lists(model, lexicon, [b])
     # The zero row after b's centroids makes column -1 (no token) NaN.
-    rel = ta.relatedness(tb.centroids(range(tb.size))).tolist()
+    rel = relatedness_rows(ta.centroids(), tb.centroids()).tolist()
 
     def level0(rows: list[int], cols: list[int]) -> Optional[float]:
         return mean_skip_missing(rel[i][j] for i in rows for j in cols)

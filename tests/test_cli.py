@@ -82,6 +82,15 @@ class TestDisambiguate:
         assert java["senses"][0]["id"] == "java#island"
         assert {"step1", "step2_delta", "step3_delta"} <= set(java["senses"][0]["trace"])
 
+    def test_k_past_any_description_is_the_whole_description(self, base_args, capsys):
+        results = []
+        for k in ("1000", "100000000000000000000"):
+            code = main(["disambiguate", *base_args, "--output", "json", "--strategy", "topk",
+                         "--k", k, "java", "indonesian", "island"])
+            assert code == EXIT_OK
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert results[0] == results[1]
+
     def test_keyword_without_senses_reported(self, base_args, capsys):
         code = main(["disambiguate", *base_args, "python", "island"])
         assert code == EXIT_OK

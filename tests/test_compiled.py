@@ -12,6 +12,7 @@ import gc
 import pickle
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,21 +83,17 @@ class TestPhraseTable:
     def test_centroids_equal_phrase_vectors_exactly(self):
         model = _random_model(2, dtype=np.float32)
         table, ids = _table(model, self.PHRASES)
-        got = table.centroids(range(table.size))
-        assert not got[-1].any()
+        got = table.centroids()
+        assert got.shape == (table.size + 1, model.dim) and not got[-1].any()
         for phrase, i in ids.items():
             want = model.phrase_vector(phrase).astype(np.float64)
             np.testing.assert_array_equal(got[i], want)
-        subset = [1, 3, 5]
-        np.testing.assert_array_equal(table.centroids(subset)[:-1], got[subset])
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 256])
-    def test_relatedness_in_blocks(self, block_rows):
+    def test_relatedness_of_every_phrase(self):
         model = _random_model(3)
         table, ids = _table(model, self.PHRASES)
         words = model.phrase_matrix(["w11", "qzx", "w12"])
-        with mock.patch.object(relatedness, "_BLOCK_ROWS", block_rows):
-            got = table.relatedness(words)
+        got = relatedness.relatedness_rows(table.centroids(), words)
         want = relatedness.relatedness_rows(model.phrase_matrix(list(ids)), words)
         np.testing.assert_array_equal(got[:-1], want)
         assert np.isnan(got[-1]).all() and np.isnan(got[:, 1]).all()
@@ -233,9 +230,8 @@ def test_step1_paths_match_oracle(scenario):
     ca = ActiveContext(target="kw", members=tuple(members),
                        rows=model.phrase_matrix([w for w, _ in members]))
     want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, members, stopwords=STOP)
-    with mock.patch.object(relatedness, "_BLOCK_ROWS", 2):
-        got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
-        reference = compile_reference.base_scores(model, lexicon, senses, ca.rows)
+    got = [s.score for s in step1_base_scores(model, lexicon, senses, ca)]
+    reference = compile_reference.base_scores(model, lexicon, senses, ca.rows)
     assert got == reference
     assert all(abs(a - b) <= TOL for a, b in zip(got, want))
 
@@ -299,8 +295,8 @@ def test_step1_skips_a_phrase_whose_centroid_cancels(place):
     model = _missing_model()
     lexicon = Lexicon.from_senses([*senses, referenced])
     index = compiled.sense_index(model, lexicon, senses)
-    cancelled = next(i for i in range(index.phrases.size)
-                     if not index.phrases.centroids([i])[0].any())
+    centroids = index.phrases.centroids()
+    cancelled = next(i for i in range(index.phrases.size) if not centroids[i].any())
     assert cancelled not in index.groups
 
 
@@ -371,7 +367,7 @@ def test_topk_centroids_follow_rank_order(k):
     got = index.topk_centroids(reference, k)
     table, ids = compile_reference.phrase_table(
         model, [t for s in senses for t in s.description_terms])
-    vectors = table.centroids(range(table.size))
+    vectors = table.centroids()
     rel = relatedness.relatedness_rows(vectors, reference[None, :])[:, 0].tolist()
     for sense, row in zip(senses, got):
         found = [ids[t] for t in sense.description_terms
@@ -379,6 +375,34 @@ def test_topk_centroids_follow_rank_order(k):
         top = relatedness.rank_top(found, list(rel), k, vectors, reference)
         want = centroid([vectors[i] for i in top]) if top else np.zeros(5)
         np.testing.assert_array_equal(row, want)
+
+
+def test_step2_calls_hold_one_centroid_matrix():
+    # 100 senses of 16 description terms, a quarter of them two-word phrases:
+    # 1,600 distinct phrases at dim 300. Each call forms the table's centroids
+    # once; a second full-size copy (such as all senses' k chosen centroids
+    # gathered at once, 1,500 rows) would take the peak past 1.5x.
+    dim = 300
+    model = _random_model(11, dim=dim, size=1200)
+    senses = [Sense(id=f"kw#{i}", lemmas=("kw",), synonyms=("kw",),
+                    description_terms=(*(f"w{12 * i + j}" for j in range(12)),
+                                       *(f"w{(12 * i + j) % 1200} w{(7 * i + j) % 1200}"
+                                         for j in range(12, 16))))
+              for i in range(100)]
+    index = compiled.description_index(model, Lexicon.from_senses(senses), senses)
+    size = index.phrases.size
+    assert size >= 1500
+    matrix_bytes = (size + 1) * dim * 8
+    rng = np.random.default_rng(12)
+    reference, words = rng.normal(size=dim), rng.normal(size=(10, dim))
+    for call in (lambda: index.topk_centroids(reference, 15), lambda: index.average(words)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix_bytes
 
 
 def _variant_lexicon() -> Lexicon:

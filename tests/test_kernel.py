@@ -3,13 +3,12 @@
 The steps gather their phrase vectors once per call and measure them with
 ``relatedness_rows`` (through ``relatedness_to`` for one column); these
 tests hold them to the scalar measure and to the brute-force oracle at
-1e-10, including exact endpoints, missing vectors, and inputs spanning
-several kernel blocks.
+1e-10, including exact endpoints, missing vectors, and tables of more
+than 256 phrases.
 """
 from __future__ import annotations
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from kwsense import (
     step1_base_scores,
     step2_rescore,
 )
-from kwsense import relatedness
 from kwsense.lexicon import ContextRef
 from kwsense.relatedness import relatedness_rows, relatedness_to
 
@@ -82,16 +80,6 @@ class TestRelatednessMatrix:
         assert relatedness_rows(np.zeros((0, 2)), np.ones((1, 2))).shape == (0, 1)
         assert relatedness_rows(np.ones((1, 2)), np.zeros((0, 2))).shape == (1, 0)
         assert relatedness_to(np.zeros((0, 2)), np.ones(2)) == []
-
-    def test_blocks_do_not_change_values(self):
-        rng = np.random.default_rng(6)
-        rows = _stack([rng.normal(size=4) if i % 5 else None for i in range(23)], 4)
-        cols = [rng.normal(size=4), np.zeros(4), rng.normal(size=4)]
-        whole = [relatedness_to(rows, c) for c in cols]
-        with mock.patch.object(relatedness, "_BLOCK_ROWS", 3):
-            blocked = [relatedness_to(rows, c) for c in cols]
-        np.testing.assert_array_equal(whole, blocked)
-        np.testing.assert_array_equal(np.array(whole).T, relatedness_rows(rows, _stack(cols, 4)))
 
     def test_identical_rows_score_identically(self):
         rng = np.random.default_rng(7)
@@ -216,14 +204,12 @@ def _parallel_terms_tied_at_the_cut():
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 @example(_parallel_terms_tied_at_the_cut())
-def test_steps_match_oracle_across_blocks(scenario):
-    # Two-row blocks make nearly every call span several blocks.
-    with mock.patch.object(relatedness, "_BLOCK_ROWS", 2):
-        _check_against_oracle(
-            scenario["model"], scenario["lexicon"], scenario["senses"],
-            scenario["context"], scenario["threshold"], scenario["max_context"],
-            scenario["k"],
-        )
+def test_steps_match_oracle_on_random_keywords(scenario):
+    _check_against_oracle(
+        scenario["model"], scenario["lexicon"], scenario["senses"],
+        scenario["context"], scenario["threshold"], scenario["max_context"],
+        scenario["k"],
+    )
 
 
 def test_steps_match_oracle_with_more_rows_than_one_block():
@@ -246,7 +232,7 @@ def test_steps_match_oracle_with_more_rows_than_one_block():
               description_terms=tuple(reversed(terms))),
     ]
     lexicon = Lexicon.from_senses(senses)
-    assert len(terms) > relatedness._BLOCK_ROWS
+    assert len(terms) > 256
     _check_against_oracle(model, lexicon, senses, words[:300], 0.0, 4, 15)
     _check_against_oracle(model, lexicon, senses, words[:300], 0.5, 3, 2)
 
