@@ -64,7 +64,6 @@ from .relatedness import (
     RelWeights,
     SifConfig,
     angular_relatedness,
-    cosine,
     load_word_frequencies,
     rel_words,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "WsdTarget",
     "angular_relatedness",
     "build_sif_store",
-    "cosine",
     "default_stopwords",
     "disambiguate",
     "eval_wordpairs",

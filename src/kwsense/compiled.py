@@ -122,10 +122,9 @@ def _token_values(
     ``compute`` gives the values of a list of distinct token ids; each
     token's value is computed once. The tokens share one token -> value array
     per (model, lexicon) pair and ``key``, filled as compiled keywords and the
-    SIF store need its tokens; threads that fill it together write the same
-    values.
+    SIF store need its tokens.
     """
-    values = _shared(model, lexicon, key, lambda: np.full(len(lexicon.interned.tokens), _UNSEEN))
+    values = _cached(model, lexicon, key, lambda: np.full(len(lexicon.interned.tokens), _UNSEEN))
     out = values[tokens]
     if out.min(initial=0) == _UNSEEN:
         unseen = np.zeros(len(values), dtype=bool)
@@ -363,17 +362,18 @@ _Compiled = TypeVar("_Compiled", SenseIndex, DescriptionIndex, DescriptionWords)
 _T = TypeVar("_T")
 
 
-def _model_cache(model: EmbeddingModel, lexicon: Lexicon) -> dict:
-    """The compiled parts of a (model, lexicon) pair: on the lexicon, while the model lives."""
+def _cached(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callable[[], _T]) -> _T:
+    """The (model, lexicon) pair's value for ``key``, made on first use.
+
+    Kept on the lexicon while the model lives.
+    """
     cache = lexicon.compiled.get(model)
-    return lexicon.compiled.setdefault(model, {}) if cache is None else cache
-
-
-def _shared(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callable[[], _T]) -> _T:
-    """The (model, lexicon) pair's value for ``key``, made on first use; threads share it."""
-    cache = _model_cache(model, lexicon)
+    if cache is None:
+        cache = lexicon.compiled[model] = {}
     value = cache.get(key)
-    return cache.setdefault(key, make()) if value is None else value
+    if value is None:
+        value = cache[key] = make()
+    return value
 
 
 def _compiled(
@@ -385,12 +385,8 @@ def _compiled(
 ) -> _Compiled:
     """``build(model, lexicon, ordinals, *args)`` for the lexicon's ``senses``, made once."""
     ordinals = _lexicon_ordinals(lexicon, senses)
-    cache = _model_cache(model, lexicon)
     key = (build, ordinals if isinstance(ordinals, range) else tuple(ordinals.tolist()), *args)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = build(model, lexicon, ordinals, *args)
-    return hit
+    return _cached(model, lexicon, key, lambda: build(model, lexicon, ordinals, *args))
 
 
 def _lexicon_ordinals(lexicon: Lexicon, senses: Sequence[Sense]) -> range | np.ndarray:
@@ -480,7 +476,7 @@ def _build_description_words(
     tokens, bounds = _description_tokens(lexicon, ordinals)
     names = lexicon.interned.tokens
     # One vocabulary per (model, lexicon) pair, grown as keywords compile.
-    vocabulary = _shared(model, lexicon, DescriptionWords, dict)
+    vocabulary = _cached(model, lexicon, DescriptionWords, dict)
 
     def word_ids(ids: list[int]) -> np.ndarray:
         # A word's id is the first token id that spelled it; -1 for a stopword.

@@ -435,12 +435,11 @@ def load_binary_model(path: str | Path) -> EmbeddingModel:
     return EmbeddingModel.from_rows(matrix, index, duplicates)
 
 
-def save_text_model(model: EmbeddingModel, path: str | Path, header: bool = True) -> None:
-    """Dump a model back to the text format (debug aid; round-trips values)."""
+def save_text_model(model: EmbeddingModel, path: str | Path) -> None:
+    """Dump a model back to the text format, with its header (debug aid; round-trips values)."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(model)} {model.dim}\n")
+        fh.write(f"{len(model)} {model.dim}\n")
         for token, i in model.index.items():
             comps = " ".join(repr(float(x)) for x in model.matrix[i])
             fh.write(f"{token} {comps}\n")

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -332,30 +331,24 @@ def eval_wsd(
     docvec_store: Optional[DocVecStore] = None,
     jobs: int = 1,
 ) -> WsdReport:
-    """Run the disambiguator over a corpus and score it.
+    """Run the disambiguator over a corpus and score it, one target after another.
 
     Every target counts toward the total; targets whose keyword has no sense
     are not attempted, and a keyword's only sense is predicted without
     scoring it. precision = correct/attempted, recall = correct/total,
-    F1 their harmonic mean. The record order (and hence the report) does not
-    depend on ``jobs``. A missing or mismatched strategy store raises
-    ConfigError before any target is scored; any error other than
-    UnmeasurableError from a target propagates.
+    F1 their harmonic mean. ``jobs`` must be 1: it stays only because the
+    benchmark passes ``jobs=1``, until ROADMAP item 1 deletes it. Any other
+    ``jobs``, or a missing or mismatched strategy store, raises before any
+    target is scored; any error other than UnmeasurableError from a target
+    propagates.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     strategy_store(model, params.strategy, sif_store, docvec_store)
-    work = [(item, target) for item in corpus.items for target in item.targets]
-    if not work:
+    records = [
+        _score_target(model, lexicon, item, target, cfg, params, sif_store, docvec_store)
+        for item in corpus.items for target in item.targets
+    ]
+    if not records:
         logger.warning("corpus %r has no targets; all metrics are 0", corpus.name)
-
-    def run_one(pair: tuple[WsdItem, WsdTarget]) -> WsdRecord:
-        item, target = pair
-        return _score_target(
-            model, lexicon, item, target, cfg, params, sif_store, docvec_store
-        )
-
-    if jobs <= 1 or len(work) <= 1:
-        records = [run_one(pair) for pair in work]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, work))
     return WsdReport.from_records(records)

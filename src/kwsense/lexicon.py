@@ -68,8 +68,10 @@ class Sense:
             raise ValueError(f"sense {self.id!r}: lemmas must be nonempty strings")
         if not self.synonyms or not all(self.synonyms):
             raise ValueError(f"sense {self.id!r}: synonyms must be nonempty strings")
-        if self.frequency < 0:
-            raise ValueError(f"sense {self.id!r}: frequency must be >= 0")
+        # Written so that NaN, infinities and ints beyond float range fail.
+        if not 0 <= self.frequency <= sys.float_info.max:
+            raise ValueError(f"frequency must be a finite number >= 0 (sense {self.id!r})")
+        object.__setattr__(self, "frequency", float(self.frequency))
 
     def to_json(self) -> dict:
         return {
@@ -333,8 +335,7 @@ def _sense_from_obj(obj: dict, where: str) -> Sense:
     core_context = tuple(_parse_context_entry(e, where) for e in raw_context)
     description = _string_tuple(obj.get("description_terms", []), "description_terms", where)
     frequency = obj.get("frequency", 0.0)
-    # json.loads gives NaN, Infinity and ints too large for a float.
-    if type(frequency) not in (int, float) or not 0 <= frequency <= sys.float_info.max:
+    if type(frequency) not in (int, float):
         raise ParseError(f"{where}: frequency must be a finite number >= 0")
     try:
         return Sense(
@@ -343,7 +344,7 @@ def _sense_from_obj(obj: dict, where: str) -> Sense:
             synonyms=synonyms,
             core_context=core_context,
             description_terms=description,
-            frequency=float(frequency),
+            frequency=frequency,
         )
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None

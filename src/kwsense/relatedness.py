@@ -15,8 +15,8 @@ where either side has no direction (:func:`has_direction`).
 (context words against the keyword, sense vectors against the context
 centroid), and :func:`rel_words` is its 1 x 1 case; the compiled keywords of
 :mod:`kwsense.compiled` pass it a whole table of phrase centroids. The
-scalar :func:`cosine` shares the kernel's cosine routine, so the
-exact-endpoint rule lives in one place. arccos is ill-conditioned at +/-1,
+scalar :func:`angular_relatedness` is its 1 x 1 case too, so norms and the
+exact-endpoint rule are computed one way. arccos is ill-conditioned at +/-1,
 so entries with |cos| > 0.999999 are checked for exactly equal (or exactly
 negated) vectors and set to the exact endpoint; the other flagged entries
 are recomputed with sums in index order, so they round the same way whatever
@@ -125,23 +125,18 @@ def ordered_relatedness(u: Vector, v: Vector) -> float:
     return 1.0 - math.acos(_ordered_cosine(u, v)) / math.pi
 
 
-def cosine(v1: Vector, v2: Vector) -> float:
-    """Cosine similarity, clamped to [-1, 1]; zero vectors are rejected."""
+def angular_relatedness(v1: Vector, v2: Vector) -> float:
+    """1 - arccos(cos(v1, v2)) / pi; 1 for parallel, 0.5 orthogonal, 0 antiparallel.
+
+    The 1 x 1 case of :func:`relatedness_rows`, on the vectors widened to
+    float64; a vector without a direction (:func:`has_direction`) is rejected.
+    """
     if v1.shape != v2.shape:
         raise ValueError(f"dimension mismatch: {v1.shape[0]} vs {v2.shape[0]}")
-    # np.dot sums float32 inputs in float32.
-    v1, v2 = v1.astype(np.float64, copy=False), v2.astype(np.float64, copy=False)
-    n1 = float(np.dot(v1, v1))
-    n2 = float(np.dot(v2, v2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("undefined cosine for zero vector")
-    norms = np.sqrt([n1, n2])
-    return float(_cosines(v1[None, :], v2[None, :], norms[:1], norms[1:])[0, 0])
-
-
-def angular_relatedness(v1: Vector, v2: Vector) -> float:
-    """1 - arccos(cosine(v1, v2)) / pi; 1 for parallel, 0.5 orthogonal, 0 antiparallel."""
-    return 1.0 - math.acos(cosine(v1, v2)) / math.pi
+    rows = np.array([v1, v2], dtype=np.float64)
+    if not has_direction(rows).all():
+        raise ValueError("undefined relatedness for zero vector")
+    return float(relatedness_rows(rows[:1], rows[1:])[0, 0])
 
 
 def has_direction(vectors: np.ndarray) -> np.ndarray:

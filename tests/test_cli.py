@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kwsense
 from kwsense.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_OOV, main
 
 
@@ -361,3 +366,13 @@ class TestBinaryModelFlag:
         assert code == EXIT_OK
         value = float(capsys.readouterr().out)
         assert 0.0 < value < 1.0
+
+
+def test_import_loads_no_thread_pool():
+    # kwsense scores in one thread, so importing its CLI loads no thread pool.
+    path = [str(Path(kwsense.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, kwsense.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"

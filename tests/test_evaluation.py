@@ -239,11 +239,25 @@ class TestEvalWsd:
         assert by_item["i4"].predicted == "java#coffee"
         assert by_item["i6"].attempted is False
 
-    def test_jobs_do_not_change_results(self, toy_model, toy_lexicon, toy_corpus_file):
+    def test_jobs_one_is_the_default(self, toy_model, toy_lexicon, toy_corpus_file):
         corpus = load_wsd_corpus(toy_corpus_file)
-        seq = self._run(toy_model, toy_lexicon, corpus, jobs=1)
-        par = self._run(toy_model, toy_lexicon, corpus, jobs=3)
-        assert seq.to_dict() == par.to_dict()
+        default = self._run(toy_model, toy_lexicon, corpus)
+        assert self._run(toy_model, toy_lexicon, corpus, jobs=1).to_dict() == default.to_dict()
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_other_jobs_raise_before_scoring(
+        self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch, jobs
+    ):
+        corpus = load_wsd_corpus(toy_corpus_file)
+        calls = []
+        real = kwsense.evaluation.disambiguate
+        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        with pytest.raises(ValueError, match=f"^jobs must be 1, got {jobs}$"):
+            self._run(toy_model, toy_lexicon, corpus, jobs=jobs)
+        assert calls == []
+        self._run(toy_model, toy_lexicon, corpus)
+        assert calls
 
     def test_empty_corpus_warns_and_zeroes(self, toy_model, toy_lexicon, caplog):
         from kwsense.evaluation import WsdCorpus

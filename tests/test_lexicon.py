@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import pickle
 
 import pytest
@@ -26,6 +27,15 @@ class TestSense:
     def test_requires_nonnegative_frequency(self):
         with pytest.raises(ValueError, match="frequency"):
             Sense(id="x", lemmas=("x",), synonyms=("x",), frequency=-1.0)
+
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf, 10**400])
+    def test_requires_finite_frequency(self, frequency):
+        with pytest.raises(ValueError,
+                           match=r"^frequency must be a finite number >= 0 \(sense 'x'\)$"):
+            Sense(id="x", lemmas=("x",), synonyms=("x",), frequency=frequency)
+
+    def test_frequency_is_a_float(self):
+        assert type(Sense(id="x", lemmas=("x",), synonyms=("x",), frequency=3).frequency) is float
 
     def test_context_ref_requires_value(self):
         with pytest.raises(ValueError, match="nonempty"):

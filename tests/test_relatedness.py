@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import compile_reference
@@ -22,13 +22,13 @@ from kwsense import (
     UnmeasurableError,
     angular_relatedness,
     build_sif_store,
-    cosine,
     load_word_frequencies,
     rel_sense_word,
     rel_senses,
     rel_words,
 )
 from kwsense.lexicon import ContextRef
+from kwsense.relatedness import relatedness_rows
 
 
 @pytest.fixture()
@@ -59,11 +59,11 @@ class TestAngular:
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
-            cosine(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+            angular_relatedness(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            cosine(np.array([1.0]), np.array([1.0, 0.0]))
+            angular_relatedness(np.array([1.0]), np.array([1.0, 0.0]))
 
     def test_clamping_handles_rounding(self):
         # A vector against a same-direction copy computed differently must
@@ -73,6 +73,29 @@ class TestAngular:
         r = angular_relatedness(v, w)
         assert 0.0 <= r <= 1.0
         assert r == pytest.approx(1.0, abs=1e-7)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.sampled_from(["float64", "float32", "scaled", "copy", "parallel", "antiparallel"]),
+    )
+    # A 300-d pair whose squared norms round differently under np.dot.
+    @example(11, 300, "float64")
+    def test_is_the_kernels_one_by_one_case(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        u, v = rng.normal(size=(2, dim))
+        if kind == "float32":
+            u, v = u.astype(np.float32), v.astype(np.float32)
+        elif kind == "scaled":
+            u, v = u * 2.0 ** rng.integers(-60, 61), v * 2.0 ** rng.integers(-60, 61)
+        elif kind == "copy":
+            v = u * 2.0 ** rng.integers(-60, 61)
+        elif kind == "parallel":
+            v = u * rng.uniform(0.1, 10.0)
+        elif kind == "antiparallel":
+            v = u * -rng.uniform(0.1, 10.0)
+        want = relatedness_rows(u.astype(np.float64)[None], v.astype(np.float64)[None])[0, 0]
+        assert angular_relatedness(u, v) == want
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False, width=64), min_size=3, max_size=8),
@@ -99,9 +122,10 @@ class TestAngular:
         v1 = np.array(xs[:n])
         v2 = np.array(ys[:n])
         assume(float(np.dot(v1, v1)) > 1e-12 and float(np.dot(v2, v2)) > 1e-12)
-        # Keep away from the ill-conditioned acos endpoints.
-        assume(abs(cosine(v1, v2)) < 0.99)
         base = angular_relatedness(v1, v2)
+        # Keep away from the ill-conditioned acos endpoints: |cos| < 0.99.
+        edge = math.acos(0.99) / math.pi
+        assume(edge < base < 1.0 - edge)
         scaled = angular_relatedness(lam1 * v1, lam2 * v2)
         assert abs(base - scaled) <= 1e-12
 
@@ -414,7 +438,7 @@ class TestSifEmbeddings:
         # The smoothed-inverse weight of "island" is lower, so the embedding
         # leans toward "sea" relative to the plain centroid.
         sea_dir = toy_model.vocab["sea"]
-        assert cosine(vectors["s"], sea_dir) > cosine(plain, sea_dir)
+        assert angular_relatedness(vectors["s"], sea_dir) > angular_relatedness(plain, sea_dir)
 
     def test_no_invocab_tokens_omitted_with_warning(self, toy_model, caplog):
         with caplog.at_level(logging.WARNING, logger="kwsense.relatedness"):
