@@ -56,7 +56,9 @@ class RunConfig:
 
     Ranges are checked where they are defined, by ``ContextConfig``,
     ``AlgoParams`` and ``RelWeights``, and argparse ``choices`` check the
-    model format, strategy and output format.
+    model format, strategy and output format. ``--w0`` and ``--freq-a`` are
+    the only weights set; ``w1`` and ``freq_b`` are derived from them, and
+    :meth:`echo` reports all four.
     """
 
     model_path: Path
@@ -92,10 +94,9 @@ class RunConfig:
                 max_context=args.max_context, threshold=args.threshold, stopwords=stopwords
             )
             params = AlgoParams(
-                weights=RelWeights.split(args.w0),
+                weights=RelWeights(args.w0),
                 proximity_factor=args.proximity_factor,
                 freq_a=args.freq_a,
-                freq_b=1.0 - args.freq_a,
                 strategy=Strategy(args.strategy),
                 k=args.k,
             )

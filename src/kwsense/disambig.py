@@ -18,9 +18,11 @@ at most maxScore, so scores stay in [0, 1] and never decrease.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,14 +40,20 @@ from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
 from .lexicon import Lexicon, Sense
 from .relatedness import (
     DEFAULT_WEIGHTS,
+    SIF_SMOOTHING,
     RelWeights,
     SifConfig,
+    _principal_direction,
+    _weighted_means,
     has_direction,
+    load_word_frequencies,
     rank_top,
     relatedness_to,
-    sif_vectors,
 )
-from .stopwords import default_stopwords
+from .stopwords import DEFAULT_STOPWORDS, default_stopwords
+
+logger = logging.getLogger(__name__)
+
 
 class Strategy(str, Enum):
     """How step 2 compares the active context with sense descriptions."""
@@ -74,12 +82,11 @@ class ContextConfig:
 
 @dataclass(frozen=True)
 class AlgoParams:
-    """Scoring parameters for the three-step algorithm."""
+    """Scoring parameters for the three-step algorithm; ``freq_b = 1 - freq_a``."""
 
     weights: RelWeights = DEFAULT_WEIGHTS
     proximity_factor: float = 0.75
     freq_a: float = 0.5
-    freq_b: float = 0.5
     strategy: Strategy = Strategy.TOP_K
     k: int = 15
 
@@ -87,11 +94,14 @@ class AlgoParams:
         if not 0.0 <= self.proximity_factor <= 1.0:
             raise ValueError("proximity_factor must lie in [0, 1]")
         # Written so that NaN fails the check.
-        if not (self.freq_a >= 0 and self.freq_b >= 0
-                and abs(self.freq_a + self.freq_b - 1.0) <= 1e-9):
-            raise ValueError("freq_a and freq_b must be >= 0 and sum to 1")
+        if not 0.0 <= self.freq_a <= 1.0:
+            raise ValueError(f"freq_a must lie in [0, 1], got {self.freq_a}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+
+    @property
+    def freq_b(self) -> float:
+        return 1.0 - self.freq_a
 
 
 @dataclass(frozen=True)
@@ -210,12 +220,42 @@ def build_sif_store(
 
     Description terms are whitespace-tokenized into one bag per sense, as
     the lexicon interned them. Token rows come from the (model, lexicon)
-    pair's token -> row array, so compiled keywords reuse them.
+    pair's token -> row array, so compiled keywords reuse them. Each distinct
+    found token is weighed once; a sense without a found token is omitted
+    (one warning per call). The table holds one float64 matrix, a row per
+    kept sense, in lexicon order.
     """
-    interned = lexicon.interned
-    tokens, offsets = _description_tokens(lexicon, range(len(interned.senses)))
+    ids, names = list(lexicon.senses), lexicon.interned.tokens
+    tokens, offsets = _description_tokens(lexicon, range(len(ids)))
     rows = _token_rows(model, lexicon, tokens)
-    return sif_vectors(model, list(lexicon.senses), offsets, tokens, rows, interned.tokens, cfg)
+    freqs = load_word_frequencies(cfg.word_freq_source) if cfg.word_freq_source else {}
+    found = rows >= 0
+    tokens = tokens[found]
+    needed = np.zeros(len(names), dtype=bool)
+    needed[tokens] = True
+    needed = np.flatnonzero(needed)
+    words = list(map(names.__getitem__, needed.tolist()))
+    p = np.fromiter(map(freqs.get, map(str.lower, words), map(freqs.get, words, repeat(0.0))),
+                    np.float64, len(words))
+    weight = np.empty(len(names))
+    weight[needed] = SIF_SMOOTHING / (SIF_SMOOTHING + p)
+    # Found occurrences before each occurrence, so per bag the bounds of its found ones.
+    before = np.zeros(len(found) + 1, dtype=np.intp)
+    found.cumsum(out=before[1:])
+    bounds = before[offsets]
+    kept, vectors = _weighted_means(model.matrix, rows[found], weight[tokens], bounds)
+    omitted = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if len(omitted):
+        logger.warning(
+            "%d descriptions have no in-vocabulary tokens and were omitted (first: %s)",
+            len(omitted), ", ".join(repr(ids[i]) for i in omitted[:3].tolist()),
+        )
+    if len(kept) >= 2:
+        direction = _principal_direction(vectors)
+        if direction is not None:
+            for v in vectors:
+                v -= float(np.dot(direction, v)) * direction
+    return VectorTable(vectors, dict(zip(map(ids.__getitem__, kept.tolist()), range(len(kept)))))
 
 
 def select_active_context(
@@ -351,7 +391,7 @@ def step2_rescore(
     params: AlgoParams = AlgoParams(),
     sif_store: Optional[VectorTable] = None,
     docvec_store: Optional[DocVecStore] = None,
-    stopwords: frozenset[str] | None = None,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> list[SenseScore]:
     """Add (1 - maxScore) * strategy strength to every sense's score.
 
@@ -360,13 +400,12 @@ def step2_rescore(
     centroid strategies) keep their step-1 score unchanged.
     """
     store = strategy_store(model, params.strategy, sif_store, docvec_store)
-    stop = default_stopwords() if stopwords is None else stopwords
     if not scores:
         return []
     max_score = max(s.score for s in scores)
     factor = 1.0 - max_score
     senses = [lexicon.resolve(s.sense_id) for s in scores]
-    strengths = _strategy_strengths(model, lexicon, senses, ca, params, store, stop)
+    strengths = _strategy_strengths(model, lexicon, senses, ca, params, store, stopwords)
     out = []
     for s, strength in zip(scores, strengths):
         if strength is None:
@@ -378,11 +417,11 @@ def step2_rescore(
     return out
 
 
-def norm_freq(sense: Sense, total_freq: float, a: float = 0.5, b: float = 0.5) -> float:
-    """Square-root-damped relative frequency: sqrt(a * freq / total + b)."""
+def norm_freq(sense: Sense, total_freq: float, a: float = 0.5) -> float:
+    """Square-root-damped relative frequency: sqrt(a * freq / total + b), b = 1 - a."""
     if total_freq <= 0:
         raise ValueError("total frequency must be positive")
-    return math.sqrt(a * sense.frequency / total_freq + b)
+    return math.sqrt(a * sense.frequency / total_freq + (1.0 - a))
 
 
 def step3_frequency(
@@ -405,7 +444,7 @@ def step3_frequency(
     out = []
     for s in scores:
         if s.score > gate:
-            boost = factor * norm_freq(by_id[s.sense_id], total, params.freq_a, params.freq_b)
+            boost = factor * norm_freq(by_id[s.sense_id], total, params.freq_a)
             out.append(SenseScore(s.sense_id, s.score + boost, s.step1, s.step2_delta, boost))
         else:
             out.append(s)

@@ -185,9 +185,12 @@ def _parse_line(
         # count too long for int() is as good as the largest one.
         count = int(parts[0]) if len(parts[0]) < 19 else sys.maxsize
         try:
-            return _Header(count, int(parts[1]))
+            dim = int(parts[1])
         except ValueError:  # more digits than int() converts
             raise ParseError(f"{path}: line {lineno}: header dimension too large") from None
+        if dim == 0:
+            raise ParseError(f"{path}: line {lineno}: header declares 0 dimensions")
+        return _Header(count, dim)
     token, values = parts[0], parts[1:]
     if dim is None and not values:
         raise ParseError(f"{path}: line {lineno}: no vector components")

@@ -52,6 +52,18 @@ class ContextRef:
         return {"ref": self.value} if self.is_ref else {"label": self.value}
 
 
+def _nonempty_strings(terms: Sequence[str]) -> bool:
+    """Whether every entry is a nonempty str (numpy's str_ too), in two C-level passes.
+
+    ``str.join`` takes only str entries, and "" is the only empty one.
+    """
+    try:
+        "".join(terms)
+    except TypeError:
+        return False
+    return "" not in terms
+
+
 @dataclass(frozen=True)
 class Sense:
     id: str
@@ -64,10 +76,12 @@ class Sense:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("sense id must be nonempty")
-        if not self.lemmas or not all(self.lemmas):
+        if not (self.lemmas and _nonempty_strings(self.lemmas)):
             raise ValueError(f"sense {self.id!r}: lemmas must be nonempty strings")
-        if not self.synonyms or not all(self.synonyms):
+        if not (self.synonyms and _nonempty_strings(self.synonyms)):
             raise ValueError(f"sense {self.id!r}: synonyms must be nonempty strings")
+        if not _nonempty_strings(self.description_terms):
+            raise ValueError(f"sense {self.id!r}: description_terms must be nonempty strings")
         # Written so that NaN, infinities and ints beyond float range fail.
         if not 0 <= self.frequency <= sys.float_info.max:
             raise ValueError(f"frequency must be a finite number >= 0 (sense {self.id!r})")
@@ -312,8 +326,7 @@ def _parse_context_entry(entry: object, where: str) -> ContextRef:
 
 
 def _string_tuple(obj: object, fieldname: str, where: str) -> tuple[str, ...]:
-    # One C-level pass each: JSON strings are exactly str, and only "" is falsy.
-    if not isinstance(obj, list) or not set(map(type, obj)) <= {str} or not all(obj):
+    if not isinstance(obj, list) or not _nonempty_strings(obj):
         raise ParseError(f"{where}: {fieldname} must be a list of nonempty strings")
     return tuple(map(sys.intern, obj))
 

@@ -32,42 +32,35 @@ callers that must break near-ties as the defining formula does.
 """
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingModel, Vector, VectorTable
+from .embeddings import EmbeddingModel, Vector
 from .errors import ParseError, text_lines
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class RelWeights:
-    """Mixing weights for the two relatedness levels; must be >= 0 and sum to 1."""
+    """Mixing weights for the two relatedness levels: ``w0`` in [0, 1], ``w1 = 1 - w0``."""
 
     w0: float = 0.5
-    w1: float = 0.5
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails both checks.
-        if not (self.w0 >= 0 and self.w1 >= 0):
-            raise ValueError("level weights must be >= 0")
-        if not abs(self.w0 + self.w1 - 1.0) <= 1e-9:
-            raise ValueError(f"level weights must sum to 1, got {self.w0} + {self.w1}")
+        # Written so that NaN fails the check.
+        if not 0.0 <= self.w0 <= 1.0:
+            raise ValueError(f"level weight w0 must lie in [0, 1], got {self.w0}")
 
-    @classmethod
-    def split(cls, w0: float) -> "RelWeights":
-        return cls(w0=w0, w1=1.0 - w0)
+    @property
+    def w1(self) -> float:
+        return 1.0 - self.w0
 
 
-DEFAULT_WEIGHTS = RelWeights(0.5, 0.5)
+DEFAULT_WEIGHTS = RelWeights()
 
 
 # Beyond this |cos| arccos is ill-conditioned: one rounding unit of the
@@ -228,28 +221,24 @@ def rel_words(model: EmbeddingModel, x: str, y: str) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
+# SIF's additive constant a in the token weight a / (a + p(token)).
+SIF_SMOOTHING = 1e-3
+
+
 @dataclass(frozen=True)
 class SifConfig:
     """Settings for description embeddings.
 
-    ``smoothing`` is the additive constant in the token weight
-    smoothing / (smoothing + p(token)); ``word_freq_source`` optionally names
-    a token-frequency table ("token count" per line) from which p is taken as
-    relative frequency (p = 0 when absent, i.e. weight 1). Without a table all
-    tokens weigh the same and each embedding is the plain centroid.
-    ``remove_component`` subtracts the first principal direction of the
-    embedding set, which cancels the shared component that dominates
-    smoothed averages.
+    ``word_freq_source`` optionally names a token-frequency table ("token
+    count" per line) from which p is taken as relative frequency (p = 0 when
+    absent, i.e. weight 1) in the token weight a / (a + p), a =
+    ``SIF_SMOOTHING``. Without a table all tokens weigh the same and each
+    embedding is the plain centroid. The first principal direction of a set
+    of two or more embeddings is subtracted from each, which cancels the
+    shared component that dominates smoothed averages.
     """
 
-    smoothing: float = 1e-3
     word_freq_source: str | Path | None = None
-    remove_component: bool = True
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails the check.
-        if not 0 < self.smoothing < math.inf:
-            raise ValueError("smoothing must be finite and > 0")
 
 
 def load_word_frequencies(path: str | Path) -> dict[str, float]:
@@ -334,51 +323,3 @@ def _weighted_means(
         totals[j] = np.add.accumulate(w)[-1]
     out /= totals[:, None]
     return kept, out
-
-
-def sif_vectors(
-    model: EmbeddingModel,
-    ids: Sequence[str],
-    offsets: np.ndarray,
-    tokens: np.ndarray,
-    rows: np.ndarray,
-    names: Sequence[str],
-    cfg: SifConfig,
-) -> VectorTable:
-    """Description embeddings from interned token bags: the one SIF builder.
-
-    ``offsets`` cut the token occurrences into one bag per id of ``ids``;
-    per occurrence, ``tokens`` gives its id in ``names`` and ``rows`` its
-    row in ``model`` (negative: not in the model, skipped). Each distinct
-    found token is weighed once. Returns a table over the one float64
-    matrix of the embeddings, a row per id with a found token, in the order
-    of ``ids``.
-    """
-    freqs = load_word_frequencies(cfg.word_freq_source) if cfg.word_freq_source else {}
-    found = rows >= 0
-    tokens = tokens[found]
-    needed = np.zeros(len(names), dtype=bool)
-    needed[tokens] = True
-    needed = np.flatnonzero(needed)
-    words = list(map(names.__getitem__, needed.tolist()))
-    p = np.fromiter(map(freqs.get, map(str.lower, words), map(freqs.get, words, repeat(0.0))),
-                    np.float64, len(words))
-    weight = np.empty(len(names))
-    weight[needed] = cfg.smoothing / (cfg.smoothing + p)
-    # Found occurrences before each occurrence, so per bag the bounds of its found ones.
-    before = np.zeros(len(found) + 1, dtype=np.intp)
-    found.cumsum(out=before[1:])
-    bounds = before[offsets]
-    kept, vectors = _weighted_means(model.matrix, rows[found], weight[tokens], bounds)
-    omitted = np.flatnonzero(bounds[1:] == bounds[:-1])
-    if len(omitted):
-        logger.warning(
-            "%d descriptions have no in-vocabulary tokens and were omitted (first: %s)",
-            len(omitted), ", ".join(repr(ids[i]) for i in omitted[:3].tolist()),
-        )
-    if cfg.remove_component and len(kept) >= 2:
-        direction = _principal_direction(vectors)
-        if direction is not None:
-            for v in vectors:
-                v -= float(np.dot(direction, v)) * direction
-    return VectorTable(vectors, dict(zip(map(ids.__getitem__, kept.tolist()), range(len(kept)))))

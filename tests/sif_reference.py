@@ -17,7 +17,7 @@ import numpy as np
 
 from kwsense.embeddings import EmbeddingModel, Vector
 from kwsense.lexicon import Lexicon
-from kwsense.relatedness import SifConfig, load_word_frequencies
+from kwsense.relatedness import SIF_SMOOTHING, SifConfig, load_word_frequencies
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ def sif_embeddings(
                 continue
             p = freqs.get(token.lower(), freqs.get(token, 0.0))
             rows.append(i)
-            weights.append(cfg.smoothing / (cfg.smoothing + p))
+            weights.append(SIF_SMOOTHING / (SIF_SMOOTHING + p))
             weight_sum += weights[-1]
         if weight_sum == 0.0:
             omitted.append(sense_id)
@@ -72,7 +72,7 @@ def sif_embeddings(
             "%d descriptions have no in-vocabulary tokens and were omitted (first: %s)",
             len(omitted), ", ".join(map(repr, omitted[:3])),
         )
-    if cfg.remove_component and len(out) >= 2:
+    if len(out) >= 2:
         direction = principal_direction(list(out.values()))
         if direction is not None:
             for sense_id, v in out.items():

@@ -111,7 +111,7 @@ def test_c2_equation_oracle_equivalence(toy_model, toy_lexicon):
 
     max_diff = 0.0
     checked = 0
-    for weights in (RelWeights(0.5, 0.5), RelWeights(0.3, 0.7), RelWeights(1.0, 0.0)):
+    for weights in (RelWeights(0.5), RelWeights(0.3), RelWeights(1.0)):
         for a in senses:
             for b in senses:
                 lib = _or_none(rel_senses, toy_model, toy_lexicon, a, b, weights)
@@ -224,10 +224,9 @@ def test_c4_score_bounds_over_randomized_runs(toy_model, toy_lexicon, toy_docvec
         w0 = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
         freq_a = rng.choice([0.0, 0.3, 0.5, 1.0])
         params = AlgoParams(
-            weights=RelWeights(w0, 1.0 - w0),
+            weights=RelWeights(w0),
             proximity_factor=rng.choice([0.0, 0.5, 0.75, 1.0]),
             freq_a=freq_a,
-            freq_b=1.0 - freq_a,
             strategy=rng.choice(strategies),
             k=rng.choice([1, 2, 3, 15, 50]),
         )

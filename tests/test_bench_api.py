@@ -31,6 +31,8 @@ MEMBERS = {
     kwsense.VectorTable: ("get",),
     kwsense.Sense: ("id", "lemmas", "synonyms", "core_context", "description_terms", "frequency"),
     kwsense.ContextRef: ("value", "is_ref"),
+    kwsense.AlgoParams: ("weights", "strategy"),
+    kwsense.ContextConfig: ("stopwords",),
     kwsense.ActiveContext: ("words",),
     kwsense.DisambiguationResult: ("active_context", "scores", "to_dict"),
     kwsense.SenseScore: ("sense_id", "score"),

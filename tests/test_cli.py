@@ -305,8 +305,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "header count or dimension too large" in err
 
+    def test_zero_dimension_text_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m0.vec"
+        path.write_text("1 0\ntok\n")
+        code = main(["rel", "--model", str(path), "tok", "tok"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 1: header declares 0 dimensions" in err
+
     def test_bad_w0_exits_2(self, toy_model_file, capsys):
-        for flag, value in (("--w0", "-0.1"), ("--w0", "nan"), ("--freq-a", "nan")):
+        for flag, value in (("--w0", "-0.1"), ("--w0", "nan"), ("--w0", "1.5"),
+                            ("--freq-a", "nan"), ("--freq-a", "1.5")):
             code = main(["rel", "--model", str(toy_model_file), flag, value, "a", "b"])
             assert code == EXIT_CONFIG, (flag, value)
             assert capsys.readouterr().err.startswith("configuration error: ")

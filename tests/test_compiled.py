@@ -210,7 +210,7 @@ def test_step1_small_and_large_keywords(n_senses):
     ca = select_active_context(model, ["w70", "w71", "qzx", "w72"], "kw",
                                ContextConfig(threshold=0.0, stopwords=STOP))
     assert len(ca) == 3
-    weights = RelWeights(0.3, 0.7)
+    weights = RelWeights(0.3)
     got = [s.score for s in step1_base_scores(model, lexicon, senses, ca, weights)]
     assert got == compile_reference.base_scores(model, lexicon, senses, ca.rows, weights)
     want, _, _ = oracle.run_algorithm(model, lexicon, "kw", senses, ca.members,
@@ -236,7 +236,7 @@ def test_step1_paths_match_oracle(scenario):
 
 # Missing values, settled when a keyword compiles: "z" is a zero vector, "v"
 # is -"w1" so the phrase "w1 v" has a zero centroid, "qzx" is out of vocabulary.
-WEIGHTS = RelWeights(0.3, 0.7)
+WEIGHTS = RelWeights(0.3)
 
 
 def _missing_model() -> EmbeddingModel:
@@ -305,7 +305,7 @@ def test_step1_drops_a_member_with_no_measurable_phrase():
     others = [_kw(1, ["qzx", "z"], sid="r#1")]
     _step1_matches_the_reference(senses, ["w6", "w7"], *others)
     model, lexicon = _missing_model(), Lexicon.from_senses([*senses, *others])
-    plain, level1 = _kw(0, ["w0"], "w3"), RelWeights(0.0, 1.0)
+    plain, level1 = _kw(0, ["w0"], "w3"), RelWeights(0.0)
     assert (rel_sense_word(model, lexicon, senses[0], "w6", level1)
             == rel_sense_word(model, Lexicon.from_senses([plain]), plain, "w6", level1))
 

@@ -21,6 +21,7 @@ from kwsense import (
     EmbeddingModel,
     Lexicon,
     ParseError,
+    RelWeights,
     Sense,
     Strategy,
     UnmeasurableError,
@@ -597,12 +598,8 @@ class TestBuildSifStore:
             id="s", lemmas=("x",), synonyms=("x",),
             description_terms=("programming language", "code"),
         )
-        other = Sense(id="t", lemmas=("y",), synonyms=("y",),
-                      description_terms=("coffee",))
-        lexicon = Lexicon.from_senses([sense, other])
-        from kwsense import SifConfig
-
-        store = build_sif_store(toy_model, lexicon, SifConfig(remove_component=False))
+        # One description: nothing is removed, so its embedding is the plain mean.
+        store = build_sif_store(toy_model, Lexicon.from_senses([sense]))
         expected = np.mean(
             [toy_model.vocab["programming"], toy_model.vocab["language"],
              toy_model.vocab["code"]],
@@ -727,11 +724,20 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="proximity"):
             AlgoParams(proximity_factor=1.5)
 
-    def test_freq_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            AlgoParams(freq_a=0.5, freq_b=0.6)
-        with pytest.raises(ValueError, match="sum to 1"):
-            AlgoParams(freq_a=math.nan, freq_b=math.nan)
+    def test_freq_a_must_lie_in_the_unit_interval(self):
+        for freq_a in (-0.1, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^freq_a must lie in \[0, 1\], got "):
+                AlgoParams(freq_a=freq_a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w0=st.floats(0.0, 1.0), a=st.floats(0.0, 1.0),
+           frequency=st.floats(0.0, 1e6), total=st.floats(1e-300, 1e300))
+    def test_derived_weights_are_one_minus_the_set_one(self, w0, a, frequency, total):
+        assert RelWeights(w0).w1 == 1.0 - w0
+        assert AlgoParams(freq_a=a).freq_b == 1.0 - a
+        sense = Sense(id="s", lemmas=("s",), synonyms=("s",), frequency=frequency)
+        b = 1.0 - a
+        assert norm_freq(sense, total, a) == math.sqrt(a * sense.frequency / total + b)
 
     def test_k_positive(self):
         with pytest.raises(ValueError, match="k"):

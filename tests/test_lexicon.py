@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +37,32 @@ class TestSense:
 
     def test_frequency_is_a_float(self):
         assert type(Sense(id="x", lemmas=("x",), synonyms=("x",), frequency=3).frequency) is float
+
+    @pytest.mark.parametrize("field", ["lemmas", "synonyms", "description_terms"])
+    @pytest.mark.parametrize("bad", [5, "", None, b"x", 1.5])
+    def test_entries_must_be_nonempty_strings(self, field, bad):
+        entries = {"lemmas": ("x",), "synonyms": ("x",), "description_terms": ("y",)}
+        entries[field] = ("x", bad)
+        with pytest.raises(ValueError,
+                           match=rf"^sense 's\.1': {field} must be nonempty strings$"):
+            Sense("s.1", **entries)
+
+    def test_numpy_str_entries_accepted(self):
+        terms = tuple(np.array(["a", "b c"]))
+        assert Sense("s.1", terms, terms, description_terms=terms).synonyms == ("a", "b c")
+
+    def test_loader_texts_are_unchanged(self, tmp_path):
+        path = tmp_path / "lex.jsonl"
+        for terms in ('[5]', '[""]'):
+            path.write_text('{"id": "s.1", "lemmas": ["x"], "synonyms": ["x"], '
+                            f'"description_terms": {terms}}}\n')
+            with pytest.raises(ParseError, match=r"line 1: description_terms must be a list "
+                                                 r"of nonempty strings$"):
+                load_lexicon(path)
+        path.write_text('{"id": "s.1", "lemmas": [], "synonyms": ["x"]}\n')
+        with pytest.raises(ParseError, match=r"line 1: sense 's.1': lemmas must be nonempty "
+                                             r"strings$"):
+            load_lexicon(path)
 
     def test_context_ref_requires_value(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -158,23 +158,15 @@ class TestRelWeights:
         w = RelWeights()
         assert (w.w0, w.w1) == (0.5, 0.5)
 
-    def test_split(self):
-        w = RelWeights.split(0.3)
-        assert w.w1 == pytest.approx(0.7)
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            RelWeights(0.5, 0.6)
-        with pytest.raises(ValueError, match="sum to 1"):
-            RelWeights(math.inf, 0.0)
-
     def test_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            RelWeights(-0.5, 1.5)
-        with pytest.raises(ValueError, match=">= 0"):
-            RelWeights(math.nan, math.nan)
-        with pytest.raises(ValueError, match=">= 0"):
-            RelWeights.split(math.nan)
+        for w0 in (-0.1, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^level weight w0 must lie in \[0, 1\], got "):
+                RelWeights(w0)
+
+    def test_must_be_at_most_one(self):
+        for w0 in (1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^level weight w0 must lie in \[0, 1\], got "):
+                RelWeights(w0)
 
 
 def _sense(sid: str, synonyms: tuple[str, ...], context: tuple[ContextRef, ...] = ()) -> Sense:
@@ -186,9 +178,9 @@ def _held(*senses: Sense) -> Lexicon:
     return Lexicon.from_senses(senses)
 
 
-# Level 0 alone: RelWeights(1, 0) (or no core context); level 1 alone: RelWeights(0, 1).
-LEVEL0 = RelWeights(1.0, 0.0)
-LEVEL1 = RelWeights(0.0, 1.0)
+# Level 0 alone: RelWeights(1) (or no core context); level 1 alone: RelWeights(0).
+LEVEL0 = RelWeights(1.0)
+LEVEL1 = RelWeights(0.0)
 
 
 class TestSenseLevels:
@@ -243,7 +235,7 @@ class TestSenseLevels:
         r0 = rel_senses(plane_model, lexicon, a, b, LEVEL0)
         r1 = rel_senses(plane_model, lexicon, a, b, LEVEL1)
         expected = 0.25 * r0 + 0.75 * r1
-        got = rel_senses(plane_model, lexicon, a, b, RelWeights(0.25, 0.75))
+        got = rel_senses(plane_model, lexicon, a, b, RelWeights(0.25))
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_empty_context_renormalizes_to_level0(self, plane_model):
@@ -329,7 +321,7 @@ def _sense_pairs(draw):
         _sense(sid, draw(synonyms), tuple(draw(st.lists(member, max_size=3))))
         for sid in ("a", "b")
     )
-    weights = draw(st.sampled_from([RelWeights(0.5, 0.5), RelWeights(0.3, 0.7), LEVEL0, LEVEL1]))
+    weights = draw(st.sampled_from([RelWeights(0.5), RelWeights(0.3), LEVEL0, LEVEL1]))
     lexicon = Lexicon.from_senses([a, b, *refs])
     return EmbeddingModel(vocab=vocab, dim=dim), lexicon, a, b, draw(phrase), weights
 
@@ -416,14 +408,18 @@ def _store_of_bags(model: EmbeddingModel, bags: dict[str, list[str]], cfg: SifCo
     return build_sif_store(model, lexicon, cfg)
 
 
+def _raw_means(model: EmbeddingModel, bags: dict[str, list[str]]) -> dict:
+    """Each bag's embedding in a store of its own: one row, from which nothing is removed."""
+    return {sid: _store_of_bags(model, {sid: bag}, SifConfig())[sid] for sid, bag in bags.items()}
+
+
 class TestSifEmbeddings:
     def test_uniform_weights_give_plain_centroid(self, toy_model):
         descriptions = {
             "s1": ["island", "sea", "qzx"],
             "s2": ["coffee", "drink"],
         }
-        cfg = SifConfig(remove_component=False)
-        vectors = _store_of_bags(toy_model, descriptions, cfg)
+        vectors = _raw_means(toy_model, descriptions)
         expected1 = (toy_model.vocab["island"] + toy_model.vocab["sea"]) / 2
         expected2 = (toy_model.vocab["coffee"] + toy_model.vocab["drink"]) / 2
         np.testing.assert_allclose(vectors["s1"], expected1, atol=1e-12)
@@ -432,7 +428,7 @@ class TestSifEmbeddings:
     def test_frequent_tokens_weigh_less(self, toy_model, tmp_path):
         path = tmp_path / "freqs.txt"
         path.write_text("island 99\nsea 1\n")
-        cfg = SifConfig(word_freq_source=path, remove_component=False)
+        cfg = SifConfig(word_freq_source=path)
         vectors = _store_of_bags(toy_model, {"s": ["island", "sea"]}, cfg)
         plain = (toy_model.vocab["island"] + toy_model.vocab["sea"]) / 2
         # The smoothed-inverse weight of "island" is lower, so the embedding
@@ -441,10 +437,9 @@ class TestSifEmbeddings:
         assert angular_relatedness(vectors["s"], sea_dir) > angular_relatedness(plain, sea_dir)
 
     def test_no_invocab_tokens_omitted_with_warning(self, toy_model, caplog):
-        with caplog.at_level(logging.WARNING, logger="kwsense.relatedness"):
+        with caplog.at_level(logging.WARNING, logger="kwsense.disambig"):
             vectors = _store_of_bags(
-                toy_model, {"bad": ["qzx", "wvu"], "good": ["island"]},
-                SifConfig(remove_component=False),
+                toy_model, {"bad": ["qzx", "wvu"], "good": ["island"]}, SifConfig()
             )
         assert "bad" not in vectors
         assert "good" in vectors
@@ -453,7 +448,7 @@ class TestSifEmbeddings:
     def test_one_warning_per_call_counts_omitted(self, toy_model, caplog):
         descriptions = {f"oov{i}": ["qzx"] for i in range(5)}
         descriptions["good"] = ["island"]
-        with caplog.at_level(logging.WARNING, logger="kwsense.relatedness"):
+        with caplog.at_level(logging.WARNING, logger="kwsense.disambig"):
             vectors = _store_of_bags(toy_model, descriptions, SifConfig())
         assert list(vectors) == ["good"]
         (record,) = caplog.records
@@ -470,7 +465,7 @@ class TestSifEmbeddings:
             "s2": ["coffee", "drink", "cup"],
         }
         vectors = _store_of_bags(toy_model, descriptions, SifConfig())
-        raw = _store_of_bags(toy_model, descriptions, SifConfig(remove_component=False))
+        raw = _raw_means(toy_model, descriptions)
         m = np.stack(list(raw.values()))
         m = m - m.mean(axis=0)
         _, _, vt = np.linalg.svd(m, full_matrices=False)
@@ -486,7 +481,7 @@ class TestSifEmbeddings:
             "s2": ["coffee", "drink", "cup"],
             "s3": ["programming", "code"],
         }
-        raw = _store_of_bags(toy_model, descriptions, SifConfig(remove_component=False))
+        raw = _raw_means(toy_model, descriptions)
         u = _principal_direction(list(raw.values()))
         vectors = _store_of_bags(toy_model, descriptions, SifConfig())
         for v in vectors.values():
@@ -496,9 +491,3 @@ class TestSifEmbeddings:
         vectors = _store_of_bags(toy_model, {"s": ["island", "sea"]}, SifConfig())
         expected = (toy_model.vocab["island"] + toy_model.vocab["sea"]) / 2
         np.testing.assert_allclose(vectors["s"], expected, atol=1e-12)
-
-    def test_invalid_smoothing_rejected(self):
-        # NaN would make every weight, and so every vector, NaN.
-        for smoothing in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="smoothing"):
-                SifConfig(smoothing=smoothing)

@@ -51,7 +51,7 @@ def _phrases(draw) -> str:
 
 
 @st.composite
-def _scenarios(draw) -> tuple[EmbeddingModel, Lexicon, dict[str, int], SifConfig]:
+def _scenarios(draw) -> tuple[EmbeddingModel, Lexicon, dict[str, int]]:
     dim = draw(st.sampled_from([1, 2, 3, 7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     matrix = rng.normal(size=(len(_MODEL_TOKENS), dim))
@@ -67,9 +67,7 @@ def _scenarios(draw) -> tuple[EmbeddingModel, Lexicon, dict[str, int], SifConfig
         for j in range(draw(st.integers(1, 6)))
     ]
     freqs = draw(st.dictionaries(st.sampled_from(_FREQ_TOKENS), st.integers(1, 1000)))
-    cfg = SifConfig(smoothing=draw(st.sampled_from([1e-3, 0.25, 1e-300])),
-                    remove_component=draw(st.booleans()))
-    return model, Lexicon.from_senses(senses), freqs, cfg
+    return model, Lexicon.from_senses(senses), freqs
 
 
 def _logged(build, logger_name: str) -> tuple[dict, list[str]]:
@@ -86,7 +84,7 @@ def _logged(build, logger_name: str) -> tuple[dict, list[str]]:
 
 
 def _assert_same(build, reference) -> None:
-    got, got_log = _logged(build, "kwsense.relatedness")
+    got, got_log = _logged(build, "kwsense.disambig")
     want, want_log = _logged(reference, sif_reference.__name__)
     assert got_log == want_log
     assert list(got) == list(want)
@@ -99,12 +97,13 @@ def _assert_same(build, reference) -> None:
 @settings(max_examples=200, deadline=None)
 @given(_scenarios(), st.data())
 def test_store_matches_the_per_token_reference(scenario, data):
-    model, lexicon, freqs, cfg = scenario
+    model, lexicon, freqs = scenario
+    cfg = SifConfig()
     with tempfile.TemporaryDirectory() as tmp:
         if freqs:
             path = Path(tmp) / "freqs.txt"
             path.write_text("".join(f"{t} {c}\n" for t, c in freqs.items()))
-            cfg = SifConfig(cfg.smoothing, path, cfg.remove_component)
+            cfg = SifConfig(path)
 
         def check() -> None:
             _assert_same(lambda: build_sif_store(model, lexicon, cfg),
@@ -133,7 +132,7 @@ def test_omitted_descriptions_warn_once_with_the_first_three_ids(toy_model):
     senses.insert(2, Sense(id="good", lemmas=("k",), synonyms=("k",),
                            description_terms=("island",)))
     lexicon = Lexicon.from_senses(senses)
-    store, messages = _logged(lambda: build_sif_store(toy_model, lexicon), "kwsense.relatedness")
+    store, messages = _logged(lambda: build_sif_store(toy_model, lexicon), "kwsense.disambig")
     assert list(store) == ["good"]
     assert messages == ["5 descriptions have no in-vocabulary tokens and were omitted "
                         "(first: 'oov0', 'oov1', 'oov2')"]
@@ -146,8 +145,9 @@ def test_degenerate_centered_set_keeps_the_means(toy_model):
               for i, terms in enumerate([("island sea",), ("sea", "island")])]
     lexicon = Lexicon.from_senses(senses)
     store = build_sif_store(toy_model, lexicon)
-    raw = build_sif_store(toy_model, lexicon, SifConfig(remove_component=False))
-    assert [v.tobytes() for v in store.values()] == [v.tobytes() for v in raw.values()]
+    # Each description's own store: one row, from which nothing is removed.
+    raw = [build_sif_store(toy_model, Lexicon.from_senses([s]))[s.id] for s in senses]
+    assert [v.tobytes() for v in store.values()] == [v.tobytes() for v in raw]
     _assert_same(lambda: build_sif_store(toy_model, lexicon),
                  lambda: sif_reference.build_sif_store(toy_model, lexicon))
 

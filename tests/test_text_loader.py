@@ -37,6 +37,8 @@ def reference_load_text(path: Path) -> EmbeddingModel:
                 saw_first = True
                 if len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal():
                     dim = int(parts[1])
+                    if dim == 0:
+                        raise ParseError(f"{path}: line {lineno}: header declares 0 dimensions")
                     continue
             token, values = parts[0], parts[1:]
             if dim is None:
@@ -97,7 +99,7 @@ GOOD = st.one_of(
 AWKWARD = st.sampled_from(["1_0", "\u0661", "\u00b2", "nan", "-inf", "1e400", "#", "x",
                            "0x1", '"1"', "1,5", "\u0661.5", "\uff11", "Infinity"])
 HEADERS = st.sampled_from(["5 {dim}", "2 {dim}", "\u0663 {dim}", "3 \u00b2", "\u0665 \u0662",
-                           "x {dim}", "0 {dim}", "9" * 25 + " {dim}"])
+                           "x {dim}", "0 {dim}", "9" * 25 + " {dim}", "1 0", "2 00"])
 TOKENS = st.sampled_from(["a", "b", "B", "caf\u00e9", "#", "1", "3", "\u00b2", "\u0661", "nan"])
 LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r\r\n", " \n", "\x85\n"])
 
@@ -135,6 +137,7 @@ def text_models(draw):
 @example(data=b"2 2\na 1 2\nb 1_0 2\nc 1\r2\n", block_bytes=1 << 17)
 @example(data=b"a 1\nb 2 #\n", block_bytes=1 << 17)  # not a comment
 @example(data=b"a 1\nb 2\x0bc 3\n", block_bytes=1 << 17)  # not a line end
+@example(data=b"\n1 0\ntok\n", block_bytes=1 << 17)  # a 0-dimension header
 def test_block_loader_matches_reference(tmp_path, data, block_bytes):
     path = tmp_path / "m.txt"
     path.write_bytes(data)
@@ -217,3 +220,12 @@ def test_fallback_deep_in_a_file(tmp_path, line, message):
         else:
             with pytest.raises(ParseError, match=f"line 334: {message}"):
                 load_text_model(path)
+
+
+@pytest.mark.parametrize("data", [b"1 0\ntok\n", b"\n\n2 00\n", b"0 0\n"])
+def test_header_with_zero_dimensions_is_rejected(tmp_path, data):
+    path = tmp_path / "m0.vec"
+    path.write_bytes(data)
+    line = data.split(b"\n").index(data.strip().split(b"\n")[0]) + 1
+    with pytest.raises(ParseError, match=f"line {line}: header declares 0 dimensions"):
+        load_text_model(path)
