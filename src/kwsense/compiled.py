@@ -17,8 +17,11 @@ and averaging them costs far more than measuring them. The lexicon tokenizes
 every phrase once when it is built (:class:`~kwsense.lexicon.InternedSenses`),
 each (model, lexicon) pair keeps one token -> row array that is filled as
 keywords and the SIF store need its tokens (:meth:`EmbeddingModel.row_id`),
-and the first call for a keyword compiles its senses with array gathers, one
-stable sort and scatters over phrase ids, with no Python work per phrase, into
+and the first batch of targets that measures a keyword compiles its senses.
+The batch's new keywords compile together (:func:`sense_indexes`,
+:func:`description_indexes`): one pass of array gathers, one stable sort and
+scatters over phrase ids, with no Python work per phrase, cut into each
+keyword's entry, equal to the one it gets compiled alone. Each entry holds
 
 * a :class:`PhraseTable`: per distinct phrase with a token in the model,
   the row ids of its found tokens in token order, and the model's own
@@ -29,11 +32,13 @@ stable sort and scatters over phrase ids, with no Python work per phrase, into
   each, with -1 marking phrases that have no token in the model and the
   padding of a column.
 
-Per call the rows of the whole table are gathered from the matrix with
-``np.take`` and widened exactly to float64, every phrase centroid is formed
-once by adding tokens position after position
+Per keyword of a batch the rows of its whole table are gathered from the
+matrix with ``np.take`` and widened exactly to float64, every phrase
+centroid is formed once by adding tokens position after position
 (:meth:`EmbeddingModel.phrase_vector`'s order), and that one matrix is
-measured against the context by one :func:`relatedness_rows` call. Step 1
+measured against the rows of all the keyword's contexts by one
+:func:`relatedness_rows` call. Each context's values are then added in its
+own order, so a batch gives each context the bits it gets alone. Step 1
 has one aggregation for keywords of every size. A (phrase, word) pair is
 missing when either side has no direction, so missing phrases are settled
 when a keyword compiles (:class:`SenseIndex`). Every row of an active
@@ -55,13 +60,14 @@ other sense, under one of its ids or not, raises ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter, is_
 from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from . import relatedness as _relatedness
-from .embeddings import EmbeddingModel, Vector
+from .embeddings import EmbeddingModel
 from .errors import UnmeasurableError
 from .lexicon import InternedSenses, Lexicon, Sense, _offsets, gather, segment_positions
 from .relatedness import _TIE_WINDOW, DEFAULT_WEIGHTS, RelWeights, rank_top, relatedness_rows
@@ -143,22 +149,31 @@ def _token_rows(model: EmbeddingModel, lexicon: Lexicon, tokens: np.ndarray) -> 
 
 
 def _phrase_table(
-    model: EmbeddingModel, lexicon: Lexicon, phrases: np.ndarray
-) -> tuple[PhraseTable, np.ndarray]:
-    """The table of the distinct ``phrases`` (ids) with a token in ``model``, and each one's row.
+    model: EmbeddingModel, lexicon: Lexicon, phrases: np.ndarray, bounds: Sequence[int]
+) -> tuple[list[PhraseTable], np.ndarray]:
+    """The tables of a batch of keywords' ``phrases`` (ids), and each entry's row in its table.
 
-    Distinct phrases keep the order of their first occurrence, then sort
-    stably by descending found-token count. The second array gives each
-    entry of ``phrases`` its row in the table, -1 for a phrase without one.
+    Keyword j's phrases lie between ``bounds[j]`` and ``bounds[j + 1]``. Its
+    table holds its distinct phrases with a token in ``model``: they keep the
+    order of their first occurrence, then sort stably by descending
+    found-token count. The second array gives each entry of ``phrases`` its
+    row in its keyword's table, -1 for a phrase without one. One pass finds
+    every keyword's distinct phrases, their tokens and the tokens' rows.
     """
     n = len(phrases)
-    order = phrases.argsort(kind="stable")
-    ordered = phrases[order]
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    distinct = ordered[new]
-    tokens, lengths = gather(lexicon.interned.phrase_tokens, distinct)
+    offsets = lexicon.interned.phrase_tokens[0]
+    # Ids made distinct per keyword, so one stable sort finds each keyword's distinct phrases.
+    keys = phrases if len(bounds) == 2 else (
+        np.repeat(np.arange(len(bounds) - 1) * len(offsets), np.diff(bounds)) + phrases)
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.zeros(n + 1, dtype=bool)
+    new[1:2] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[2:])
+    # Sorted, keyword j's entries lie between its bounds: ``distinct`` there cuts its phrases.
+    distinct = new.cumsum()
+    at = order[new[1:]]  # each distinct phrase's first occurrence
+    tokens, lengths = gather(lexicon.interned.phrase_tokens, phrases[at])
     rows = _token_rows(model, lexicon, tokens)
     found = rows >= 0
     # Found tokens before each token: per phrase, its first found token and count.
@@ -167,24 +182,28 @@ def _phrase_table(
     ends = lengths.cumsum()
     firsts = before[ends - lengths]
     counts = before[ends] - firsts
-    # Descending count, then first occurrence; phrases without a found token last.
-    ranked = (order[new] - counts * n).argsort()
-    size = int(np.count_nonzero(counts))
-    ranked = ranked[:size]
-    table_ids = np.full(len(distinct), -1, dtype=np.intp)
-    table_ids[ranked] = np.arange(size)
-    # The phrases that reach a later token position are a prefix of the table.
-    found_rows, firsts, counts = rows[found], firsts[ranked], counts[ranked]
-    parts, later = [found_rows[firsts]], []
-    for position in range(1, int(counts[0]) if size else 0):
-        reach = int(np.count_nonzero(counts > position))
-        parts.append(found_rows[firsts[:reach] + position])
-        later.append(reach)
+    found_rows = rows[found]
+    table_ids = np.full(len(at), -1, dtype=np.intp)
+    tables = []
+    cuts = distinct[bounds].tolist()
+    for a, b in zip(cuts, cuts[1:]):
+        # Descending count, then first occurrence; phrases without a found token last.
+        ranked = (at[a:b] - counts[a:b] * n).argsort()
+        size = int(np.count_nonzero(counts[a:b]))
+        ranked = ranked[:size]
+        table_ids[a + ranked] = np.arange(size)
+        # The phrases that reach a later token position are a prefix of the table.
+        kept_firsts, kept_counts = firsts[a:b][ranked], counts[a:b][ranked]
+        parts, later = [found_rows[kept_firsts]], []
+        for position in range(1, int(kept_counts[0]) if size else 0):
+            reach = int(np.count_nonzero(kept_counts > position))
+            parts.append(found_rows[kept_firsts[:reach] + position])
+            later.append(reach)
+        tables.append(PhraseTable(matrix=model.matrix, rows=np.concatenate(parts),
+                                  later=tuple(later), size=size))
     occurrences = np.empty(n, dtype=np.intp)
-    occurrences[order] = table_ids[new.cumsum() - 1]
-    table = PhraseTable(matrix=model.matrix, rows=np.concatenate(parts),
-                        later=tuple(later), size=size)
-    return table, occurrences
+    occurrences[order] = table_ids[distinct[1:] - 1]
+    return tables, occurrences
 
 
 def _padded(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -217,6 +236,11 @@ def _pair_means(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     picked = values[rows[:, None, :, None], cols[None, :, None, :]]
     sums = _row_sums(picked.reshape(len(rows) * len(cols), rows.shape[1], cols.shape[1]))
     return sums / (row_counts * col_counts.T)
+
+
+def _concatenated(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``parts`` one after another; a single part is returned as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _coefficients(levels: np.ndarray, weights: RelWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -262,14 +286,21 @@ class SenseIndex:
         c0, c1 = _coefficients(self.levels, weights)
         return c0 * means[: len(self.levels)] + c1 * r1
 
-    def base_scores(self, words: np.ndarray, weights: RelWeights) -> list[float]:
-        """Step-1 score per sense: its mean :meth:`relatedness` over ``words``.
+    def base_scores(self, contexts: Sequence[np.ndarray], weights: RelWeights) -> list[list[float]]:
+        """Step-1 score per context per sense: the sense's mean :meth:`relatedness` over its rows.
 
-        ``words``: an active context's rows (at least one); 0 where neither level is measurable.
+        ``contexts``: active contexts' rows, at least one each; 0 where neither
+        level is measurable. One call measures every context; each one's
+        columns are then added in order.
         """
-        values = self.relatedness(words, weights)
-        means = (np.add.accumulate(values, axis=1)[:, -1] / len(words)).tolist()
-        return [0.0 if m != m else m for m in means]
+        values = self.relatedness(_concatenated(contexts), weights)
+        out, start = [], 0
+        for rows in contexts:
+            stop = start + len(rows)
+            means = np.add.accumulate(values[:, start:stop], axis=1)[:, -1] / len(rows)
+            out.append([0.0 if m != m else m for m in means.tolist()])
+            start = stop
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,54 +310,66 @@ class DescriptionIndex:
     phrases: PhraseTable
     terms: np.ndarray
 
-    def average(self, words: np.ndarray) -> list[Optional[float]]:
-        """Per sense, the mean relatedness over (word, term) pairs, words outer; None if none."""
-        rel = relatedness_rows(self.phrases.centroids(), words)  # row -1: NaN
-        by_pair = rel[self.terms].transpose(2, 0, 1).reshape(-1, self.terms.shape[1])
-        return [None if m != m else m for m in _means(by_pair).tolist()]
+    def average(self, contexts: Sequence[np.ndarray]) -> list[list[Optional[float]]]:
+        """Per context (rows, at least one) per sense, the mean relatedness over (row, term) pairs.
 
-    def topk_centroids(self, reference: Vector, k: int) -> np.ndarray:
-        """Per sense, the centroid of its ``k`` terms nearest to ``reference``; 0 if it has none.
+        Pairs run rows outer; None where none is measured. One call measures every context.
+        """
+        rel = relatedness_rows(self.phrases.centroids(), _concatenated(contexts))  # row -1: NaN
+        out, start = [], 0
+        for rows in contexts:
+            stop = start + len(rows)
+            by_term = rel[self.terms, start:stop]  # (term, sense, row)
+            by_pair = by_term.transpose(2, 0, 1).reshape(-1, self.terms.shape[1])
+            out.append([None if m != m else m for m in _means(by_pair).tolist()])
+            start = stop
+        return out
 
-        Terms rank by descending relatedness, ties in input order, and are
-        added in rank order. A sense whose ranking holds a near-tie as
-        :func:`rank_top` defines it (distinct neighbours within ``_TIE_WINDOW``,
-        in a run of close neighbours that starts among its first ``k`` terms)
-        is ranked by :func:`rank_top` instead. The table's centroids are formed
-        once, measured by one kernel call, and summed from that one matrix.
+    def topk_centroids(self, references: np.ndarray, k: int) -> list[np.ndarray]:
+        """Per reference (row), per sense the centroid of its ``k`` terms nearest to the reference.
+
+        0 for a sense without terms. Terms rank by descending relatedness,
+        ties in input order, and are added in rank order. A sense whose
+        ranking holds a near-tie as :func:`rank_top` defines it (distinct
+        neighbours within ``_TIE_WINDOW``, in a run of close neighbours that
+        starts among its first ``k`` terms) is ranked by :func:`rank_top`
+        instead. The table's centroids are formed once, measured against
+        every reference by one kernel call, and summed from that one matrix.
         """
         # A k at or past the longest description picks the same terms.
         k = min(k, max(1, self.terms.shape[0]))
         vectors = self.phrases.centroids()
-        rel = relatedness_rows(vectors, reference[None, :])[:, 0]
         terms = self.terms.T
-        by_term = rel[terms]
-        order = (-by_term).argsort(axis=1, kind="stable")  # NaN (unrepresentable) last
-        found = np.count_nonzero(by_term == by_term, axis=1)
-        ranked_ids = terms[np.arange(len(terms))[:, None], order]
-        chosen = ranked_ids[:, :k].copy()
-        chosen[np.arange(chosen.shape[1]) >= np.minimum(found, k)[:, None]] = -1
-        # Only two distinct phrases within _TIE_WINDOW of each other make a near-tie.
-        if (np.diff(np.sort(rel)) <= _TIE_WINDOW).any():  # NaN sorts last
-            ranked = rel[ranked_ids]
-            close = ranked[:, :-1] - ranked[:, 1:] <= _TIE_WINDOW  # False next to NaN
-            differ = ranked_ids[:, :-1] != ranked_ids[:, 1:]
-            # Distinct close neighbours inside the kept prefix, or in the run of
-            # close neighbours that goes on from the k-th term.
-            from_cut = np.logical_and.accumulate(close[:, k - 1 :], axis=1)
-            near = (close[:, : k - 1] & differ[:, : k - 1]).any(axis=1) | (
-                from_cut & differ[:, k - 1 :]
-            ).any(axis=1)
-            rel_list = rel.tolist()
-            for s in np.flatnonzero(near).tolist():
-                ids = [i for i in terms[s].tolist() if i != -1 and rel_list[i] == rel_list[i]]
-                top = rank_top(ids, rel_list, k, vectors, reference)
-                chosen[s] = top + [-1] * (chosen.shape[1] - len(top))
-        # Rank order, one rank's rows at a time; -1 reads the zero row.
-        total = np.zeros((len(terms), vectors.shape[1]))
-        for column in chosen.T:
-            total += vectors[column]
-        return total / np.maximum(np.minimum(found, k), 1)[:, None]
+        out = []
+        for reference, rel in zip(references, relatedness_rows(vectors, references).T):
+            by_term = rel[terms]
+            order = (-by_term).argsort(axis=1, kind="stable")  # NaN (unrepresentable) last
+            found = np.count_nonzero(by_term == by_term, axis=1)
+            ranked_ids = terms[np.arange(len(terms))[:, None], order]
+            chosen = ranked_ids[:, :k].copy()
+            chosen[np.arange(chosen.shape[1]) >= np.minimum(found, k)[:, None]] = -1
+            # Only two distinct phrases within _TIE_WINDOW of each other make a near-tie.
+            if (np.diff(np.sort(rel)) <= _TIE_WINDOW).any():  # NaN sorts last
+                ranked = rel[ranked_ids]
+                close = ranked[:, :-1] - ranked[:, 1:] <= _TIE_WINDOW  # False next to NaN
+                differ = ranked_ids[:, :-1] != ranked_ids[:, 1:]
+                # Distinct close neighbours inside the kept prefix, or in the run of
+                # close neighbours that goes on from the k-th term.
+                from_cut = np.logical_and.accumulate(close[:, k - 1 :], axis=1)
+                near = (close[:, : k - 1] & differ[:, : k - 1]).any(axis=1) | (
+                    from_cut & differ[:, k - 1 :]
+                ).any(axis=1)
+                rel_list = rel.tolist()
+                for s in np.flatnonzero(near).tolist():
+                    ids = [i for i in terms[s].tolist() if i != -1 and rel_list[i] == rel_list[i]]
+                    top = rank_top(ids, rel_list, k, vectors, reference)
+                    chosen[s] = top + [-1] * (chosen.shape[1] - len(top))
+            # Rank order, one rank's rows at a time; -1 reads the zero row.
+            total = np.zeros((len(terms), vectors.shape[1]))
+            for column in chosen.T:
+                total += vectors[column]
+            out.append(total / np.maximum(np.minimum(found, k), 1)[:, None])
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,16 +403,21 @@ class DescriptionWords:
 
 _Compiled = TypeVar("_Compiled", SenseIndex, DescriptionIndex, DescriptionWords)
 _T = TypeVar("_T")
+# The ordinals of one keyword's senses in the lexicon's interning.
+_Ordinals = range | np.ndarray
 
 
-def _cached(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callable[[], _T]) -> _T:
-    """The (model, lexicon) pair's value for ``key``, made on first use.
-
-    Kept on the lexicon while the model lives.
-    """
+def _cache(model: EmbeddingModel, lexicon: Lexicon) -> dict:
+    """The (model, lexicon) pair's cache, kept on the lexicon while the model lives."""
     cache = lexicon.compiled.get(model)
     if cache is None:
         cache = lexicon.compiled[model] = {}
+    return cache
+
+
+def _cached(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callable[[], _T]) -> _T:
+    """The (model, lexicon) pair's value for ``key``, made on first use."""
+    cache = _cache(model, lexicon)
     value = cache.get(key)
     if value is None:
         value = cache[key] = make()
@@ -377,19 +425,31 @@ def _cached(model: EmbeddingModel, lexicon: Lexicon, key: Hashable, make: Callab
 
 
 def _compiled(
-    build: Callable[..., _Compiled],
+    build: Callable[..., list[_Compiled]],
     model: EmbeddingModel,
     lexicon: Lexicon,
-    senses: Sequence[Sense],
+    keywords: Sequence[Sequence[Sense]],
     *args: Hashable,
-) -> _Compiled:
-    """``build(model, lexicon, ordinals, *args)`` for the lexicon's ``senses``, made once."""
-    ordinals = _lexicon_ordinals(lexicon, senses)
-    key = (build, ordinals if isinstance(ordinals, range) else tuple(ordinals.tolist()), *args)
-    return _cached(model, lexicon, key, lambda: build(model, lexicon, ordinals, *args))
+) -> list[_Compiled]:
+    """Per keyword (the lexicon's senses), its part of ``build(model, lexicon, batch, *args)``.
+
+    Each part is made once; the keywords without one are built together, in
+    one batch of their ordinals. Every sense is checked before anything is built.
+    """
+    cache = _cache(model, lexicon)
+    keys, batch = [], {}
+    for senses in keywords:
+        ordinals = _lexicon_ordinals(lexicon, senses)
+        key = (build, ordinals if isinstance(ordinals, range) else tuple(ordinals.tolist()), *args)
+        keys.append(key)
+        if key not in cache:
+            batch[key] = ordinals
+    if batch:
+        cache.update(zip(batch, build(model, lexicon, list(batch.values()), *args)))
+    return [cache[key] for key in keys]
 
 
-def _lexicon_ordinals(lexicon: Lexicon, senses: Sequence[Sense]) -> range | np.ndarray:
+def _lexicon_ordinals(lexicon: Lexicon, senses: Sequence[Sense]) -> _Ordinals:
     """The ordinals of ``senses`` in the lexicon's interning, a range if consecutive.
 
     Every sense must be the very object the lexicon holds: any other sense,
@@ -409,7 +469,7 @@ def _lexicon_ordinals(lexicon: Lexicon, senses: Sequence[Sense]) -> range | np.n
 
 
 def _member_positions(
-    interned: InternedSenses, ordinals: range | np.ndarray
+    interned: InternedSenses, ordinals: _Ordinals
 ) -> tuple[range | np.ndarray, np.ndarray]:
     """The core-context members of senses ``ordinals``, and each sense's member count."""
     if isinstance(ordinals, range):
@@ -421,42 +481,58 @@ def _member_positions(
 
 
 def _build_sense_index(
-    model: EmbeddingModel, lexicon: Lexicon, ordinals: range | np.ndarray
-) -> SenseIndex:
+    model: EmbeddingModel, lexicon: Lexicon, batch: Sequence[_Ordinals]
+) -> list[SenseIndex]:
     interned = lexicon.interned
-    members, member_counts = _member_positions(interned, ordinals)
-    synonyms, synonym_counts = gather(interned.synonyms, ordinals)
-    member_phrases, member_lengths = gather(interned.member_phrases, members)
-    table, rows = _phrase_table(model, lexicon, np.concatenate((synonyms, member_phrases)))
-    # A centroid with no direction: missing like a phrase with no token.
-    rows = np.where(_relatedness.has_direction(table.centroids())[rows], rows, -1)
-    # One padded matrix: the groups, then each sense's member groups.
-    n, g = len(synonym_counts), len(synonym_counts) + len(member_lengths) + 1
-    padded = _padded(np.concatenate((rows, np.arange(n, g - 1))),
-                     np.concatenate((synonym_counts, member_lengths, [0], member_counts)))
-    groups, members = padded[:, :g], padded[:, g:]
-    # Measurable phrases per group, and members with one per sense.
-    found = np.add.reduce(groups >= 0, axis=0)
-    member_found = np.add.reduce(found[members] > 0, axis=0)
-    return SenseIndex(
-        phrases=table,
-        groups=groups,
-        members=members,
-        counts=(np.maximum(found, 1.0)[:, None], np.maximum(member_found, 1.0)[:, None]),
-        levels=(found[:n] > 0) + 2 * (member_found > 0),
-    )
+    phrases, lengths, counts = [], [], []  # per keyword: its synonyms, then its members' phrases
+    for ordinals in batch:
+        members, member_counts = _member_positions(interned, ordinals)
+        synonyms, synonym_counts = gather(interned.synonyms, ordinals)
+        member_phrases, member_lengths = gather(interned.member_phrases, members)
+        phrases += (synonyms, member_phrases)
+        lengths.append(len(synonyms) + len(member_phrases))
+        counts.append((synonym_counts, member_lengths, member_counts))
+    bounds = list(accumulate(lengths, initial=0))
+    tables, rows = _phrase_table(model, lexicon, np.concatenate(phrases), bounds)
+    out = []
+    for table, (synonym_counts, member_lengths, member_counts), a, b in zip(
+        tables, counts, bounds, bounds[1:]
+    ):
+        # A centroid with no direction: missing like a phrase with no token.
+        own = np.where(_relatedness.has_direction(table.centroids())[rows[a:b]], rows[a:b], -1)
+        # One padded matrix: the groups, then each sense's member groups.
+        n = len(synonym_counts)
+        g = n + len(member_lengths) + 1
+        padded = _padded(np.concatenate((own, np.arange(n, g - 1))),
+                         np.concatenate((synonym_counts, member_lengths, [0], member_counts)))
+        groups, members = padded[:, :g], padded[:, g:]
+        # Measurable phrases per group, and members with one per sense.
+        found = np.add.reduce(groups >= 0, axis=0)
+        member_found = np.add.reduce(found[members] > 0, axis=0)
+        out.append(SenseIndex(
+            phrases=table,
+            groups=groups,
+            members=members,
+            counts=(np.maximum(found, 1.0)[:, None], np.maximum(member_found, 1.0)[:, None]),
+            levels=(found[:n] > 0) + 2 * (member_found > 0),
+        ))
+    return out
 
 
 def _build_description_index(
-    model: EmbeddingModel, lexicon: Lexicon, ordinals: range | np.ndarray
-) -> DescriptionIndex:
-    terms, counts = gather(lexicon.interned.descriptions, ordinals)
-    table, rows = _phrase_table(model, lexicon, terms)
-    return DescriptionIndex(phrases=table, terms=_padded(rows, counts))
+    model: EmbeddingModel, lexicon: Lexicon, batch: Sequence[_Ordinals]
+) -> list[DescriptionIndex]:
+    gathered = [gather(lexicon.interned.descriptions, ordinals) for ordinals in batch]
+    bounds = list(accumulate((len(terms) for terms, _ in gathered), initial=0))
+    tables, rows = _phrase_table(model, lexicon, _concatenated([t for t, _ in gathered]), bounds)
+    return [
+        DescriptionIndex(phrases=table, terms=_padded(rows[a:b], counts))
+        for table, (_, counts), a, b in zip(tables, gathered, bounds, bounds[1:])
+    ]
 
 
 def _description_tokens(
-    lexicon: Lexicon, ordinals: range | np.ndarray
+    lexicon: Lexicon, ordinals: _Ordinals
 ) -> tuple[np.ndarray, np.ndarray]:
     """The description tokens of senses ``ordinals`` (ids into the lexicon's tokens), and bounds.
 
@@ -470,7 +546,16 @@ def _description_tokens(
 def _build_description_words(
     model: EmbeddingModel,
     lexicon: Lexicon,
-    ordinals: range | np.ndarray,
+    batch: Sequence[_Ordinals],
+    stopwords: frozenset[str],
+) -> list[DescriptionWords]:
+    return [_description_words(model, lexicon, ordinals, stopwords) for ordinals in batch]
+
+
+def _description_words(
+    model: EmbeddingModel,
+    lexicon: Lexicon,
+    ordinals: _Ordinals,
     stopwords: frozenset[str],
 ) -> DescriptionWords:
     tokens, bounds = _description_tokens(lexicon, ordinals)
@@ -499,16 +584,30 @@ def _build_description_words(
     return DescriptionWords(vocabulary=vocabulary, offsets=offsets, words=pairs % base)
 
 
+def sense_indexes(
+    model: EmbeddingModel, lexicon: Lexicon, keywords: Sequence[Sequence[Sense]]
+) -> list[SenseIndex]:
+    """The compiled step-1 phrases of each keyword's senses, cached per (model, lexicon) pair."""
+    return _compiled(_build_sense_index, model, lexicon, keywords)
+
+
 def sense_index(model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]) -> SenseIndex:
-    """The compiled step-1 phrases of ``senses``, cached per (model, lexicon) pair."""
-    return _compiled(_build_sense_index, model, lexicon, senses)
+    """:func:`sense_indexes` of one keyword."""
+    return sense_indexes(model, lexicon, [senses])[0]
+
+
+def description_indexes(
+    model: EmbeddingModel, lexicon: Lexicon, keywords: Sequence[Sequence[Sense]]
+) -> list[DescriptionIndex]:
+    """The compiled description terms of each keyword's senses, cached per (model, lexicon) pair."""
+    return _compiled(_build_description_index, model, lexicon, keywords)
 
 
 def description_index(
     model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense]
 ) -> DescriptionIndex:
-    """The compiled description terms of ``senses``, cached per (model, lexicon) pair."""
-    return _compiled(_build_description_index, model, lexicon, senses)
+    """:func:`description_indexes` of one keyword."""
+    return description_indexes(model, lexicon, [senses])[0]
 
 
 def description_words(
@@ -519,7 +618,7 @@ def description_words(
     The sets depend on no model; they are kept beside the compiled
     descriptions, so they live as long as those do.
     """
-    return _compiled(_build_description_words, model, lexicon, senses, stopwords)
+    return _compiled(_build_description_words, model, lexicon, [senses], stopwords)[0]
 
 
 def rel_sense_word(

@@ -29,11 +29,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .compiled import (
+    DescriptionIndex,
+    DescriptionWords,
+    SenseIndex,
     _description_tokens,
     _token_rows,
-    description_index,
+    description_indexes,
     description_words,
     sense_index,
+    sense_indexes,
 )
 from .embeddings import EmbeddingModel, VectorTable, _lines_left
 from .errors import ConfigError, ParseError, UnmeasurableError, json_lines
@@ -48,6 +52,7 @@ from .relatedness import (
     has_direction,
     load_word_frequencies,
     rank_top,
+    relatedness_rows,
     relatedness_to,
 )
 from .stopwords import DEFAULT_STOPWORDS, default_stopwords
@@ -258,6 +263,41 @@ def build_sif_store(
     return VectorTable(vectors, dict(zip(map(ids.__getitem__, kept.tolist()), range(len(kept)))))
 
 
+def _active_contexts(
+    model: EmbeddingModel, keyword: str, contexts: Sequence[Sequence[str]], cfg: ContextConfig
+) -> list[ActiveContext]:
+    """:func:`select_active_context` of each of one keyword's contexts.
+
+    Every context's candidates are measured against the keyword by one kernel call.
+    """
+    kd_norm = keyword.lower()
+    candidates: list[str] = []
+    bounds = [0]
+    for context_words in contexts:
+        seen: set[str] = set()
+        for word in context_words:
+            norm = word.lower()
+            if not norm or norm in seen:
+                continue
+            seen.add(norm)
+            if norm in cfg.stopwords or norm == kd_norm:
+                continue
+            candidates.append(word)
+        bounds.append(len(candidates))
+    vectors = model.phrase_matrix([*candidates, keyword])
+    kd_vec = vectors[-1]
+    rel_all = relatedness_to(vectors[:-1], kd_vec)
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        rel, rows = rel_all[a:b], vectors[a:b]
+        # NaN (an unrepresentable pair) fails the threshold comparison.
+        kept = [i for i, r in enumerate(rel) if r >= cfg.threshold]
+        top = rank_top(kept, rel, cfg.max_context, rows, kd_vec)
+        out.append(ActiveContext(target=keyword, rows=rows[top],
+                                 members=tuple((candidates[a + i], rel[i]) for i in top)))
+    return out
+
+
 def select_active_context(
     model: EmbeddingModel,
     context_words: Sequence[str],
@@ -273,26 +313,23 @@ def select_active_context(
     """
     if not keyword:
         raise ValueError("keyword must be nonempty")
-    kd_norm = keyword.lower()
-    seen: set[str] = set()
-    candidates: list[str] = []
-    for word in context_words:
-        norm = word.lower()
-        if not norm or norm in seen:
-            continue
-        seen.add(norm)
-        if norm in cfg.stopwords or norm == kd_norm:
-            continue
-        candidates.append(word)
-    vectors = model.phrase_matrix(candidates)
-    kd_vec = model.phrase_matrix([keyword])[0]
-    rel = relatedness_to(vectors, kd_vec)
-    # NaN (an unrepresentable pair) fails the threshold comparison.
-    kept = [i for i, r in enumerate(rel) if r >= cfg.threshold]
-    top = rank_top(kept, rel, cfg.max_context, vectors, kd_vec)
-    return ActiveContext(
-        target=keyword, members=tuple((candidates[i], rel[i]) for i in top), rows=vectors[top]
-    )
+    return _active_contexts(model, keyword, [context_words], cfg)[0]
+
+
+def _base_scores(
+    index: Optional[SenseIndex], n: int, cas: Sequence[ActiveContext], weights: RelWeights
+) -> list[list[float]]:
+    """Step-1 score per context per sense of one keyword with ``n`` senses; 0 for an empty context.
+
+    ``index`` is the keyword's, None only if every context is empty; one
+    call measures every context with members.
+    """
+    out = [[0.0] * n] * len(cas)  # rows are replaced, never changed
+    measured = [j for j, ca in enumerate(cas) if ca.members]
+    if measured:
+        for j, bases in zip(measured, index.base_scores([cas[j].rows for j in measured], weights)):
+            out[j] = bases
+    return out
 
 
 def step1_base_scores(
@@ -307,56 +344,87 @@ def step1_base_scores(
     Every member has a direction, so a sense's score is its mean over all
     members; 0 for a sense with neither level measurable, or an empty context.
     """
-    if not ca.members:
-        return [SenseScore(sense_id=sense.id, score=0.0, step1=0.0) for sense in senses]
-    index = sense_index(model, lexicon, senses)
-    bases = index.base_scores(ca.rows, weights)
-    return [
-        SenseScore(sense_id=sense.id, score=base, step1=base)
-        for sense, base in zip(senses, bases)
-    ]
+    index = sense_index(model, lexicon, senses) if ca.members else None
+    (bases,) = _base_scores(index, len(senses), [ca], weights)
+    return [SenseScore(sense.id, base, base) for sense, base in zip(senses, bases)]
+
+
+def _step2_parts(
+    model: EmbeddingModel,
+    lexicon: Lexicon,
+    keywords: Sequence[Sequence[Sense]],
+    strategy: Strategy,
+    stopwords: frozenset[str],
+) -> list[DescriptionWords | DescriptionIndex | None]:
+    """Per keyword (its senses), what its step 2 reads compiled; None for ``sif`` and ``docvec``."""
+    if strategy is Strategy.OVERLAP:
+        return [description_words(model, lexicon, senses, stopwords) for senses in keywords]
+    if strategy is Strategy.AVERAGE or strategy is Strategy.TOP_K:
+        return description_indexes(model, lexicon, keywords)
+    return [None] * len(keywords)
 
 
 def _strategy_strengths(
     model: EmbeddingModel,
-    lexicon: Lexicon,
     senses: Sequence[Sense],
-    ca: ActiveContext,
+    part: DescriptionWords | DescriptionIndex | None,
+    cas: Sequence[ActiveContext],
     params: AlgoParams,
     store: Optional[VectorTable],
-    stopwords: frozenset[str],
-) -> list[Optional[float]]:
-    """Strategy strength in [0, 1] per sense, or None where the inputs are unavailable."""
+) -> list[list[Optional[float]]]:
+    """Per context of one keyword, the strategy strength in [0, 1] per sense.
+
+    None where the inputs are unavailable. ``part`` is the keyword's
+    :func:`_step2_parts` entry (None for ``average`` and ``topk`` only if
+    every context is empty). The description table, or the store rows,
+    are measured against all contexts by one kernel call.
+    """
     if params.strategy is Strategy.OVERLAP:
-        words = description_words(model, lexicon, senses, stopwords)
-        return words.overlap({w.lower() for w in ca.words})
-    if not ca.members:
-        return [None] * len(senses)
+        return [part.overlap({w.lower() for w in ca.words}) for ca in cas]
+    out = [[None] * len(senses)] * len(cas)  # rows are replaced, never changed
+    measured = [j for j, ca in enumerate(cas) if ca.members]
+    if not measured:
+        return out
     if params.strategy is Strategy.AVERAGE:
-        return description_index(model, lexicon, senses).average(ca.rows)
-    # The members' centroid: a float64 sum in row order, then one division.
-    rows = ca.rows
-    ca_centroid = np.add.reduce(rows, axis=0) / len(rows)
-    if not has_direction(ca_centroid):
-        return [None] * len(senses)
+        for j, strengths in zip(measured, part.average([cas[j].rows for j in measured])):
+            out[j] = strengths
+        return out
     if params.strategy is Strategy.TOP_K:
-        # Each sense's k description terms nearest to the centroid of context + keyword.
-        kd_vec = model.phrase_matrix([ca.target])[0]
-        if has_direction(kd_vec):
-            rows = np.vstack((rows, kd_vec))
-        reference = np.add.reduce(rows, axis=0) / len(rows)
-        if not has_direction(reference):
-            return [None] * len(senses)
-        index = description_index(model, lexicon, senses)
-        rel = relatedness_to(index.topk_centroids(reference, params.k), ca_centroid)
+        kd_vec = model.phrase_matrix([cas[0].target])[0]
+        with_kd = has_direction(kd_vec)
+    kept, centroids, references = [], [], []
+    for j in measured:
+        # The members' centroid: a float64 sum in row order, then one division.
+        rows = cas[j].rows
+        centroid = np.add.reduce(rows, axis=0) / len(rows)
+        if not has_direction(centroid):
+            continue
+        if params.strategy is Strategy.TOP_K:
+            # topk's reference: the centroid of context + keyword.
+            if with_kd:
+                rows = np.vstack((rows, kd_vec))
+            reference = np.add.reduce(rows, axis=0) / len(rows)
+            if not has_direction(reference):
+                continue
+            references.append(reference)
+        kept.append(j)
+        centroids.append(centroid)
+    if not kept:
+        return out
+    if params.strategy is Strategy.TOP_K:
+        # Each sense's k description terms nearest to the reference, against the centroid.
+        topk = part.topk_centroids(np.array(references), params.k)
+        by_context = map(relatedness_to, topk, centroids)
     else:
         # Each sense's row of the store, gathered at once; a zero row for an id it lacks.
         at = np.array([store.index.get(sense.id, -1) for sense in senses], dtype=np.intp)
         store_rows = np.zeros((len(senses), store.dim))
         store_rows[at >= 0] = store.matrix[at[at >= 0]]
-        rel = relatedness_to(store_rows, ca_centroid)
+        by_context = relatedness_rows(store_rows, np.array(centroids)).T.tolist()
     # NaN: no term representable, id absent from the store, or a zero vector.
-    return [r if r == r else None for r in rel]
+    for j, rel in zip(kept, by_context):
+        out[j] = [r if r == r else None for r in rel]
+    return out
 
 
 def strategy_store(
@@ -383,6 +451,22 @@ def strategy_store(
     return sif_store if strategy is Strategy.SIF else docvec_store.vectors
 
 
+def _rescore(
+    scores: Sequence[SenseScore], strengths: Sequence[Optional[float]]
+) -> list[SenseScore]:
+    """Step 2 of one context: every score gains (1 - maxScore) * its strength, if it has one."""
+    factor = 1.0 - max(s.score for s in scores)
+    out = []
+    for s, strength in zip(scores, strengths):
+        if strength is None:
+            out.append(s)
+            continue
+        delta = factor * strength
+        # Built directly: dataclasses.replace takes twice as long per score.
+        out.append(SenseScore(s.sense_id, s.score + delta, s.step1, delta, s.step3_delta))
+    return out
+
+
 def step2_rescore(
     model: EmbeddingModel,
     lexicon: Lexicon,
@@ -402,19 +486,12 @@ def step2_rescore(
     store = strategy_store(model, params.strategy, sif_store, docvec_store)
     if not scores:
         return []
-    max_score = max(s.score for s in scores)
-    factor = 1.0 - max_score
     senses = [lexicon.resolve(s.sense_id) for s in scores]
-    strengths = _strategy_strengths(model, lexicon, senses, ca, params, store, stopwords)
-    out = []
-    for s, strength in zip(scores, strengths):
-        if strength is None:
-            out.append(s)
-            continue
-        delta = factor * strength
-        # Built directly: dataclasses.replace takes twice as long per score.
-        out.append(SenseScore(s.sense_id, s.score + delta, s.step1, delta, s.step3_delta))
-    return out
+    part = None
+    if ca.members or params.strategy is Strategy.OVERLAP:
+        (part,) = _step2_parts(model, lexicon, [senses], params.strategy, stopwords)
+    (strengths,) = _strategy_strengths(model, senses, part, [ca], params, store)
+    return _rescore(scores, strengths)
 
 
 def norm_freq(sense: Sense, total_freq: float, a: float = 0.5) -> float:
@@ -474,6 +551,52 @@ class DisambiguationResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _disambiguate_batch(
+    model: EmbeddingModel,
+    lexicon: Lexicon,
+    targets: Sequence[tuple[str, Sequence[str]]],
+    cfg: ContextConfig,
+    params: AlgoParams,
+    store: Optional[VectorTable],
+) -> list[Optional[DisambiguationResult]]:
+    """Rank the senses of each (keyword, context words) target: the one scoring path.
+
+    None for a keyword without senses; ``store`` is :func:`strategy_store`'s.
+    Targets are grouped by keyword. The keywords that a context measures
+    compile together where they have not yet, one batch per compiled part;
+    then each keyword's step 1 and step 2 measure all its contexts at once.
+    Every result equals the one its target gets alone.
+    """
+    groups: dict[str, list[int]] = {}
+    for j, (keyword, _) in enumerate(targets):
+        groups.setdefault(keyword, []).append(j)
+    scored = []  # (keyword, senses, target positions, active contexts)
+    for keyword, positions in groups.items():
+        senses = lexicon.senses_of(keyword)
+        if senses:
+            contexts = [targets[j][1] for j in positions]
+            scored.append((keyword, senses, positions,
+                           _active_contexts(model, keyword, contexts, cfg)))
+    # The keywords that a context measures compile together; overlap reads
+    # its word sets for empty contexts too.
+    measured = [group for group in scored if any(ca.members for ca in group[3])]
+    step2 = scored if params.strategy is Strategy.OVERLAP else measured
+    indexes = dict(zip([group[0] for group in measured],
+                       sense_indexes(model, lexicon, [group[1] for group in measured])))
+    parts = dict(zip([group[0] for group in step2], _step2_parts(
+        model, lexicon, [group[1] for group in step2], params.strategy, cfg.stopwords)))
+    out: list[Optional[DisambiguationResult]] = [None] * len(targets)
+    for keyword, senses, positions, cas in scored:
+        bases = _base_scores(indexes.get(keyword), len(senses), cas, params.weights)
+        strengths = _strategy_strengths(model, senses, parts.get(keyword), cas, params, store)
+        for j, ca, base, strength in zip(positions, cas, bases, strengths):
+            scores = [SenseScore(sense.id, b, b) for sense, b in zip(senses, base)]
+            scores = step3_frequency(_rescore(scores, strength), senses, params)
+            ranked = sorted(scores, key=lambda s: -s.score)
+            out[j] = DisambiguationResult(keyword=keyword, active_context=ca, scores=tuple(ranked))
+    return out
+
+
 def disambiguate(
     model: EmbeddingModel,
     lexicon: Lexicon,
@@ -484,19 +607,13 @@ def disambiguate(
     sif_store: Optional[VectorTable] = None,
     docvec_store: Optional[DocVecStore] = None,
 ) -> DisambiguationResult:
-    """Rank the senses of ``keyword`` against its context.
+    """Rank the senses of ``keyword`` against its context: a batch of one.
 
     Raises UnmeasurableError for keywords without senses. The returned ranking is
     sorted by descending score; ties keep lexicon file order.
     """
-    senses = lexicon.senses_of(keyword)
-    if not senses:
+    if not lexicon.senses_of(keyword):
         raise UnmeasurableError(f"unknown keyword: {keyword!r}")
-    ca = select_active_context(model, context_words, keyword, cfg)
-    scores = step1_base_scores(model, lexicon, senses, ca, params.weights)
-    scores = step2_rescore(
-        model, lexicon, scores, ca, params, sif_store, docvec_store, cfg.stopwords
-    )
-    scores = step3_frequency(scores, senses, params)
-    ranked = sorted(scores, key=lambda s: -s.score)
-    return DisambiguationResult(keyword=keyword, active_context=ca, scores=tuple(ranked))
+    store = strategy_store(model, params.strategy, sif_store, docvec_store)
+    (result,) = _disambiguate_batch(model, lexicon, [(keyword, context_words)], cfg, params, store)
+    return result

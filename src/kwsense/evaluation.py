@@ -9,9 +9,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .disambig import AlgoParams, ContextConfig, DocVecStore, disambiguate, strategy_store
+from .disambig import (  # noqa: F401 - callers still read evaluation.disambiguate
+    AlgoParams,
+    ContextConfig,
+    DocVecStore,
+    _disambiguate_batch,
+    disambiguate,
+    strategy_store,
+)
 from .embeddings import EmbeddingModel, VectorTable
-from .errors import ParseError, UnmeasurableError, json_lines, text_lines
+from .errors import ParseError, json_lines, text_lines
 from .lexicon import Lexicon
 from .relatedness import rel_words
 
@@ -282,43 +289,9 @@ class WsdReport:
         return out
 
 
-def _score_target(
-    model: EmbeddingModel,
-    lexicon: Lexicon,
-    item: WsdItem,
-    target: WsdTarget,
-    cfg: ContextConfig,
-    params: AlgoParams,
-    sif_store: Optional[VectorTable],
-    docvec_store: Optional[DocVecStore],
-) -> WsdRecord:
-    unresolved = tuple(g for g in target.gold if g not in lexicon.senses)
-    senses = lexicon.senses_of(target.keyword)
-    predicted = error = None
-    if len(senses) == 1:
-        # disambiguate() ranks a keyword's only sense first and raises
-        # nothing for a known keyword, so it is not called.
-        predicted = senses[0].id
-    elif senses:
-        context = list(item.tokens[: target.position]) + list(item.tokens[target.position + 1 :])
-        try:
-            result = disambiguate(
-                model, lexicon, target.keyword, context, cfg, params, sif_store, docvec_store
-            )
-        except UnmeasurableError as exc:
-            error = str(exc)
-        else:
-            predicted = result.top.sense_id
-    return WsdRecord(
-        item_id=item.item_id,
-        keyword=target.keyword,
-        predicted=predicted,
-        gold=target.gold,
-        attempted=predicted is not None,
-        correct=predicted in target.gold,
-        unresolved_gold=unresolved,
-        error=error,
-    )
+# Polysemous targets scored per batch: a batch holds all its targets' active contexts,
+# and its kernel matrices grow with them.
+_BATCH = 256
 
 
 def eval_wsd(
@@ -331,23 +304,54 @@ def eval_wsd(
     docvec_store: Optional[DocVecStore] = None,
     jobs: int = 1,
 ) -> WsdReport:
-    """Run the disambiguator over a corpus and score it, one target after another.
+    """Run the disambiguator over a corpus and score it.
 
     Every target counts toward the total; targets whose keyword has no sense
     are not attempted, and a keyword's only sense is predicted without
-    scoring it. precision = correct/attempted, recall = correct/total,
-    F1 their harmonic mean. ``jobs`` must be 1: it stays only because the
-    benchmark passes ``jobs=1``, until ROADMAP item 1 deletes it. Any other
-    ``jobs``, or a missing or mismatched strategy store, raises before any
-    target is scored; any error other than UnmeasurableError from a target
+    scoring it. The other targets are scored in batches of up to 256, in
+    corpus order, on the one scoring path, of which :func:`disambiguate` is
+    a batch of one: a batch groups its targets by keyword, compiles its new
+    keywords together, and measures each keyword's compiled tables once
+    against all its targets' contexts. Each prediction is the one
+    :func:`disambiguate` gives its target. precision = correct/attempted,
+    recall = correct/total, F1 their harmonic mean. ``jobs`` must be 1: it
+    stays only because the benchmark passes ``jobs=1``, until ROADMAP item 1
+    deletes it. Any other ``jobs``, or a missing or mismatched strategy
+    store, raises before any target is scored; any error from scoring
     propagates.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    strategy_store(model, params.strategy, sif_store, docvec_store)
+    store = strategy_store(model, params.strategy, sif_store, docvec_store)
+    targets = [(item, target) for item in corpus.items for target in item.targets]
+    predicted: list[Optional[str]] = [None] * len(targets)
+    scored = []
+    for j, (_, target) in enumerate(targets):
+        senses = lexicon.senses_of(target.keyword)
+        if len(senses) == 1:
+            predicted[j] = senses[0].id
+        elif senses:
+            scored.append(j)
+    for start in range(0, len(scored), _BATCH):
+        batch = scored[start : start + _BATCH]
+        contexts = [
+            (target.keyword, item.tokens[: target.position] + item.tokens[target.position + 1 :])
+            for item, target in map(targets.__getitem__, batch)
+        ]
+        results = _disambiguate_batch(model, lexicon, contexts, cfg, params, store)
+        for j, result in zip(batch, results):
+            predicted[j] = result.top.sense_id
     records = [
-        _score_target(model, lexicon, item, target, cfg, params, sif_store, docvec_store)
-        for item in corpus.items for target in item.targets
+        WsdRecord(
+            item_id=item.item_id,
+            keyword=target.keyword,
+            predicted=guess,
+            gold=target.gold,
+            attempted=guess is not None,
+            correct=guess in target.gold,
+            unresolved_gold=tuple(g for g in target.gold if g not in lexicon.senses),
+        )
+        for (item, target), guess in zip(targets, predicted)
     ]
     if not records:
         logger.warning("corpus %r has no targets; all metrics are 0", corpus.name)

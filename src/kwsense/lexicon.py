@@ -76,6 +76,9 @@ class Sense:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("sense id must be nonempty")
+        for name in ("lemmas", "synonyms", "description_terms"):
+            if isinstance(getattr(self, name), str):  # read char by char, it would pass
+                raise ValueError(f"sense {self.id!r}: {name} must be a tuple of strings, not a str")
         if not (self.lemmas and _nonempty_strings(self.lemmas)):
             raise ValueError(f"sense {self.id!r}: lemmas must be nonempty strings")
         if not (self.synonyms and _nonempty_strings(self.synonyms)):

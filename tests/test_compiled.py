@@ -154,15 +154,35 @@ def test_interned_builders_match_the_per_phrase_reference(built):
 
     def check(senses):
         ordinals = compiled._lexicon_ordinals(lexicon, senses)
-        _assert_same_index(compiled._build_sense_index(model, lexicon, ordinals),
+        _assert_same_index(compiled._build_sense_index(model, lexicon, [ordinals])[0],
                            compile_reference.build_sense_index(model, lexicon, senses))
-        _assert_same_index(compiled._build_description_index(model, lexicon, ordinals),
+        _assert_same_index(compiled._build_description_index(model, lexicon, [ordinals])[0],
                            compile_reference.build_description_index(model, lexicon, senses))
 
     for keyword in keywords:
         check(lexicon.senses_of(keyword))
     # Several keywords' senses at once: ordinals that are not consecutive.
     check([s for k in keywords[::-1] for s in lexicon.senses_of(k)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lexicons(), st.randoms(use_true_random=False))
+def test_batch_compiles_equal_one_keyword_compiles(built, rnd):
+    # Keywords compiled in one batch get the cache entries that each one
+    # gets compiled alone, in another lexicon, field by field. The batch
+    # holds a repeated keyword and senses whose ordinals are not consecutive.
+    lexicon, keywords = built
+    vocab = {t: np.arange(4.0) + i for i, t in enumerate(_MODEL_TOKENS)}
+    model = EmbeddingModel(vocab=dict(vocab, n1=-vocab["w1"], z0=np.zeros(4)), dim=4)
+    batch = [lexicon.senses_of(k) for k in keywords]
+    batch += [[s for k in keywords[::-1] for s in lexicon.senses_of(k)], batch[0]]
+    rnd.shuffle(batch)
+    alone = Lexicon.from_senses(list(lexicon.senses.values()))
+    for many, one in ((compiled.sense_indexes, compiled.sense_index),
+                      (compiled.description_indexes, compiled.description_index)):
+        for senses, got in zip(batch, many(model, lexicon, batch)):
+            _assert_same_index(got, one(model, alone, senses))
+            assert one(model, lexicon, senses) is got  # the batch filled the cache
 
 
 @pytest.mark.parametrize("count", [0, 1, 9, 40])
@@ -362,7 +382,7 @@ def test_topk_centroids_follow_rank_order(k):
     lexicon = Lexicon.from_senses(senses)
     index = compiled.description_index(model, lexicon, senses)
     reference = rng.normal(size=5)
-    got = index.topk_centroids(reference, k)
+    got = index.topk_centroids(reference[None, :], k)[0]
     table, ids = compile_reference.phrase_table(
         model, [t for s in senses for t in s.description_terms])
     vectors = table.centroids()
@@ -393,7 +413,8 @@ def test_step2_calls_hold_one_centroid_matrix():
     matrix_bytes = (size + 1) * dim * 8
     rng = np.random.default_rng(12)
     reference, words = rng.normal(size=dim), rng.normal(size=(10, dim))
-    for call in (lambda: index.topk_centroids(reference, 15), lambda: index.average(words)):
+    for call in (lambda: index.topk_centroids(reference[None, :], 15),
+                 lambda: index.average([words])):
         tracemalloc.start()
         try:
             call()
@@ -665,7 +686,7 @@ def test_topk_decides_a_tie_behind_a_repeated_term_at_the_cut():
     assert rel[0] == rel[1]
     assert (relatedness.ordered_relatedness(vocab["w0"], reference)
             > relatedness.ordered_relatedness(vocab["w5"], reference))
-    np.testing.assert_array_equal(index.topk_centroids(reference, 1)[0], vocab["w0"])
+    np.testing.assert_array_equal(index.topk_centroids(reference[None, :], 1)[0][0], vocab["w0"])
 
 
 class TestRankTopSkipsOneRepeatedPhrase:

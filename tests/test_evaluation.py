@@ -250,8 +250,8 @@ class TestEvalWsd:
     ):
         corpus = load_wsd_corpus(toy_corpus_file)
         calls = []
-        real = kwsense.evaluation.disambiguate
-        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+        real = kwsense.evaluation._disambiguate_batch
+        monkeypatch.setattr(kwsense.evaluation, "_disambiguate_batch",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         with pytest.raises(ValueError, match=f"^jobs must be 1, got {jobs}$"):
             self._run(toy_model, toy_lexicon, corpus, jobs=jobs)
@@ -306,7 +306,7 @@ class TestEvalWsd:
         self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+        monkeypatch.setattr(kwsense.evaluation, "_disambiguate_batch",
                             lambda *args: calls.append(args))
         corpus = load_wsd_corpus(toy_corpus_file)
         store = DocVecStore(vector_table({"java#island": np.ones(3)}, 3))
@@ -319,7 +319,7 @@ class TestEvalWsd:
         self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
+        monkeypatch.setattr(kwsense.evaluation, "_disambiguate_batch",
                             lambda *args: calls.append(args))
         corpus = load_wsd_corpus(toy_corpus_file)
         store = vector_table({"java#island": np.ones(3)}, 3)
@@ -335,23 +335,10 @@ class TestEvalWsd:
         def broken(*args):
             raise ValueError("all input arrays must have the same shape")
 
-        monkeypatch.setattr(kwsense.evaluation, "disambiguate", broken)
+        monkeypatch.setattr(kwsense.evaluation, "_disambiguate_batch", broken)
         corpus = load_wsd_corpus(toy_corpus_file)
         with pytest.raises(ValueError, match="same shape"):
             self._run(toy_model, toy_lexicon, corpus)
-
-    def test_unmeasurable_target_is_recorded_not_attempted(
-        self, toy_model, toy_lexicon, toy_corpus_file, monkeypatch
-    ):
-        def unmeasurable(model, lexicon, keyword, *args):
-            raise UnmeasurableError(f"nothing to measure for {keyword!r}")
-
-        monkeypatch.setattr(kwsense.evaluation, "disambiguate", unmeasurable)
-        corpus = load_wsd_corpus(toy_corpus_file)
-        report = self._run(toy_model, toy_lexicon, corpus)
-        assert report.total == 6
-        assert report.attempted == 0
-        assert report.records[0].error == "nothing to measure for 'java'"
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_monosemous_targets_report_as_full_scoring(self, toy_model, strategy, monkeypatch):
@@ -393,9 +380,9 @@ class TestEvalWsd:
                                   predicted=predicted, gold=target.gold, attempted=True,
                                   correct=predicted in target.gold))
         scored = []
-        real = kwsense.evaluation.disambiguate
-        monkeypatch.setattr(kwsense.evaluation, "disambiguate",
-                            lambda *args: scored.append(args[2]) or real(*args))
+        real = kwsense.evaluation._disambiguate_batch
+        monkeypatch.setattr(kwsense.evaluation, "_disambiguate_batch",
+                            lambda *args: scored.extend(k for k, _ in args[2]) or real(*args))
         got = eval_wsd(toy_model, lexicon, WsdCorpus(name="mono", items=items), cfg, params,
                        sif, docvec)
         assert list(got.records) == want

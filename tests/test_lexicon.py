@@ -47,6 +47,16 @@ class TestSense:
                            match=rf"^sense 's\.1': {field} must be nonempty strings$"):
             Sense("s.1", **entries)
 
+    @pytest.mark.parametrize("field", ["lemmas", "synonyms", "description_terms"])
+    @pytest.mark.parametrize("bare", ["java", np.str_("java")])
+    def test_a_bare_string_is_rejected(self, field, bare):
+        # Read character by character, "java" would index the sense under j, a and v.
+        entries = {"lemmas": ("java",), "synonyms": ("x",), "description_terms": ("y",)}
+        entries[field] = bare
+        with pytest.raises(ValueError, match=rf"^sense 's\.1': {field} must be a tuple of "
+                                             r"strings, not a str$"):
+            Sense("s.1", **entries)
+
     def test_numpy_str_entries_accepted(self):
         terms = tuple(np.array(["a", "b c"]))
         assert Sense("s.1", terms, terms, description_terms=terms).synonyms == ("a", "b c")
