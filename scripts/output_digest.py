@@ -13,7 +13,10 @@ and loaded as the benchmark loads them. The digest covers:
   single ``disambiguate`` calls under ``topk``, ``average`` and ``overlap``;
 * ``query-mix``: every query under all five strategies;
 * ``cold-start``: every keyword against the others, as ``kwsense
-  disambiguate`` scores them, under ``topk``, ``average`` and ``overlap``.
+  disambiguate`` scores them, under ``topk``, ``average`` and ``overlap``;
+* ``query-mix`` and ``cold-start`` also: every keyword with an empty and
+  with an all-stopword context, under the same strategies (the generated
+  inputs hold no context whose active context is empty).
 
 Each output is written as sorted-key JSON, whose floats round-trip exactly,
 so two checkouts print the same digest only if their outputs are equal bit
@@ -37,6 +40,7 @@ import job  # noqa: E402
 import kwsense as kw  # noqa: E402
 
 STORE_FREE = ("topk", "average", "overlap")
+ALL = tuple(strategy.value for strategy in kw.Strategy)
 
 
 def outputs(workload: str, got: dict):
@@ -49,6 +53,14 @@ def outputs(workload: str, got: dict):
         return kw.disambiguate(model, lexicon, keyword, context, cfg, params,
                                got["sif"], got["docvec"]).to_dict()
 
+    def empty_contexts(keywords, strategies):
+        contexts = {"empty": [], "stopwords": sorted(cfg.stopwords)[:5]}
+        for strategy in strategies:
+            for keyword in dict.fromkeys(keywords):
+                if lexicon.senses_of(keyword):
+                    for name, context in contexts.items():
+                        yield keyword, strategy, name, ranked(keyword, context, strategy)
+
     if workload == "wsd-corpus":
         for doc in [*job.documents(kw, got["corpus"]), got["corpus"]]:
             yield doc.name, kw.eval_wsd(model, lexicon, doc).to_dict(include_records=True)
@@ -56,16 +68,19 @@ def outputs(workload: str, got: dict):
             for rid, keyword, context, _ in job.latency_sample(kw, lexicon, got["corpus"]):
                 yield rid, strategy, ranked(keyword, context, strategy)
     elif workload == "query-mix":
-        for strategy in kw.Strategy:
-            for rid, keyword, context, _ in job.targets_of(got["corpus"]):
+        targets = job.targets_of(got["corpus"])
+        for strategy in ALL:
+            for rid, keyword, context, _ in targets:
                 if lexicon.senses_of(keyword):
-                    yield rid, strategy.value, ranked(keyword, context, strategy.value)
+                    yield rid, strategy, ranked(keyword, context, strategy)
+        yield from empty_contexts([keyword for _, keyword, _, _ in targets], ALL)
     else:
         words = got["keywords"]
         for strategy in STORE_FREE:
             for i, keyword in enumerate(words):
                 if lexicon.senses_of(keyword):
                     yield keyword, strategy, ranked(keyword, words[:i] + words[i + 1 :], strategy)
+        yield from empty_contexts(words, STORE_FREE)
 
 
 def digest(workload: str, seed: int) -> str:

@@ -47,15 +47,17 @@ adds the values in input order with no missing-word work, bit for bit the
 skip-missing means.
 
 Step 1 and step 2 compile separately, so a keyword scored only by ``overlap``,
-``sif`` or ``docvec`` never compiles its descriptions; ``overlap`` keeps each
-sense's description word set instead, as word ids, per stopword set
-(:func:`description_words`). Compiled parts are cached per (model, lexicon)
-pair: on the lexicon, per model, until the model is garbage-collected. A
-lexicon cannot change after it is built, so its interning is the only one
-its senses get: every compiled part, the indexes of :func:`rel_senses` and
-:func:`rel_sense_word` included, is built from it and cached under the
-senses' ordinals in it. Only the lexicon's own sense objects compile; any
-other sense, under one of its ids or not, raises ValueError.
+``sif`` or ``docvec`` never compiles its descriptions. ``overlap`` keeps
+instead, per stopword set, one frozenset of description words per sense
+(:func:`description_words`), split from the terms themselves, and
+:func:`overlap` scores a context against them. Compiled parts are cached
+per (model, lexicon) pair: on the lexicon, per model, until the model is
+garbage-collected. A lexicon cannot change after it is built, so its
+interning is the only one its senses get: every compiled part, the indexes
+of :func:`rel_senses` and :func:`rel_sense_word` included, is built from it
+and cached under the senses' ordinals in it. Only the lexicon's own sense
+objects compile; any other sense, under one of its ids or not, raises
+ValueError.
 """
 from __future__ import annotations
 
@@ -112,40 +114,27 @@ class PhraseTable:
         return out
 
 
-# Token values not computed yet, in a token -> value array.
+# Token rows not looked up yet, in a token -> row array.
 _UNSEEN = -2
 
 
-def _token_values(
-    model: EmbeddingModel,
-    lexicon: Lexicon,
-    tokens: np.ndarray,
-    key: Hashable,
-    compute: Callable[[list[int]], Sequence[int]],
-) -> np.ndarray:
-    """A value (an int >= -1) for each of ``tokens``, ids into the lexicon's interned tokens.
+def _token_rows(model: EmbeddingModel, lexicon: Lexicon, tokens: np.ndarray) -> np.ndarray:
+    """The row in ``model`` of each of ``tokens`` (by :meth:`EmbeddingModel.row_id`), or -1.
 
-    ``compute`` gives the values of a list of distinct token ids; each
-    token's value is computed once. The tokens share one token -> value array
-    per (model, lexicon) pair and ``key``, filled as compiled keywords and the
-    SIF store need its tokens.
+    ``tokens`` are ids into the lexicon's interned tokens; each token's row is
+    looked up once, into one token -> row array per (model, lexicon) pair,
+    filled as compiled keywords and the SIF store need its tokens.
     """
-    values = _cached(model, lexicon, key, lambda: np.full(len(lexicon.interned.tokens), _UNSEEN))
-    out = values[tokens]
+    names = lexicon.interned.tokens
+    rows = _cached(model, lexicon, _token_rows, lambda: np.full(len(names), _UNSEEN))
+    out = rows[tokens]
     if out.min(initial=0) == _UNSEEN:
-        unseen = np.zeros(len(values), dtype=bool)
+        unseen = np.zeros(len(rows), dtype=bool)
         unseen[tokens[out == _UNSEEN]] = True
         unseen = np.flatnonzero(unseen).tolist()
-        values[unseen] = compute(unseen)
-        out = values[tokens]
+        rows[unseen] = [-1 if (i := model.row_id(names[t])) is None else i for t in unseen]
+        out = rows[tokens]
     return out
-
-
-def _token_rows(model: EmbeddingModel, lexicon: Lexicon, tokens: np.ndarray) -> np.ndarray:
-    """The row in ``model`` of each of ``tokens`` (by :meth:`EmbeddingModel.row_id`), or -1."""
-    row_id, names = model.row_id, lexicon.interned.tokens
-    return _token_values(model, lexicon, tokens, _token_rows,
-                         lambda ids: [-1 if (i := row_id(names[t])) is None else i for t in ids])
 
 
 def _phrase_table(
@@ -372,36 +361,9 @@ class DescriptionIndex:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class DescriptionWords:
-    """Description word sets of a keyword's senses, as word ids.
-
-    A sense's set holds the lowercased whitespace tokens of its description
-    terms that are not stopwords. ``words`` lists each sense's distinct word
-    ids, one sense after another, cut by ``offsets``; ``vocabulary`` maps
-    lowercased words to their ids (it may hold other keywords' words too).
-    """
-
-    vocabulary: dict[str, int]
-    offsets: np.ndarray
-    words: np.ndarray
-
-    def overlap(self, context: set[str]) -> list[float]:
-        """Per sense, |set & context| / min(|set|, |context|), or 0 when either is empty."""
-        hit = np.zeros(len(self.words), dtype=bool)
-        for word in context:
-            i = self.vocabulary.get(word)
-            if i is not None:
-                hit |= self.words == i
-        before = np.zeros(len(hit) + 1, dtype=np.intp)
-        hit.cumsum(out=before[1:])
-        shared = before[self.offsets[1:]] - before[self.offsets[:-1]]
-        smaller = np.minimum(self.offsets[1:] - self.offsets[:-1], len(context))
-        # Counts divide as Python ints do: both are exact in float64.
-        return np.where(smaller > 0, shared / np.maximum(smaller, 1), 0.0).tolist()
-
-
-_Compiled = TypeVar("_Compiled", SenseIndex, DescriptionIndex, DescriptionWords)
+# One frozenset of description words per sense of a keyword (``overlap``).
+WordSets = tuple[frozenset[str], ...]
+_Compiled = TypeVar("_Compiled", SenseIndex, DescriptionIndex, WordSets)
 _T = TypeVar("_T")
 # The ordinals of one keyword's senses in the lexicon's interning.
 _Ordinals = range | np.ndarray
@@ -548,40 +510,10 @@ def _build_description_words(
     lexicon: Lexicon,
     batch: Sequence[_Ordinals],
     stopwords: frozenset[str],
-) -> list[DescriptionWords]:
-    return [_description_words(model, lexicon, ordinals, stopwords) for ordinals in batch]
-
-
-def _description_words(
-    model: EmbeddingModel,
-    lexicon: Lexicon,
-    ordinals: _Ordinals,
-    stopwords: frozenset[str],
-) -> DescriptionWords:
-    tokens, bounds = _description_tokens(lexicon, ordinals)
-    names = lexicon.interned.tokens
-    # One vocabulary per (model, lexicon) pair, grown as keywords compile.
-    vocabulary = _cached(model, lexicon, DescriptionWords, dict)
-
-    def word_ids(ids: list[int]) -> np.ndarray:
-        # A word's id is the first token id that spelled it; -1 for a stopword.
-        lowered = list(map(str.lower, map(names.__getitem__, ids)))
-        stop = np.fromiter(map(stopwords.__contains__, lowered), bool, len(ids))
-        return np.where(stop, -1, np.fromiter(map(vocabulary.setdefault, lowered, ids), np.intp,
-                                              len(ids)))
-
-    words = _token_values(model, lexicon, tokens, (description_words, stopwords), word_ids)
-    owners = np.repeat(np.arange(len(ordinals)), bounds[1:] - bounds[:-1])
-    kept = words >= 0
-    # Each sense's distinct words: sort (sense, word) pairs and drop repeats.
-    base = max(1, len(names))
-    pairs = np.sort(owners[kept] * base + words[kept])
-    new = np.empty(len(pairs), dtype=bool)
-    new[:1] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
-    pairs = pairs[new]
-    offsets = np.searchsorted(pairs // base, np.arange(len(ordinals) + 1))
-    return DescriptionWords(vocabulary=vocabulary, offsets=offsets, words=pairs % base)
+) -> list[WordSets]:
+    senses = lexicon.interned.senses
+    return [tuple(frozenset(" ".join(senses[i].description_terms).lower().split()) - stopwords
+                  for i in ordinals) for ordinals in batch]
 
 
 def sense_indexes(
@@ -612,13 +544,19 @@ def description_index(
 
 def description_words(
     model: EmbeddingModel, lexicon: Lexicon, senses: Sequence[Sense], stopwords: frozenset[str]
-) -> DescriptionWords:
-    """The description word sets of ``senses``, cached per (model, lexicon) pair and stopwords.
+) -> WordSets:
+    """Per sense, the lowercased whitespace tokens of its description terms, minus ``stopwords``.
 
-    The sets depend on no model; they are kept beside the compiled
-    descriptions, so they live as long as those do.
+    Cached per (model, lexicon) pair, keyword and stopword set, beside the
+    compiled descriptions, though the sets depend on no model.
     """
     return _compiled(_build_description_words, model, lexicon, [senses], stopwords)[0]
+
+
+def overlap(word_sets: WordSets, context: set[str]) -> list[float]:
+    """Per sense, |set & context| / min(|set|, |context|), or 0 when either is empty."""
+    return [len(words & context) / min(len(words), len(context)) if words and context else 0.0
+            for words in word_sets]
 
 
 def rel_sense_word(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -30,12 +31,12 @@ import numpy as np
 
 from .compiled import (
     DescriptionIndex,
-    DescriptionWords,
-    SenseIndex,
+    WordSets,
     _description_tokens,
     _token_rows,
     description_indexes,
     description_words,
+    overlap,
     sense_index,
     sense_indexes,
 )
@@ -70,15 +71,27 @@ class Strategy(str, Enum):
     DOC_VEC = "docvec"
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` as an int (numpy's integers too); ValueError naming ``name`` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ContextConfig:
-    """Active-context selection settings."""
+    """Active-context selection settings; ``stopwords`` is stored as a frozenset."""
 
     max_context: int = 4
     threshold: float = 0.5
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_context", _integer(self.max_context, "max_context"))
+        if isinstance(self.stopwords, str):  # read by substring, "h" would be a stopword
+            raise ValueError("stopwords must be a collection of words, not a str")
+        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
         if self.max_context < 1:
             raise ValueError("max_context must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
@@ -101,6 +114,7 @@ class AlgoParams:
         # Written so that NaN fails the check.
         if not 0.0 <= self.freq_a <= 1.0:
             raise ValueError(f"freq_a must lie in [0, 1], got {self.freq_a}")
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -316,22 +330,6 @@ def select_active_context(
     return _active_contexts(model, keyword, [context_words], cfg)[0]
 
 
-def _base_scores(
-    index: Optional[SenseIndex], n: int, cas: Sequence[ActiveContext], weights: RelWeights
-) -> list[list[float]]:
-    """Step-1 score per context per sense of one keyword with ``n`` senses; 0 for an empty context.
-
-    ``index`` is the keyword's, None only if every context is empty; one
-    call measures every context with members.
-    """
-    out = [[0.0] * n] * len(cas)  # rows are replaced, never changed
-    measured = [j for j, ca in enumerate(cas) if ca.members]
-    if measured:
-        for j, bases in zip(measured, index.base_scores([cas[j].rows for j in measured], weights)):
-            out[j] = bases
-    return out
-
-
 def step1_base_scores(
     model: EmbeddingModel,
     lexicon: Lexicon,
@@ -344,8 +342,9 @@ def step1_base_scores(
     Every member has a direction, so a sense's score is its mean over all
     members; 0 for a sense with neither level measurable, or an empty context.
     """
-    index = sense_index(model, lexicon, senses) if ca.members else None
-    (bases,) = _base_scores(index, len(senses), [ca], weights)
+    if not ca.members:
+        return [SenseScore(sense.id, 0.0, 0.0) for sense in senses]
+    (bases,) = sense_index(model, lexicon, senses).base_scores([ca.rows], weights)
     return [SenseScore(sense.id, base, base) for sense, base in zip(senses, bases)]
 
 
@@ -355,7 +354,7 @@ def _step2_parts(
     keywords: Sequence[Sequence[Sense]],
     strategy: Strategy,
     stopwords: frozenset[str],
-) -> list[DescriptionWords | DescriptionIndex | None]:
+) -> list[WordSets | DescriptionIndex | None]:
     """Per keyword (its senses), what its step 2 reads compiled; None for ``sif`` and ``docvec``."""
     if strategy is Strategy.OVERLAP:
         return [description_words(model, lexicon, senses, stopwords) for senses in keywords]
@@ -367,35 +366,29 @@ def _step2_parts(
 def _strategy_strengths(
     model: EmbeddingModel,
     senses: Sequence[Sense],
-    part: DescriptionWords | DescriptionIndex | None,
+    part: WordSets | DescriptionIndex | None,
     cas: Sequence[ActiveContext],
     params: AlgoParams,
     store: Optional[VectorTable],
 ) -> list[list[Optional[float]]]:
-    """Per context of one keyword, the strategy strength in [0, 1] per sense.
+    """Per active context of one keyword (with members), the strategy strength in [0, 1] per sense.
 
     None where the inputs are unavailable. ``part`` is the keyword's
-    :func:`_step2_parts` entry (None for ``average`` and ``topk`` only if
-    every context is empty). The description table, or the store rows,
+    :func:`_step2_parts` entry. The description table, or the store rows,
     are measured against all contexts by one kernel call.
     """
     if params.strategy is Strategy.OVERLAP:
-        return [part.overlap({w.lower() for w in ca.words}) for ca in cas]
-    out = [[None] * len(senses)] * len(cas)  # rows are replaced, never changed
-    measured = [j for j, ca in enumerate(cas) if ca.members]
-    if not measured:
-        return out
+        return [overlap(part, {w.lower() for w in ca.words}) for ca in cas]
     if params.strategy is Strategy.AVERAGE:
-        for j, strengths in zip(measured, part.average([cas[j].rows for j in measured])):
-            out[j] = strengths
-        return out
+        return part.average([ca.rows for ca in cas])
+    out = [[None] * len(senses)] * len(cas)  # rows are replaced, never changed
     if params.strategy is Strategy.TOP_K:
         kd_vec = model.phrase_matrix([cas[0].target])[0]
         with_kd = has_direction(kd_vec)
     kept, centroids, references = [], [], []
-    for j in measured:
+    for j, ca in enumerate(cas):
         # The members' centroid: a float64 sum in row order, then one division.
-        rows = cas[j].rows
+        rows = ca.rows
         centroid = np.add.reduce(rows, axis=0) / len(rows)
         if not has_direction(centroid):
             continue
@@ -480,16 +473,14 @@ def step2_rescore(
     """Add (1 - maxScore) * strategy strength to every sense's score.
 
     Senses whose strategy inputs are unavailable (all description terms out
-    of vocabulary, sense id absent from a store, empty context for the
-    centroid strategies) keep their step-1 score unchanged.
+    of vocabulary, sense id absent from a store) keep their score unchanged.
+    An empty context leaves every score unchanged, under every strategy.
     """
     store = strategy_store(model, params.strategy, sif_store, docvec_store)
-    if not scores:
-        return []
     senses = [lexicon.resolve(s.sense_id) for s in scores]
-    part = None
-    if ca.members or params.strategy is Strategy.OVERLAP:
-        (part,) = _step2_parts(model, lexicon, [senses], params.strategy, stopwords)
+    if not (scores and ca.members):
+        return list(scores)
+    (part,) = _step2_parts(model, lexicon, [senses], params.strategy, stopwords)
     (strengths,) = _strategy_strengths(model, senses, part, [ca], params, store)
     return _rescore(scores, strengths)
 
@@ -562,33 +553,40 @@ def _disambiguate_batch(
     """Rank the senses of each (keyword, context words) target: the one scoring path.
 
     None for a keyword without senses; ``store`` is :func:`strategy_store`'s.
-    Targets are grouped by keyword. The keywords that a context measures
-    compile together where they have not yet, one batch per compiled part;
-    then each keyword's step 1 and step 2 measure all its contexts at once.
+    Targets are grouped by keyword. An empty active context is settled at
+    once: steps 1-3 give it every sense at 0.0, with zero deltas, under every
+    strategy. The keywords that a context with members measures compile
+    together where they have not yet, one batch per compiled part; then
+    each keyword's step 1 and step 2 measure all those contexts at once.
     Every result equals the one its target gets alone.
     """
     groups: dict[str, list[int]] = {}
     for j, (keyword, _) in enumerate(targets):
         groups.setdefault(keyword, []).append(j)
-    scored = []  # (keyword, senses, target positions, active contexts)
+    out: list[Optional[DisambiguationResult]] = [None] * len(targets)
+    measured = []  # (keyword, senses, target positions and active contexts with members)
     for keyword, positions in groups.items():
         senses = lexicon.senses_of(keyword)
-        if senses:
-            contexts = [targets[j][1] for j in positions]
-            scored.append((keyword, senses, positions,
-                           _active_contexts(model, keyword, contexts, cfg)))
-    # The keywords that a context measures compile together; overlap reads
-    # its word sets for empty contexts too.
-    measured = [group for group in scored if any(ca.members for ca in group[3])]
-    step2 = scored if params.strategy is Strategy.OVERLAP else measured
-    indexes = dict(zip([group[0] for group in measured],
-                       sense_indexes(model, lexicon, [group[1] for group in measured])))
-    parts = dict(zip([group[0] for group in step2], _step2_parts(
-        model, lexicon, [group[1] for group in step2], params.strategy, cfg.stopwords)))
-    out: list[Optional[DisambiguationResult]] = [None] * len(targets)
-    for keyword, senses, positions, cas in scored:
-        bases = _base_scores(indexes.get(keyword), len(senses), cas, params.weights)
-        strengths = _strategy_strengths(model, senses, parts.get(keyword), cas, params, store)
+        if not senses:
+            continue
+        cas = _active_contexts(model, keyword, [targets[j][1] for j in positions], cfg)
+        kept = []
+        for j, ca in zip(positions, cas):
+            if ca.members:
+                kept.append((j, ca))
+            else:
+                # Steps 1-3 give an empty context every sense at 0.0, in lexicon order.
+                scores = tuple(SenseScore(sense.id, 0.0, 0.0) for sense in senses)
+                out[j] = DisambiguationResult(keyword=keyword, active_context=ca, scores=scores)
+        if kept:
+            measured.append((keyword, senses, kept))
+    keywords = [senses for _, senses, _ in measured]
+    indexes = sense_indexes(model, lexicon, keywords)
+    parts = _step2_parts(model, lexicon, keywords, params.strategy, cfg.stopwords)
+    for (keyword, senses, kept), index, part in zip(measured, indexes, parts):
+        positions, cas = zip(*kept)
+        bases = index.base_scores([ca.rows for ca in cas], params.weights)
+        strengths = _strategy_strengths(model, senses, part, cas, params, store)
         for j, ca, base, strength in zip(positions, cas, bases, strengths):
             scores = [SenseScore(sense.id, b, b) for sense, b in zip(senses, base)]
             scores = step3_frequency(_rescore(scores, strength), senses, params)

@@ -11,9 +11,11 @@ A lexicon is read-only: a changed inventory is a new lexicon. It interns
 its phrases when it is built, however it is built (:class:`InternedSenses`):
 every distinct synonym, core-context label and description term gets one
 id and its whitespace tokens as ids into one token list, and every sense
-its phrase ids, so that :mod:`kwsense.compiled` compiles keywords with array
-gathers instead of splitting and looking up phrases one at a time. The
-loader also stores each distinct string once (``sys.intern``).
+its phrase ids, so that :mod:`kwsense.compiled` compiles step 1 and the
+``average`` and ``topk`` descriptions with array gathers instead of
+splitting and looking up phrases one at a time (``overlap``'s word sets
+are split from the senses' own terms). The loader also stores each
+distinct string once (``sys.intern``).
 """
 from __future__ import annotations
 

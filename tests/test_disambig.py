@@ -23,6 +23,7 @@ from kwsense import (
     ParseError,
     RelWeights,
     Sense,
+    SenseScore,
     Strategy,
     UnmeasurableError,
     build_sif_store,
@@ -38,7 +39,7 @@ from kwsense import (
 from kwsense.lexicon import ContextRef
 from kwsense.relatedness import angular_relatedness, has_direction, rel_words
 
-from conftest import TOY_DIM, vector_table
+from conftest import TOY_DIM, make_toy_senses, vector_table
 
 STOP = frozenset({"the", "is", "an", "of", "a"})
 
@@ -193,7 +194,7 @@ def _overlap(context: list[str], description: list[str], stopwords: frozenset[st
     sense = Sense(id="s", lemmas=("kw",), synonyms=("kw",), description_terms=tuple(description))
     model = EmbeddingModel(vocab={"kw": np.ones(2)}, dim=2)
     words = compiled.description_words(model, Lexicon.from_senses([sense]), [sense], stopwords)
-    (strength,) = words.overlap({w.lower() for w in context})
+    (strength,) = compiled.overlap(words, {w.lower() for w in context})
     return strength
 
 
@@ -222,7 +223,7 @@ class TestOverlap:
         other = Lexicon.from_senses([dataclasses.replace(s, description_terms=("Sea",))
                                      for s in lexicon.senses.values()])
         words = compiled.description_words(toy_model, other, other.senses_of("java"), STOP)
-        assert words.overlap({"sea"}) == [1.0] * 3
+        assert compiled.overlap(words, {"sea"}) == [1.0] * 3
         assert compiled.description_words(toy_model, lexicon, senses, STOP) is first
         # Step 2 scores with the compiled sets.
         ca = ActiveContext(target="java", members=(("sea", 0.9),),
@@ -250,8 +251,8 @@ class TestOverlap:
         for lexicon in lexicons:
             senses = list(lexicon.senses.values())
             for stop in (frozenset({"the", "σ"}), frozenset()):  # two stopword sets
-                got = compiled.description_words(model, lexicon, senses, stop).overlap(
-                    {w.lower() for w in context})
+                got = compiled.overlap(compiled.description_words(model, lexicon, senses, stop),
+                                       {w.lower() for w in context})
                 want = [oracle.overlap_score(context, s.description_terms, stop) for s in senses]
                 assert [g.hex() for g in got] == [w.hex() for w in want]
 
@@ -426,18 +427,54 @@ class TestStep2:
             base[0].score + (1 - max_score) * expected_strength, abs=1e-12
         )
 
-    def test_empty_context_keeps_scores_for_centroid_strategies(
-        self, toy_model, toy_lexicon
-    ):
+
+# Contexts whose active context is empty: no words, only stopwords, and only
+# the keyword itself or a word below the threshold.
+_EMPTY_CONTEXTS = {"no_words": [], "stopwords": ["the", "of", "a"], "unrelated": ["xenon", "Java"]}
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+class TestEmptyContext:
+    """Steps 1-3 give an empty active context every sense at 0.0, under every strategy."""
+
+    @staticmethod
+    def _stores(model, lexicon):
+        return dict(sif_store=build_sif_store(model, lexicon),
+                    docvec_store=DocVecStore(vector_table({"java#coffee": model.vocab["cup"]}, 5)))
+
+    @pytest.mark.parametrize("context", list(_EMPTY_CONTEXTS.values()), ids=list(_EMPTY_CONTEXTS))
+    def test_disambiguate_gives_every_sense_zero_in_lexicon_order(
+            self, toy_model, toy_lexicon, strategy, context):
+        result = disambiguate(toy_model, toy_lexicon, "java", context, _cfg(),
+                              AlgoParams(strategy=strategy), **self._stores(toy_model, toy_lexicon))
+        assert result.active_context.members == ()
+        # Zero deltas too: they are SenseScore's defaults.
+        assert result.scores == tuple(SenseScore(sense.id, 0.0, 0.0)
+                                      for sense in toy_lexicon.senses_of("java"))
+
+    def test_step2_rescore_returns_its_input(self, toy_model, toy_lexicon, strategy):
         senses = toy_lexicon.senses_of("java")
-        ca = ActiveContext(target="java")
-        base = step1_base_scores(toy_model, toy_lexicon, senses, ca)
-        for strategy in (Strategy.TOP_K, Strategy.AVERAGE):
-            rescored = step2_rescore(
-                toy_model, toy_lexicon, base, ca,
-                AlgoParams(strategy=strategy), stopwords=STOP,
-            )
-            assert [s.score for s in rescored] == [s.score for s in base]
+        params, stores = AlgoParams(strategy=strategy), self._stores(toy_model, toy_lexicon)
+        empty = ActiveContext(target="java")
+        base = step1_base_scores(toy_model, toy_lexicon, senses, empty)
+        # Scores with every step's part set, as a full ranking of a context has them.
+        ranked = list(disambiguate(toy_model, toy_lexicon, "java", ["island", "coffee"], _cfg(),
+                                   params, **stores).scores)
+        assert ranked[0].step2_delta > 0.0 and ranked[0].step3_delta > 0.0
+        for scores in (base, ranked):
+            got = step2_rescore(toy_model, toy_lexicon, scores, empty, params,
+                                stopwords=STOP, **stores)
+            assert got == scores
+
+    def test_a_keyword_with_only_empty_contexts_compiles_nothing(self, toy_model, strategy):
+        lexicon = Lexicon.from_senses(make_toy_senses())
+        stores = self._stores(toy_model, Lexicon.from_senses(make_toy_senses()))
+        for context in _EMPTY_CONTEXTS.values():
+            disambiguate(toy_model, lexicon, "java", context, _cfg(),
+                         AlgoParams(strategy=strategy), **stores)
+        assert not lexicon.compiled.get(toy_model)
+        step1_base_scores(toy_model, lexicon, lexicon.senses_of("java"), ActiveContext("java"))
+        assert not lexicon.compiled.get(toy_model)
 
 
 class TestStep3:
@@ -748,3 +785,36 @@ class TestParamValidation:
             ContextConfig(max_context=0)
         with pytest.raises(ValueError, match="threshold"):
             ContextConfig(threshold=1.5)
+
+    @pytest.mark.parametrize("words", [{"the", "of"}, ["the", "of"], ("the", "of")],
+                             ids=["set", "list", "tuple"])
+    def test_stopwords_of_any_collection_are_a_frozenset(self, toy_model, toy_lexicon, words):
+        cfg = ContextConfig(stopwords=words)
+        assert cfg.stopwords == frozenset({"the", "of"}) and type(cfg.stopwords) is frozenset
+        context = ["the", "island", "of", "sea"]
+        for strategy in (Strategy.OVERLAP, Strategy.TOP_K):
+            params = AlgoParams(strategy=strategy)
+            got = disambiguate(toy_model, toy_lexicon, "java", context, cfg, params)
+            want = disambiguate(toy_model, toy_lexicon, "java", context,
+                                ContextConfig(stopwords=frozenset({"the", "of"})), params)
+            assert got == want and got.active_context.words == ("island", "sea")
+
+    def test_stopwords_as_a_str_rejected(self):
+        # Tested by substring, "the" would make "h" and "he" stopwords.
+        with pytest.raises(ValueError, match="stopwords"):
+            ContextConfig(stopwords="the")
+
+    @pytest.mark.parametrize("name, make", [
+        ("max_context", lambda v: ContextConfig(max_context=v)),
+        ("k", lambda v: AlgoParams(k=v)),
+    ], ids=["max_context", "k"])
+    def test_counts_are_integers(self, toy_model, toy_lexicon, name, make):
+        for value in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                make(value)
+        for value in (np.int64(2), np.uint8(2), 2):
+            got = getattr(make(value), name)
+            assert got == 2 and type(got) is int
+        cfg, params = ContextConfig(max_context=np.int32(1)), AlgoParams(k=np.int64(1))
+        result = disambiguate(toy_model, toy_lexicon, "java", ["island", "sea"], cfg, params)
+        assert len(result.active_context) == 1
